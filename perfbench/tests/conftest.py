@@ -1,0 +1,6 @@
+import sys
+from pathlib import Path
+
+# The benchmark's modules import each other by plain name, as they do when
+# run.py is started as a script.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
