@@ -23,13 +23,13 @@ from .contexts import (
 from .core import (
     NonOrthonormalBasisError,
     TransferOperator,
-    apply,
     as_state,
     basis_change,
     haar_random_states,
     inner,
     norm_sq,
     normalize,
+    real_amplitude_grid,
 )
 from .interferometer import (
     DuplicateModifierError,
@@ -42,6 +42,7 @@ from .interferometer import (
     block,
     build_network,
     counterfactual_gain,
+    evaluate_states,
     fringe_coefficients,
     phase_scan,
     phase_shift,

@@ -17,14 +17,13 @@ import json
 import math
 import os
 import sys
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import interferometer, stats
-from .contexts import canonical_paths, witness_direct
-from .core import haar_random_states, normalize
-from .interferometer import Network, build_network, run, run_many, witness_from_outputs
+from .core import haar_random_states, normalize, real_amplitude_grid
+from .interferometer import build_network, evaluate_states, run
 from .reference import FRINGE_MODELS, MEASURED, NAMED_STATES
 from .selfcheck import run_all_checks
 
@@ -178,38 +177,6 @@ def _read_counts_csv(path: str) -> stats.FringeDataset:
     )
 
 
-def real_amplitude_grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First-octant grid of real states (sin a cos b, sin a sin b, cos a)."""
-    axis = np.linspace(0.0, math.pi / 2.0, resolution)
-    grid_a, grid_b = np.meshgrid(axis, axis, indexing="ij")
-    alphas, betas = grid_a.ravel(), grid_b.ravel()
-    states = np.column_stack([
-        np.sin(alphas) * np.cos(betas),
-        np.sin(alphas) * np.sin(betas),
-        np.cos(alphas),
-    ]).astype(complex)
-    return alphas, betas, states
-
-
-def evaluate_states(network: Network, states: np.ndarray) -> Mapping[str, np.ndarray]:
-    """Witness, gain at port 3 under blocking f, and interior probabilities."""
-    paths = canonical_paths()
-    probes = np.array([paths["f"], paths["D1"], paths["D2"]])
-    overlaps = states @ probes.conj().T
-    pf = np.abs(overlaps[:, 0]) ** 2
-    pd1 = np.abs(overlaps[:, 1]) ** 2
-    pd2 = np.abs(overlaps[:, 2]) ** 2
-    free = run_many(network, states)
-    blocked = run_many(network, states, [interferometer.block("f")])
-    return {
-        "witness": pf - pd1 - pd2,
-        "gain": blocked[:, 2] - free[:, 2],
-        "pf": pf,
-        "pd1": pd1,
-        "pd2": pd2,
-    }
-
-
 def _noise_requested(args: argparse.Namespace) -> bool:
     return any(getattr(args, flag) is not None for flag in ("visibility", "rate", "duration"))
 
@@ -247,27 +214,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _distribution(probs: np.ndarray) -> dict[str, float]:
+    p1, p2, p3 = (float(p) for p in probs)
+    return {"p1": p1, "p2": p2, "p3": p3, "survival": p1 + p2 + p3}
+
+
 def cmd_witness(args: argparse.Namespace) -> int:
     psi = _parse_state(args.state)
-    network = build_network()
-    free = run(network, psi)
-    blocked = run(network, psi, [interferometer.block("f")])
-    paths = canonical_paths()
-
-    def overlap(label: str) -> float:
-        return abs(complex(np.vdot(paths[label], psi))) ** 2
-
+    metrics = {k: v[0] for k, v in evaluate_states(build_network(), psi[None, :]).items()}
+    free, blocked = _distribution(metrics["free"]), _distribution(metrics["blocked"])
     payload = {
-        "blocked": {"p1": blocked.p1, "p2": blocked.p2, "p3": blocked.p3,
-                    "survival": blocked.survival},
-        "free": {"p1": free.p1, "p2": free.p2, "p3": free.p3, "survival": free.survival},
-        "gain_port3": blocked.p3 - free.p3,
-        "p_d1": overlap("D1"),
-        "p_d2": overlap("D2"),
-        "p_f": overlap("f"),
+        "blocked": blocked,
+        "free": free,
+        "gain_port3": float(metrics["gain"]),
+        "p_d1": float(metrics["pd1"]),
+        "p_d2": float(metrics["pd2"]),
+        "p_f": float(metrics["pf"]),
         "state": _state_parts(psi),
-        "witness_direct": witness_direct(psi),
-        "witness_from_outputs": witness_from_outputs(free, blocked),
+        "witness_direct": float(metrics["witness"]),
+        "witness_from_outputs": float(metrics["witness_outputs"]),
     }
     if args.format == "text":
         lines = [
@@ -276,9 +241,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
             f"witness (interior paths):  {payload['witness_direct']:.9f}",
             f"witness (output side):     {payload['witness_from_outputs']:.9f}",
             f"gain at port 3 blocking f: {payload['gain_port3']:.9f}",
-            "free output:    " + "  ".join(_f9(v) for v in free),
-            "blocked output: " + "  ".join(_f9(v) for v in blocked)
-            + f"  (survival {_f9(blocked.survival)})",
+            "free output:    " + "  ".join(_f9(v) for v in metrics["free"]),
+            "blocked output: " + "  ".join(_f9(v) for v in metrics["blocked"])
+            + f"  (survival {_f9(blocked['survival'])})",
         ]
         _write(args.out, "\n".join(lines) + "\n")
     else:
@@ -291,6 +256,8 @@ def _run_scan(args: argparse.Namespace, kind: str) -> int:
     network = build_network()
     if args.steps < 1:
         raise SchemaError("--steps must be at least 1")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise SchemaError("--from and --to must be finite")
     grid = np.linspace(args.start, args.stop, args.steps)
     if kind == "phase":
         dataset = interferometer.phase_scan(network, psi, args.target, grid)
@@ -319,32 +286,33 @@ def cmd_trans_scan(args: argparse.Namespace) -> int:
     return _run_scan(args, "transmittance")
 
 
+def _sweep_columns(states: np.ndarray) -> list[np.ndarray]:
+    """witness, gain, pf, pd1, pd2; the output triples are freed before formatting."""
+    metrics = evaluate_states(build_network(), states)
+    return [metrics[k] for k in ("witness", "gain", "pf", "pd1", "pd2")]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    network = build_network()
     if args.complex:
         if args.samples < 1:
             raise SchemaError("--samples must be at least 1")
-        states = haar_random_states(args.samples, _resolve_seed(args))
-        metrics = evaluate_states(network, states)
+        columns = _sweep_columns(haar_random_states(args.samples, _resolve_seed(args)))
         lines = ["index,witness,gain,pf,pd1,pd2"]
         for i in range(args.samples):
-            cells = [str(i)] + [_f9(metrics[k][i]) for k in ("witness", "gain", "pf", "pd1", "pd2")]
-            lines.append(",".join(cells))
-        top = int(np.argmax(metrics["witness"]))
-        lines.append(f"# max_witness={_f9(metrics['witness'][top])} index={top}")
+            lines.append(",".join([str(i)] + [_f9(c[i]) for c in columns]))
+        top = int(np.argmax(columns[0]))
+        lines.append(f"# max_witness={_f9(columns[0][top])} index={top}")
     else:
         if args.resolution < 2:
             raise SchemaError("--resolution must be at least 2")
         alphas, betas, states = real_amplitude_grid(args.resolution)
-        metrics = evaluate_states(network, states)
+        columns = _sweep_columns(states)
         lines = ["alpha,beta,witness,gain,pf,pd1,pd2"]
         for i in range(states.shape[0]):
-            cells = [_f9(alphas[i]), _f9(betas[i])]
-            cells += [_f9(metrics[k][i]) for k in ("witness", "gain", "pf", "pd1", "pd2")]
-            lines.append(",".join(cells))
-        top = int(np.argmax(metrics["witness"]))
+            lines.append(",".join([_f9(alphas[i]), _f9(betas[i])] + [_f9(c[i]) for c in columns]))
+        top = int(np.argmax(columns[0]))
         lines.append(
-            f"# max_witness={_f9(metrics['witness'][top])} "
+            f"# max_witness={_f9(columns[0][top])} "
             f"alpha={_f9(alphas[top])} beta={_f9(betas[top])}"
         )
     _write(args.out, "\n".join(lines) + "\n")
@@ -401,22 +369,22 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         )
         return delta
 
-    for name in ("Nf", "Bf", "V0"):
-        psi = NAMED_STATES[name]
-        free = run(network, psi)
-        blocked = run(network, psi, [interferometer.block("f")])
+    names = ("Nf", "Bf", "V0")
+    metrics = evaluate_states(network, np.array([NAMED_STATES[name] for name in names]))
+    for n, name in enumerate(names):
+        free, blocked = metrics["free"][n], metrics["blocked"][n]
         measured = MEASURED[name]
         for i in range(3):
             dev_probs = max(dev_probs, row(name, f"free p{i + 1}", free[i], measured.free[i]))
         for i in range(3):
             dev_probs = max(dev_probs, row(name, f"blocked p{i + 1}", blocked[i], measured.blocked[i]))
-        dev_gains = max(dev_gains, row(name, "gain port3", blocked.p3 - free.p3, measured.gain))
-        dev_witness = max(dev_witness, row(name, "witness direct", witness_direct(psi), measured.witness))
+        dev_gains = max(dev_gains, row(name, "gain port3", metrics["gain"][n], measured.gain))
+        dev_witness = max(dev_witness, row(name, "witness direct", metrics["witness"][n], measured.witness))
         dev_witness = max(
             dev_witness,
-            row(name, "witness outputs", witness_from_outputs(free, blocked), measured.witness),
+            row(name, "witness outputs", metrics["witness_outputs"][n], measured.witness),
         )
-        offs, amps = interferometer.fringe_coefficients(network, psi)
+        offs, amps = interferometer.fringe_coefficients(network, NAMED_STATES[name])
         model_offs, model_amps = FRINGE_MODELS[name]
         for i in range(3):
             row(name, f"fringe a{i + 1}", offs[i], model_offs[i], ref_decimals=9)

@@ -1,13 +1,13 @@
 """Complex linear algebra for three-mode states and transfer operators.
 
-Everything is dimension 3 and double precision. Operators carry a kind flag
-so loss-free (unitary) and lossy (attenuating) transfers are validated once
-at construction instead of at every use.
+Everything is dimension 3 and double precision. Transfer operators are
+validated as unitary once at construction instead of at every use.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,8 +17,6 @@ DIM = 3
 # sloppier (hand-entered vectors) and get snapped to the nearest unitary.
 UNITARY_ATOL = 1e-12
 BASIS_INPUT_ATOL = 1e-10
-
-Kind = Literal["unitary", "attenuating"]
 
 
 class NonOrthonormalBasisError(ValueError):
@@ -55,15 +53,9 @@ def inner(a: Sequence[complex] | np.ndarray, b: Sequence[complex] | np.ndarray) 
 
 @dataclass(frozen=True)
 class TransferOperator:
-    """A validated 3x3 transfer matrix.
-
-    kind "unitary" requires U^dag U = I to within 1e-12; kind "attenuating"
-    only requires that no singular value exceeds 1, i.e. the map never
-    increases the norm.
-    """
+    """A 3x3 transfer matrix, validated unitary (U^dag U = I to within 1e-12)."""
 
     matrix: np.ndarray
-    kind: Kind = "unitary"
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
@@ -71,26 +63,14 @@ class TransferOperator:
             raise ValueError(f"transfer matrix must be {DIM}x{DIM}, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("transfer matrix entries must be finite")
-        if self.kind == "unitary":
-            dev = float(np.max(np.abs(m.conj().T @ m - np.eye(DIM))))
-            if dev > UNITARY_ATOL:
-                raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
-        elif self.kind == "attenuating":
-            top = float(np.linalg.svd(m, compute_uv=False)[0])
-            if top > 1.0 + UNITARY_ATOL:
-                raise ValueError(f"attenuating matrix has singular value {top:.15f} > 1")
-        else:
-            raise ValueError(f"unknown operator kind: {self.kind!r}")
+        dev = float(np.max(np.abs(m.conj().T @ m - np.eye(DIM))))
+        if dev > UNITARY_ATOL:
+            raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def adjoint(self) -> "TransferOperator":
-        return TransferOperator(self.matrix.conj().T, self.kind)
-
-
-def apply(op: TransferOperator, state: Sequence[complex] | np.ndarray) -> np.ndarray:
-    """Apply a transfer operator to a state, returning the new amplitudes."""
-    return op.matrix @ as_state(state)
+        return TransferOperator(self.matrix.conj().T)
 
 
 def basis_change(rows: Sequence[Sequence[complex] | np.ndarray]) -> TransferOperator:
@@ -112,7 +92,7 @@ def basis_change(rows: Sequence[Sequence[complex] | np.ndarray]) -> TransferOper
     if dev > 1e-13:
         u, _, vh = np.linalg.svd(m)
         m = u @ vh
-    return TransferOperator(m, "unitary")
+    return TransferOperator(m)
 
 
 def haar_random_states(count: int, seed: int) -> np.ndarray:
@@ -120,3 +100,16 @@ def haar_random_states(count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, DIM)) + 1j * rng.standard_normal((count, DIM))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def real_amplitude_grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angles a, b and states (sin a cos b, sin a sin b, cos a) over the first octant."""
+    axis = np.linspace(0.0, math.pi / 2.0, resolution)
+    grid_a, grid_b = np.meshgrid(axis, axis, indexing="ij")
+    alphas, betas = grid_a.ravel(), grid_b.ravel()
+    states = np.column_stack([
+        np.sin(alphas) * np.cos(betas),
+        np.sin(alphas) * np.sin(betas),
+        np.cos(alphas),
+    ]).astype(complex)
+    return alphas, betas, states

@@ -6,22 +6,26 @@ the input rails: a photon entering rail 1, 2, or 3 leaves from the same
 rail. Physical rail routing between splitters is not modeled; all
 observables depend only on the context bases.
 
-Modifiers act on a single interior path at the earliest stage where that
-path is part of the basis (f sits between stages 2 and 3, S1 between 1 and
-2, S2 between 3 and 4). Output probabilities with an absorber present are
-reported without renormalization, so the three ports sum to the survival
-probability rather than to one.
+A modifier multiplies one interior path amplitude by a factor m (block 0,
+phase exp(i phi), attenuate tau) at the earliest stage whose basis holds the
+path. As the network around it is the identity, that is one rank-1 update of
+the input state, psi -> psi + (m - 1) <v|psi> v, with v the path vector in
+rail coordinates read off the cumulative stage product. Several modifiers
+apply in earliest-stage order, which matters because f and D2 are not
+orthogonal. Output probabilities with an absorber present are reported
+without renormalization, so the three ports sum to the survival probability.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import TransferOperator, as_state, basis_change, norm_sq
+from .core import TransferOperator, as_state, basis_change
 from .contexts import INTERIOR_LABELS, canonical_paths, context_at
 from .stats import FringeDataset
 
@@ -33,7 +37,12 @@ class InvalidModifierTargetError(ValueError):
 
 
 class DuplicateModifierError(ValueError):
-    """Two modifiers landed on the same path at the same stage."""
+    """Two modifiers landed on the same path."""
+
+
+def _check_target(target: str) -> None:
+    if target not in INTERIOR_LABELS:
+        raise InvalidModifierTargetError(f"modifier target must be an interior path, got {target!r}")
 
 
 @dataclass(frozen=True)
@@ -43,14 +52,18 @@ class Modifier:
     value: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.target not in INTERIOR_LABELS:
-            raise InvalidModifierTargetError(
-                f"modifier target must be an interior path, got {self.target!r}"
-            )
+        _check_target(self.target)
         if self.action not in ("block", "phase", "attenuate"):
             raise ValueError(f"unknown modifier action: {self.action!r}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"modifier value must be finite, got {self.value}")
         if self.action == "attenuate" and not 0.0 <= self.value <= 1.0:
             raise ValueError(f"amplitude transmission must lie in [0, 1], got {self.value}")
+
+    @property
+    def factor(self) -> complex:
+        """Factor multiplying the target path amplitude."""
+        return {"block": 0.0, "phase": cmath.exp(1j * self.value), "attenuate": self.value}[self.action]
 
 
 def block(target: str) -> Modifier:
@@ -94,6 +107,20 @@ class Stage:
 @dataclass(frozen=True)
 class Network:
     stages: tuple[Stage, ...]
+    #: Interior path vectors in rail coordinates, in earliest-stage order: the
+    #: conjugated row of the cumulative stage product where each path first appears.
+    paths: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        paths = {}
+        cumulative = np.eye(3, dtype=complex)
+        for stage in self.stages:
+            cumulative = stage.transfer.matrix @ cumulative
+            for slot, label in enumerate(stage.basis):
+                if label in INTERIOR_LABELS and label not in paths:
+                    paths[label] = cumulative[slot].conj()
+                    paths[label].setflags(write=False)
+        object.__setattr__(self, "paths", MappingProxyType(paths))
 
     @property
     def reflectivities(self) -> tuple[float, ...]:
@@ -129,7 +156,7 @@ def build_network(basis: Mapping[str, np.ndarray] | None = None) -> Network:
     ]
     stages = []
     for k in range(1, 6):
-        transfer = TransferOperator(changes[k].matrix @ changes[k - 1].adjoint().matrix, "unitary")
+        transfer = TransferOperator(changes[k].matrix @ changes[k - 1].adjoint().matrix)
         stages.append(
             Stage(
                 index=k,
@@ -141,22 +168,34 @@ def build_network(basis: Mapping[str, np.ndarray] | None = None) -> Network:
     return Network(tuple(stages))
 
 
-def _modifiers_by_stage(modifiers: Iterable[Modifier]) -> dict[int, list[Modifier]]:
-    earliest = {}
-    for k in range(1, 5):
-        for label in context_at(k):
-            if label in INTERIOR_LABELS and label not in earliest:
-                earliest[label] = k
-    by_stage: dict[int, list[Modifier]] = {}
-    seen: set[tuple[int, str]] = set()
-    for mod in modifiers:
-        stage = earliest[mod.target]
-        key = (stage, mod.target)
-        if key in seen:
-            raise DuplicateModifierError(f"multiple modifiers on path {mod.target!r} at stage {stage}")
-        seen.add(key)
-        by_stage.setdefault(stage, []).append(mod)
-    return by_stage
+def _propagate(
+    network: Network,
+    states: np.ndarray,
+    targets: Sequence[str],
+    factors: np.ndarray | Sequence[Sequence[complex]],
+) -> np.ndarray:
+    """Port probabilities, shape (n_settings, n_states, 3), for a modifier grid.
+
+    Row s of the (n_settings, len(targets)) factors holds one amplitude
+    factor per target path. Each target applies the rank-1 update
+    amps += (m - 1) <v|amps> v to every state, in earliest-stage order.
+    """
+    amps = np.asarray(states, dtype=complex)
+    if amps.ndim != 2 or amps.shape[1] != 3:
+        raise ValueError(f"states must have shape (n, 3), got {amps.shape}")
+    if np.max(np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0)) > NORMALIZATION_ATOL:
+        raise ValueError("input states must be normalized")
+    for j, target in enumerate(targets):
+        _check_target(target)
+        if target in targets[:j]:
+            raise DuplicateModifierError(f"multiple modifiers on path {target!r}")
+    factors = np.asarray(factors, dtype=complex)
+    amps = np.repeat(amps[None], factors.shape[0], axis=0)
+    order = list(network.paths)
+    for j in sorted(range(len(targets)), key=lambda j: order.index(targets[j])):
+        v = network.paths[targets[j]]
+        amps += ((factors[:, j] - 1.0)[:, None] * (amps @ v.conj()))[..., None] * v
+    return np.abs(amps) ** 2
 
 
 def run_many(
@@ -165,25 +204,8 @@ def run_many(
     modifiers: Sequence[Modifier] = (),
 ) -> np.ndarray:
     """Propagate a batch of normalized states; returns (n, 3) port probabilities."""
-    amps = np.asarray(states, dtype=complex)
-    if amps.ndim != 2 or amps.shape[1] != 3:
-        raise ValueError(f"states must have shape (n, 3), got {amps.shape}")
-    norms = np.abs(amps) ** 2
-    if np.max(np.abs(norms.sum(axis=1) - 1.0)) > NORMALIZATION_ATOL:
-        raise ValueError("input states must be normalized")
-    by_stage = _modifiers_by_stage(modifiers)
-    amps = amps.copy()
-    for stage in network.stages:
-        amps = amps @ stage.transfer.matrix.T
-        for mod in by_stage.get(stage.index, ()):
-            slot = stage.basis.index(mod.target)
-            if mod.action == "block":
-                amps[:, slot] = 0.0
-            elif mod.action == "phase":
-                amps[:, slot] *= cmath.exp(1j * mod.value)
-            else:
-                amps[:, slot] *= mod.value
-    return np.abs(amps) ** 2
+    mods = list(modifiers)
+    return _propagate(network, states, [m.target for m in mods], [[m.factor for m in mods]])[0]
 
 
 def run(
@@ -192,10 +214,7 @@ def run(
     modifiers: Sequence[Modifier] = (),
 ) -> OutputDistribution:
     """Propagate one state through the network with the given modifiers."""
-    state = as_state(psi)
-    if abs(norm_sq(state) - 1.0) > NORMALIZATION_ATOL:
-        raise ValueError("input state must be normalized")
-    probs = run_many(network, state[None, :], modifiers)[0]
+    probs = run_many(network, as_state(psi)[None, :], modifiers)[0]
     return OutputDistribution(float(probs[0]), float(probs[1]), float(probs[2]))
 
 
@@ -215,14 +234,48 @@ def counterfactual_gain(
     return with_block.port(port) - free.port(port)
 
 
-def witness_from_outputs(free: OutputDistribution, blocked: OutputDistribution) -> float:
+def witness_from_outputs(free: np.ndarray, blocked: np.ndarray) -> np.ndarray:
     """Contextuality witness evaluated purely from output statistics.
 
     Equals the gain at port 3 under blocking of f, minus half the total
     probability surviving to ports 1 and 2. Algebraically identical to the
-    interior-path witness P(f) - P(D1) - P(D2).
+    interior-path witness P(f) - P(D1) - P(D2). Takes one distribution or
+    an (n, 3) batch of each.
     """
-    return (blocked.p3 - free.p3) - 0.5 * (blocked.p1 + blocked.p2)
+    free, blocked = np.asarray(free, dtype=float), np.asarray(blocked, dtype=float)
+    return (blocked[..., 2] - free[..., 2]) - 0.5 * (blocked[..., 0] + blocked[..., 1])
+
+
+def evaluate_states(network: Network, states: np.ndarray) -> dict[str, np.ndarray]:
+    """Witness and gain for (n, 3) states, the witness by two independent routes.
+
+    "free"/"blocked": output probabilities without/with f blocked; "pf",
+    "pd1", "pd2": canonical-path overlaps; "witness": P(f) - P(D1) - P(D2);
+    "gain": gain at port 3; "witness_outputs": the witness from outputs alone.
+    """
+    paths = canonical_paths()
+    overlaps = states @ np.array([paths["f"], paths["D1"], paths["D2"]]).conj().T
+    pf, pd1, pd2 = (np.abs(overlaps) ** 2).T
+    free, blocked = _propagate(network, states, ["f"], [[1.0], [0.0]])
+    return {
+        "free": free,
+        "blocked": blocked,
+        "pf": pf,
+        "pd1": pd1,
+        "pd2": pd2,
+        "witness": pf - pd1 - pd2,
+        "gain": blocked[:, 2] - free[:, 2],
+        "witness_outputs": witness_from_outputs(free, blocked),
+    }
+
+
+def _scan_settings(grid: Sequence[float], what: str) -> np.ndarray:
+    settings = np.asarray(list(grid), dtype=float)
+    if settings.size == 0:
+        raise ValueError(f"{what} grid must be nonempty")
+    if not np.all(np.isfinite(settings)):
+        raise ValueError(f"{what} settings must be finite")
+    return settings
 
 
 def phase_scan(
@@ -232,14 +285,9 @@ def phase_scan(
     grid: Sequence[float],
 ) -> FringeDataset:
     """Output probabilities as the phase applied to one interior path is swept."""
-    settings = np.asarray(list(grid), dtype=float)
-    if settings.size == 0:
-        raise ValueError("phase grid must be nonempty")
-    values = np.vstack([
-        run_many(network, as_state(psi)[None, :], [phase_shift(target, phi)])[0]
-        for phi in settings
-    ])
-    return FringeDataset(settings, values, "ideal")
+    settings = _scan_settings(grid, "phase")
+    values = _propagate(network, as_state(psi)[None, :], [target], np.exp(1j * settings)[:, None])
+    return FringeDataset(settings, values[:, 0], "ideal")
 
 
 def transmittance_scan(
@@ -254,16 +302,11 @@ def transmittance_scan(
     T = sin^2(theta / 2), so theta = 0 blocks the path and theta = pi leaves
     it untouched. Valid for theta in [0, 2 pi].
     """
-    settings = np.asarray(list(theta_grid), dtype=float)
-    if settings.size == 0:
-        raise ValueError("transmittance grid must be nonempty")
+    settings = _scan_settings(theta_grid, "transmittance")
     if np.any(settings < 0.0) or np.any(settings > 2.0 * math.pi + 1e-12):
         raise ValueError("transmittance settings must lie in [0, 2*pi]")
-    values = np.vstack([
-        run_many(network, as_state(psi)[None, :], [attenuate(target, math.sin(theta / 2.0))])[0]
-        for theta in settings
-    ])
-    return FringeDataset(settings, values, "ideal")
+    values = _propagate(network, as_state(psi)[None, :], [target], np.sin(settings / 2.0)[:, None])
+    return FringeDataset(settings, values[:, 0], "ideal")
 
 
 def fringe_coefficients(
@@ -272,8 +315,7 @@ def fringe_coefficients(
     target: str = "f",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact per-port (offset, cosine) coefficients of the phase fringe on target."""
-    p0 = np.asarray(run(network, psi, [phase_shift(target, 0.0)]), dtype=float)
-    ppi = np.asarray(run(network, psi, [phase_shift(target, math.pi)]), dtype=float)
+    p0, ppi = _propagate(network, as_state(psi)[None, :], [target], [[1.0], [-1.0]])[:, 0]
     return (p0 + ppi) / 2.0, (p0 - ppi) / 2.0
 
 
@@ -288,6 +330,7 @@ __all__ = [
     "block",
     "build_network",
     "counterfactual_gain",
+    "evaluate_states",
     "fringe_coefficients",
     "phase_scan",
     "phase_shift",

@@ -11,12 +11,13 @@ report only and are never used in any computation path.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
+
+from .contexts import max_witness
 
 
 def _state(components: tuple[float, float, float]) -> np.ndarray:
@@ -79,4 +80,4 @@ MEASURED: Mapping[str, MeasuredRecord] = MappingProxyType({
 })
 
 #: Largest witness value any state can reach, (sqrt(33) - 3) / 12.
-MAX_WITNESS_VALUE = (math.sqrt(33.0) - 3.0) / 12.0
+MAX_WITNESS_VALUE = max_witness().value

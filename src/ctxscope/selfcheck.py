@@ -77,17 +77,10 @@ def check_output_identity(
     count: int = IDENTITY_SUITE_STATES,
     seed: int = IDENTITY_SUITE_SEED,
 ) -> CheckResult:
-    """Interior witness equals the output-side witness for random states."""
-    states = haar_random_states(count, seed)
-    paths = canonical_paths()
-    overlaps = states @ np.array([paths["f"], paths["D1"], paths["D2"]]).conj().T
-    direct = (np.abs(overlaps[:, 0]) ** 2
-              - np.abs(overlaps[:, 1]) ** 2
-              - np.abs(overlaps[:, 2]) ** 2)
-    free = interferometer.run_many(network, states)
-    blocked = interferometer.run_many(network, states, [interferometer.block("f")])
-    from_outputs = (blocked[:, 2] - free[:, 2]) - 0.5 * (blocked[:, 0] + blocked[:, 1])
-    worst = float(np.max(np.abs(direct - from_outputs)))
+    """Interior witness (canonical-path overlaps) equals the output-side
+    witness (outputs propagated through `network`) for random states."""
+    metrics = interferometer.evaluate_states(network, haar_random_states(count, seed))
+    worst = float(np.max(np.abs(metrics["witness"] - metrics["witness_outputs"])))
     return CheckResult(
         "output-side witness identity",
         worst <= 1e-12,

@@ -15,11 +15,11 @@ import time
 import numpy as np
 import pytest
 
-from ctxscope.cli import evaluate_states, real_amplitude_grid
 from ctxscope.contexts import CONTEXTS, canonical_paths, max_witness, witness_direct, witness_matrix
-from ctxscope.core import haar_random_states
+from ctxscope.core import haar_random_states, real_amplitude_grid
 from ctxscope.interferometer import (
     block,
+    evaluate_states,
     fringe_coefficients,
     phase_scan,
     run,

@@ -151,6 +151,31 @@ class TestScans:
     def test_bad_steps_is_usage_error(self, capsys):
         assert run_cli(capsys, "phase-scan", "--state", "Nf", "--steps", "0")[0] == 2
 
+    @pytest.mark.parametrize("command", ["phase-scan", "trans-scan"])
+    def test_input_rail_target_is_usage_error(self, capsys, command):
+        assert run_cli(capsys, command, "--state", "Nf", "--target", "1", "--steps", "3")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--state", "Nf", "--phase", "f:nan", "--format", "csv"),
+        ("run", "--state", "Nf", "--attenuate", "D2:inf"),
+        ("sample", "--state", "Nf", "--phase", "S1:-inf"),
+        ("phase-scan", "--state", "Nf", "--to", "nan", "--steps", "3"),
+        ("phase-scan", "--state", "Nf", "--from", "inf", "--steps", "3"),
+        ("trans-scan", "--state", "Nf", "--to", "nan", "--steps", "3"),
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[3:5]),
+)
+def test_non_finite_modifier_or_setting_is_one_line_usage_error(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
 
 class TestSweep:
     def test_small_grid_schema_and_footer(self, capsys):

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from ctxscope.core import (
     NonOrthonormalBasisError,
     TransferOperator,
-    apply,
     as_state,
     basis_change,
     haar_random_states,
@@ -72,25 +71,17 @@ class TestInner:
 class TestApply:
     def test_identity(self):
         ident = TransferOperator(np.eye(3))
-        assert apply(ident, NF) == pytest.approx(NF)
+        assert ident.matrix @ NF == pytest.approx(NF)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_unitary_preserves_norm(self, seed):
         u = TransferOperator(random_unitary(seed))
         psi = haar_random_states(1, seed + 100)[0]
-        assert norm_sq(apply(u, psi)) == pytest.approx(norm_sq(psi), abs=1e-12)
-
-    def test_projector_removes_one_component(self):
-        proj = TransferOperator(np.diag([1.0, 1.0, 0.0]), kind="attenuating")
-        assert norm_sq(apply(proj, NF)) == pytest.approx(2 / 3, abs=1e-15)
+        assert norm_sq(u.matrix @ psi) == pytest.approx(norm_sq(psi), abs=1e-12)
 
     def test_unitary_kind_rejects_nonunitary_matrix(self):
         with pytest.raises(ValueError, match="not unitary"):
             TransferOperator(np.diag([1.0, 1.0, 0.0]))
-
-    def test_attenuating_kind_rejects_amplifying_matrix(self):
-        with pytest.raises(ValueError, match="singular value"):
-            TransferOperator(np.diag([1.0, 1.0, 1.5]), kind="attenuating")
 
 
 class TestBasisChange:
@@ -101,13 +92,13 @@ class TestBasisChange:
     def test_first_context_coordinates_of_balanced_state(self):
         d1 = np.array([0.0, 1.0, -1.0]) / math.sqrt(2.0)
         s1 = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
-        out = apply(basis_change([E1, d1, s1]), NF)
+        out = basis_change([E1, d1, s1]).matrix @ NF
         assert out == pytest.approx([1 / math.sqrt(3), 0.0, math.sqrt(2 / 3)], abs=1e-15)
 
     def test_middle_context_flagged_component(self):
         p1 = np.array([2.0, -1.0, 1.0]) / math.sqrt(6.0)
         s1 = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
-        out = apply(basis_change([F, p1, s1]), NF)
+        out = basis_change([F, p1, s1]).matrix @ NF
         assert abs(out[0]) ** 2 == pytest.approx(1 / 9, abs=1e-15)
 
     def test_rejects_non_orthonormal_rows(self):

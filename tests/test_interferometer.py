@@ -34,6 +34,35 @@ def blocked_oracle(psi: np.ndarray, label: str) -> np.ndarray:
     return np.abs(projected) ** 2
 
 
+def stage_product_oracle(network, states: np.ndarray, modifiers) -> np.ndarray:
+    """Independent prediction: multiply through the stage matrices one by one,
+    scaling a modified path's slot at the first stage whose basis holds it."""
+    factors = {}
+    for mod in modifiers:
+        factors[mod.target] = {"block": 0.0, "phase": np.exp(1j * mod.value),
+                               "attenuate": mod.value}[mod.action]
+    amps = np.array(states, dtype=complex)
+    for stage in network.stages:
+        amps = amps @ stage.transfer.matrix.T
+        for slot, label in enumerate(stage.basis):
+            if label in factors:
+                amps[:, slot] *= factors.pop(label)
+    return np.abs(amps) ** 2
+
+
+def random_modifiers(rng: np.random.Generator, labels) -> list:
+    mods = []
+    for label in labels:
+        action = rng.integers(3)
+        if action == 0:
+            mods.append(block(label))
+        elif action == 1:
+            mods.append(phase_shift(label, rng.uniform(-math.pi, math.pi)))
+        else:
+            mods.append(attenuate(label, rng.uniform(0.0, 1.0)))
+    return mods
+
+
 class TestBuildNetwork:
     def test_five_stages_with_expected_bases(self, network):
         assert [s.index for s in network.stages] == [1, 2, 3, 4, 5]
@@ -134,6 +163,13 @@ class TestRun:
         with pytest.raises(ValueError):
             attenuate("f", 1.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_modifier_value(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            phase_shift("f", value)
+        with pytest.raises(ValueError, match="finite"):
+            attenuate("D2", value)
+
     def test_rejects_unnormalized_state(self, network):
         with pytest.raises(ValueError, match="normalized"):
             run(network, [1.0, 1.0, 0.0])
@@ -143,6 +179,34 @@ class TestRun:
         batch = run_many(network, states, [block("S2")])
         for i, psi in enumerate(states):
             assert list(run(network, psi, [block("S2")])) == pytest.approx(batch[i], abs=1e-14)
+
+
+class TestKernelAgainstStageProduct:
+    def test_random_mixed_modifier_sets(self, network):
+        rng = np.random.default_rng(8128)
+        states = haar_random_states(500, 4)
+        worst = 0.0
+        for _ in range(200):
+            labels = rng.permutation(INTERIOR_LABELS)[: rng.integers(1, 8)]
+            mods = random_modifiers(rng, labels)
+            worst = max(worst, float(np.max(np.abs(
+                run_many(network, states, mods) - stage_product_oracle(network, states, mods)))))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("extra", [(), ("S1",), ("P1", "P2", "S2"), tuple(INTERIOR_LABELS[3:])])
+    def test_f_and_d2_together(self, network, extra):
+        # f (stage 2) and D2 (stage 4) overlap, so the order of their updates matters.
+        rng = np.random.default_rng(len(extra))
+        states = haar_random_states(500, 5)
+        for _ in range(20):
+            labels = rng.permutation(("D2", "f") + extra)
+            mods = random_modifiers(rng, labels)
+            expected = stage_product_oracle(network, states, mods)
+            assert float(np.max(np.abs(run_many(network, states, mods) - expected))) <= 1e-12
+
+    def test_kernel_paths_are_the_canonical_paths_up_to_phase(self, network):
+        for label, vec in network.paths.items():
+            assert abs(inner(vec, canonical_paths()[label])) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCounterfactualGain:
@@ -236,6 +300,16 @@ class TestScans:
     def test_transmittance_domain_check(self, network):
         with pytest.raises(ValueError):
             transmittance_scan(network, NF, "f", [-0.1])
+
+    @pytest.mark.parametrize("scan", [phase_scan, transmittance_scan])
+    def test_rejects_non_finite_settings(self, network, scan):
+        with pytest.raises(ValueError, match="finite"):
+            scan(network, NF, "f", [0.5, math.nan])
+
+    @pytest.mark.parametrize("scan", [phase_scan, transmittance_scan])
+    def test_rejects_input_rail_target(self, network, scan):
+        with pytest.raises(InvalidModifierTargetError):
+            scan(network, NF, "1", [0.5])
 
 
 class TestFringeCoefficients:
