@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ ENV_SEED = "CTXSCOPE_SEED"
 DEFAULT_RATE = 1000.0
 DEFAULT_DURATION = 100.0
 DEFAULT_STEPS = 25
+CSV_BLOCK_ROWS = 65_536  # rows per chunk from _csv; bounds the formatting temporaries
 
 
 class SchemaError(ValueError):
@@ -47,16 +49,31 @@ def _f9(x: float) -> str:
     return f"{x:.9f}"
 
 
-def _write(out: str, text: str) -> None:
+def _csv(header: str, columns: Sequence[Sequence[float]]) -> Iterator[str]:
+    """The header, then the rows in blocks of CSV_BLOCK_ROWS. Float columns
+    print as _f9 does (|x| < 1e-12 snapped to 0, nine decimals), others as integers."""
+    columns = [np.asarray(c) for c in columns]
+    floating = [c.dtype.kind == "f" for c in columns]
+    row = ",".join("%.9f" if f else "%d" for f in floating) + "\n"
+    yield header + "\n"
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
+        block = [np.where(np.abs(c) < 1e-12, 0.0, c) if f else c for c, f in zip(block, floating)]
+        values = itertools.chain.from_iterable(zip(*(c.tolist() for c in block)))
+        yield (row * len(block[0])) % tuple(values)
+
+
+def _write(out: str, *chunks: str) -> None:
+    """The one sink: every chunk is formatted before the output is opened."""
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _json_dump(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -96,7 +113,7 @@ def _parse_state(spec: str) -> np.ndarray:
     vec = np.array([complex(values[0], values[1]),
                     complex(values[2], values[3]),
                     complex(values[4], values[5])])
-    if np.linalg.norm(vec) == 0.0:
+    if not np.any(vec):
         raise SchemaError("state amplitudes must not all be zero")
     return normalize(vec)
 
@@ -128,21 +145,6 @@ def _parse_modifiers(args: argparse.Namespace) -> list[interferometer.Modifier]:
     return mods
 
 
-def _dataset_csv(dataset: stats.FringeDataset) -> str:
-    lines = []
-    if dataset.mode == "ideal":
-        lines.append(IDEAL_CSV_HEADER)
-        for setting, row in zip(dataset.settings, dataset.values):
-            cells = [_f9(setting)] + [_f9(v) for v in row] + [_f9(float(row.sum()))]
-            lines.append(",".join(cells))
-    else:
-        lines.append(COUNTS_CSV_HEADER)
-        for setting, row in zip(dataset.settings, dataset.values):
-            cells = [_f9(setting)] + [str(int(v)) for v in row] + [_f9(dataset.duration or 0.0)]
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def _read_counts_csv(path: str) -> stats.FringeDataset:
     try:
         if path == "-":
@@ -153,19 +155,24 @@ def _read_counts_csv(path: str) -> stats.FringeDataset:
     except OSError as exc:
         raise SchemaError(f"cannot read {path!r}: {exc}") from None
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows or [cell.strip() for cell in rows[0]] != COUNTS_CSV_HEADER.split(","):
+    rows = [(reader.line_num, row) for row in reader if row]
+    if not rows or [cell.strip() for cell in rows[0][1]] != COUNTS_CSV_HEADER.split(","):
         raise SchemaError(f"input must start with header {COUNTS_CSV_HEADER!r}")
     settings, counts, durations = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != 5:
             raise SchemaError(f"line {lineno}: expected 5 fields, got {len(row)}")
         try:
             values = [float(cell) for cell in row]
         except ValueError:
             raise SchemaError(f"line {lineno}: non-numeric field in {row}") from None
+        if not all(map(math.isfinite, values)):
+            raise SchemaError(f"line {lineno}: non-finite field in {row}")
         if any(v < 0 for v in values[1:4]):
             raise SchemaError(f"line {lineno}: counts must be non-negative")
+        if durations and values[4] != durations[0]:
+            raise SchemaError(
+                f"line {lineno}: duration {values[4]:g} differs from the first row's {durations[0]:g}")
         settings.append(values[0])
         counts.append(values[1:4])
         durations.append(values[4])
@@ -199,8 +206,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     mods = _parse_modifiers(args)
     dist = run(build_network(), psi, mods)
     if args.format == "csv":
-        row = ",".join(_f9(v) for v in (*dist, dist.survival))
-        _write(args.out, "p1,p2,p3,survival\n" + row + "\n")
+        _write(args.out, *_csv("p1,p2,p3,survival", [[v] for v in (*dist, dist.survival)]))
     else:
         _write(args.out, _json_dump({
             "modifiers": [f"{m.action}:{m.target}" + (f":{m.value!r}" if m.action != "block" else "")
@@ -274,7 +280,11 @@ def _run_scan(args: argparse.Namespace, kind: str) -> int:
             if visibility != 1.0:
                 raise SchemaError("--visibility models phase fringes; not valid for trans-scan")
             dataset = stats.sample_dataset(dataset, rate, duration, seed)
-    _write(args.out, _dataset_csv(dataset))
+    if dataset.mode == "ideal":
+        header, last = IDEAL_CSV_HEADER, dataset.values.sum(axis=1)
+    else:
+        header, last = COUNTS_CSV_HEADER, np.full(len(dataset), dataset.duration or 0.0)
+    _write(args.out, *_csv(header, [dataset.settings, *dataset.values.T, last]))
     return 0
 
 
@@ -297,37 +307,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.samples < 1:
             raise SchemaError("--samples must be at least 1")
         columns = _sweep_columns(haar_random_states(args.samples, _resolve_seed(args)))
-        lines = ["index,witness,gain,pf,pd1,pd2"]
-        for i in range(args.samples):
-            lines.append(",".join([str(i)] + [_f9(c[i]) for c in columns]))
         top = int(np.argmax(columns[0]))
-        lines.append(f"# max_witness={_f9(columns[0][top])} index={top}")
+        _write(args.out, *_csv("index,witness,gain,pf,pd1,pd2", [np.arange(args.samples), *columns]),
+               f"# max_witness={_f9(columns[0][top])} index={top}\n")
     else:
         if args.resolution < 2:
             raise SchemaError("--resolution must be at least 2")
         alphas, betas, states = real_amplitude_grid(args.resolution)
         columns = _sweep_columns(states)
-        lines = ["alpha,beta,witness,gain,pf,pd1,pd2"]
-        for i in range(states.shape[0]):
-            lines.append(",".join([_f9(alphas[i]), _f9(betas[i])] + [_f9(c[i]) for c in columns]))
         top = int(np.argmax(columns[0]))
-        lines.append(
-            f"# max_witness={_f9(columns[0][top])} "
-            f"alpha={_f9(alphas[top])} beta={_f9(betas[top])}"
-        )
-    _write(args.out, "\n".join(lines) + "\n")
+        trailer = f"# max_witness={_f9(columns[0][top])} alpha={_f9(alphas[top])} beta={_f9(betas[top])}\n"
+        _write(args.out, *_csv("alpha,beta,witness,gain,pf,pd1,pd2", [alphas, betas, *columns]), trailer)
     return 0
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     psi = _parse_state(args.state)
     mods = _parse_modifiers(args)
+    if not math.isfinite(args.setting):
+        raise SchemaError("--setting must be finite")
     dist = run(build_network(), psi, mods)
     seed = _resolve_seed(args)
     record = stats.sample_counts(dist, args.rate, args.duration, seed, setting=args.setting)
     if args.format == "csv":
-        cells = [_f9(record.setting)] + [str(c) for c in record.counts] + [_f9(args.duration)]
-        _write(args.out, COUNTS_CSV_HEADER + "\n" + ",".join(cells) + "\n")
+        columns = [[record.setting], *([c] for c in record.counts), [args.duration]]
+        _write(args.out, *_csv(COUNTS_CSV_HEADER, columns))
     else:
         _write(args.out, _json_dump({
             "counts": list(record.counts),

@@ -39,11 +39,14 @@ def norm_sq(state: Sequence[complex] | np.ndarray) -> float:
 
 
 def normalize(state: Sequence[complex] | np.ndarray) -> np.ndarray:
+    """Unit vector along state, scaled by its largest real or imaginary part
+    first so that huge or tiny amplitudes neither overflow nor underflow."""
     arr = as_state(state)
-    n = np.linalg.norm(arr)
-    if n == 0.0:
+    scale = np.abs(np.stack([arr.real, arr.imag])).max()
+    if scale == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    return arr / n
+    arr = arr / scale
+    return arr / np.linalg.norm(arr)
 
 
 def inner(a: Sequence[complex] | np.ndarray, b: Sequence[complex] | np.ndarray) -> complex:

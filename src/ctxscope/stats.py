@@ -130,6 +130,8 @@ def sample_counts(
         raise InvalidRateError(f"rate must be positive, got {rate}")
     if not duration > 0.0:
         raise InvalidDurationError(f"duration must be positive, got {duration}")
+    if not math.isfinite(rate * duration):
+        raise InvalidRateError(f"rate * duration must be finite, got {rate} * {duration}")
     probs = np.clip(np.asarray(tuple(dist), dtype=float).reshape(-1), 0.0, 1.0)
     if probs.size != 3:
         raise ValueError("distribution must have three port probabilities")

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from ctxscope import stats
 from ctxscope.cli import main
 from ctxscope.reference import MEASURED
 
@@ -10,6 +11,17 @@ from ctxscope.reference import MEASURED
 def run_cli(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def usage_error(capsys, *argv) -> str:
+    """Run argv, assert exit 2 with nothing on stdout and one stderr line; return that line."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
 
 
 class TestCheck:
@@ -59,6 +71,17 @@ class TestRun:
         assert run_cli(capsys, "run", "--state", "nope")[0] == 2
         assert run_cli(capsys, "run", "--state", "0,0,0,0,0,0")[0] == 2
         assert run_cli(capsys, "run", "--state", "1,2,3")[0] == 2
+
+    @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+    def test_huge_and_tiny_amplitudes_normalize_exactly(self, capsys, scale):
+        code, out = run_cli(capsys, "run", "--state", f"{scale},0,{scale},0,0,0")
+        assert code == 0
+        _, unit = run_cli(capsys, "run", "--state", "1,0,1,0,0,0")
+        payload, expected = json.loads(out), json.loads(unit)
+        assert payload.keys() == expected.keys()
+        for key in ("p1", "p2", "p3", "survival"):
+            assert payload[key] == pytest.approx(expected[key], abs=1e-14)
+        assert payload["state"] == pytest.approx(expected["state"], abs=1e-14)
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -165,16 +188,27 @@ class TestScans:
         ("phase-scan", "--state", "Nf", "--to", "nan", "--steps", "3"),
         ("phase-scan", "--state", "Nf", "--from", "inf", "--steps", "3"),
         ("trans-scan", "--state", "Nf", "--to", "nan", "--steps", "3"),
+        ("sample", "--state", "Nf", "--setting", "nan", "--format", "csv"),
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[3:5]),
 )
 def test_non_finite_modifier_or_setting_is_one_line_usage_error(capsys, argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--state", "Nf", "--rate", "inf"),
+        ("sample", "--state", "Nf", "--rate", "1e308", "--duration", "10"),
+        ("sample", "--state", "Nf", "--duration", "inf", "--format", "csv"),
+        ("phase-scan", "--state", "V0", "--visibility", "0.9", "--rate", "inf"),
+        ("trans-scan", "--state", "Nf", "--rate", "1e200", "--duration", "1e200"),
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[3:]),
+)
+def test_infinite_photon_budget_is_one_line_usage_error(capsys, argv):
+    assert "rate * duration must be finite" in usage_error(capsys, *argv)
 
 
 class TestSweep:
@@ -305,6 +339,27 @@ class TestFit:
         bad = tmp_path / "bad.csv"
         bad.write_text("phi,a,b,c\n0.0,1,2,3\n")
         assert run_cli(capsys, "fit", "--input", str(bad), "--model", "Nf")[0] == 2
+
+    @pytest.mark.parametrize("row", ["0.5,nan,1,2,1.0", "inf,3,1,2,1.0", "0.5,3,1,2,-inf"])
+    def test_non_finite_field_is_usage_error_with_line(self, capsys, tmp_path, row):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"setting,n1,n2,n3,duration\n0.0,1,2,3,1.0\n\n{row}\n1.0,4,5,6,1.0\n")
+        assert usage_error(capsys, "fit", "--input", str(path), "--model", "Nf").startswith(
+            "error: line 4: non-finite field")
+
+    def test_mixed_durations_are_usage_error_with_line(self, capsys, tmp_path):
+        path = tmp_path / "counts.csv"
+        rows = [f"{phi},10,20,30,{duration}" for phi, duration in ((0.0, 1), (1.0, 7), (2.0, 9), (3.0, 1))]
+        path.write_text("setting,n1,n2,n3,duration\n" + "\n".join(rows) + "\n")
+        assert usage_error(capsys, "fit", "--input", str(path), "--model", "Nf").startswith(
+            "error: line 3: duration 7 differs from the first row's 1")
+
+    def test_non_finite_json_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "scan.csv"
+        assert main(["phase-scan", "--state", "Nf", "--steps", "7", "--rate", "50", "--out", str(path)]) == 0
+        nan_port = stats.PortFit(math.nan, 0.0, 0.0, math.nan, math.inf)
+        monkeypatch.setattr(stats, "fit_fringe", lambda data, model: stats.FitResult((nan_port,) * 3))
+        usage_error(capsys, "fit", "--input", str(path), "--model", "Nf")
 
     def test_degenerate_design_exits_3(self, capsys, tmp_path):
         two = tmp_path / "two.csv"

@@ -1,7 +1,9 @@
 """Golden outputs: the CLI's CSV/text bytes and JSON values stay put.
 
 The hashes and JSON payloads below were recorded from the release before the
-rank-1 propagation kernel replaced the stage-by-stage loop. CSV and text
+rank-1 propagation kernel replaced the stage-by-stage loop; the two sweeps
+longer than one CSV block and the sample CSV were recorded from the release
+before the block-wise CSV emitter replaced the per-cell writers. CSV and text
 outputs must match byte for byte. JSON outputs must keep the same keys and
 every number within 1e-14, which leaves room for the kernel's last-bit
 rounding but nothing more.
@@ -9,8 +11,10 @@ rounding but nothing more.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from ctxscope import cli
 from ctxscope.cli import main
 
 STATE = "0.3,0.1,-0.7,0.2,0.5,-0.4"
@@ -37,6 +41,13 @@ HASHED = {
         "98097313040ad34f14037f645bd7c84ff31ff516634ea3a61be15a2a95929187",
     ("sweep", "--complex", "--samples", "2000", "--seed", "4"):
         "c0972dee1016f22b7c2cc019700cd55a052362352629dae96cc99203ddc041c9",
+    ("sweep", "--resolution", "300"):
+        "a1a65a05cac6789902b6d74e06bb396f14db145318d5c77c3f9ad54638e365f6",
+    ("sweep", "--seed", "5", "--complex", "--samples", "70000"):
+        "c48ee9d59330aa7bc2725519e8222522fcc47998b3c97f0bb9d501dde9261769",
+    ("sample", "--state", "V0", "--rate", "37.5", "--duration", "2", "--setting", "0.25",
+     "--seed", "9", "--format", "csv"):
+        "5ccde16cbdc9d33485bb8f73c8cc06da1f4107188f4cac8c6e9ea062bfa71fda",
 }
 
 JSON = {
@@ -103,3 +114,13 @@ def test_csv_and_text_outputs_are_byte_identical(capsys, argv):
 @pytest.mark.parametrize("argv", list(JSON), ids=lambda argv: " ".join(argv[:3]))
 def test_json_outputs_keep_keys_and_values(capsys, argv):
     assert_close(json.loads(cli_output(capsys, argv)), JSON[argv])
+
+
+def test_csv_emitter_matches_per_cell_f9(monkeypatch):
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+    x = np.array([-0.0, 5e-13, -5e-13, 1e-12, -1e-12, -5e-10, 0.1234567895, -2.5])
+    n = np.array([0, 7, -3, 10**15, 42, 1, 2, 3], dtype=np.int64)
+    chunks = list(cli._csv("x,y,n", [x, x[::-1], n]))
+    rows = [",".join([cli._f9(a), cli._f9(b), str(int(c))]) + "\n" for a, b, c in zip(x, x[::-1], n)]
+    assert len(chunks) == 1 + 3
+    assert "".join(chunks) == "x,y,n\n" + "".join(rows)

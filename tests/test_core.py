@@ -137,6 +137,12 @@ class TestStateHelpers:
         with pytest.raises(ValueError):
             normalize([0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-300, 1.7e308])
+    def test_normalize_huge_and_tiny_amplitudes(self, scale):
+        psi = normalize(np.array([scale + scale * 1j, 0.0, -scale]))
+        expected = np.array([1 + 1j, 0.0, -1.0]) / math.sqrt(3.0)
+        assert np.allclose(psi, expected, rtol=0, atol=1e-15)
+
     def test_haar_states_are_normalized_and_reproducible(self):
         a = haar_random_states(100, 5)
         b = haar_random_states(100, 5)

@@ -70,6 +70,11 @@ class TestSampleCounts:
         with pytest.raises(InvalidDurationError):
             sample_counts((1.0, 0.0, 0.0), 1.0, -2.0, 1)
 
+    @pytest.mark.parametrize("rate, duration", [(math.inf, 1.0), (1.0, math.inf), (1e308, 10.0)])
+    def test_infinite_photon_budget(self, rate, duration):
+        with pytest.raises(InvalidRateError, match="must be finite"):
+            sample_counts((1.0, 0.0, 0.0), rate, duration, 1)
+
 
 class TestSampleDataset:
     def test_deterministic_and_integer(self, nf_fringe):
