@@ -6,11 +6,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtri
-
-#: Counts are Poisson-sampled by CDF inversion below this mean and by a
-#: normal approximation with continuity correction above it.
-_INVERSION_MEAN_LIMIT = 30.0
 
 
 class InvalidRateError(ValueError):
@@ -93,25 +88,24 @@ class FitResult:
         return tuple(p.visibility for p in self.ports)
 
 
-def _poisson_count(mean: float, u: float) -> int:
-    """One Poisson draw from a uniform variate u in [0, 1)."""
-    if mean <= 0.0:
-        return 0
-    if mean < _INVERSION_MEAN_LIMIT:
-        term = math.exp(-mean)
-        cdf = term
-        k = 0
-        # mean < 30 so the tail is exhausted long before the cap
-        cap = int(mean + 40.0 * math.sqrt(mean) + 60.0)
-        while u > cdf and k < cap:
-            k += 1
-            term *= mean / k
-            cdf += term
-        return k
-    x = mean + math.sqrt(mean) * float(ndtri(u)) + 0.5
-    if x <= 0.0:
-        return 0
-    return int(x)
+def _draw(probs: np.ndarray, rate: float, duration: float, seed: int) -> np.ndarray:
+    """Exact Poisson counts with means rate * duration * probs, from one stream.
+
+    The whole array comes from one NumPy generator seeded by seed (PTRS,
+    Hoermann 1993), so different seeds give unrelated streams.
+    """
+    if not rate > 0.0:
+        raise InvalidRateError(f"rate must be positive, got {rate}")
+    if not duration > 0.0:
+        raise InvalidDurationError(f"duration must be positive, got {duration}")
+    budget = rate * duration
+    if not math.isfinite(budget):
+        raise InvalidRateError(f"rate * duration must be finite, got {rate} * {duration}")
+    try:
+        counts = np.random.default_rng(seed).poisson(budget * np.clip(probs, 0.0, 1.0))
+    except ValueError as exc:  # NumPy refuses means whose counts would not fit in int64
+        raise InvalidRateError(f"rate * duration = {budget:g} is too large to count in int64") from exc
+    return counts.astype(np.int64, copy=False)
 
 
 def sample_counts(
@@ -126,29 +120,18 @@ def sample_counts(
     Each port's count is drawn with mean rate * duration * p. Identical
     (dist, rate, duration, seed) always reproduce identical counts.
     """
-    if not rate > 0.0:
-        raise InvalidRateError(f"rate must be positive, got {rate}")
-    if not duration > 0.0:
-        raise InvalidDurationError(f"duration must be positive, got {duration}")
-    if not math.isfinite(rate * duration):
-        raise InvalidRateError(f"rate * duration must be finite, got {rate} * {duration}")
-    probs = np.clip(np.asarray(tuple(dist), dtype=float).reshape(-1), 0.0, 1.0)
+    probs = np.asarray(tuple(dist), dtype=float).reshape(-1)
     if probs.size != 3:
         raise ValueError("distribution must have three port probabilities")
-    rng = np.random.default_rng(seed)
-    counts = tuple(_poisson_count(rate * duration * p, float(rng.random())) for p in probs)
-    return CountRecord(counts, float(setting), int(seed))
+    counts = _draw(probs, rate, duration, seed)
+    return CountRecord(tuple(int(c) for c in counts), float(setting), int(seed))
 
 
 def sample_dataset(ideal: FringeDataset, rate: float, duration: float, seed: int) -> FringeDataset:
-    """Poisson-sample every point of an ideal scan, one derived seed per setting."""
+    """Poisson-sample every point of an ideal scan, from one stream per call."""
     if ideal.mode != "ideal":
         raise ValueError("sample_dataset needs an ideal-mode dataset")
-    rows = [
-        sample_counts(ideal.values[j], rate, duration, seed + j, setting=ideal.settings[j]).counts
-        for j in range(len(ideal))
-    ]
-    return FringeDataset(ideal.settings, np.asarray(rows, dtype=np.int64), "counts", rate, duration)
+    return FringeDataset(ideal.settings, _draw(ideal.values, rate, duration, seed), "counts", rate, duration)
 
 
 def _endpoint_coefficients(dataset: FringeDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +157,7 @@ def noisy_fringe(
 
     Per port the ideal curve a + b cos(phi), with a and b taken exactly from
     the dataset's 0 and pi settings, is replaced by a + V b cos(phi) before
-    sampling. Setting j uses seed + j so points can be drawn independently.
+    sampling. All settings are drawn from one stream seeded by seed.
     """
     if ideal.mode != "ideal":
         raise ValueError("noisy_fringe needs an ideal-mode dataset")
@@ -182,12 +165,7 @@ def noisy_fringe(
         raise VisibilityOutOfRangeError(f"visibility must lie in [0, 1], got {visibility}")
     offs, amps = _endpoint_coefficients(ideal)
     means = offs[None, :] + visibility * amps[None, :] * np.cos(ideal.settings)[:, None]
-    means = np.clip(means, 0.0, 1.0)
-    rows = [
-        sample_counts(means[j], rate, duration, seed + j, setting=ideal.settings[j]).counts
-        for j in range(len(ideal))
-    ]
-    return FringeDataset(ideal.settings, np.asarray(rows, dtype=np.int64), "counts", rate, duration)
+    return FringeDataset(ideal.settings, _draw(means, rate, duration, seed), "counts", rate, duration)
 
 
 def fit_fringe(data: FringeDataset, model: Sequence[tuple[float, float]]) -> FitResult:

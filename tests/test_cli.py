@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +213,38 @@ def test_non_finite_modifier_or_setting_is_one_line_usage_error(capsys, argv):
 )
 def test_infinite_photon_budget_is_one_line_usage_error(capsys, argv):
     assert "rate * duration must be finite" in usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phase-scan", "--state", "V0", "--rate", "1e300"),
+        ("sample", "--state", "V0", "--rate", "1e300"),
+        ("trans-scan", "--state", "Nf", "--target", "S2", "--rate", "1e300"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_budget_beyond_int64_counts_is_one_line_usage_error(capsys, argv):
+    assert "too large to count in int64" in usage_error(capsys, *argv)
+
+
+def test_large_finite_budget_still_counts(capsys):
+    code, out = run_cli(capsys, "sample", "--state", "V0", "--rate", "1e17", "--duration", "100")
+    assert code == 0
+    counts = json.loads(out)["counts"]
+    for count, mean in zip(counts, (1e19 * 4 / 9, 1e19 * 4 / 9, 1e19 / 9)):
+        assert isinstance(count, int)
+        assert abs(count - mean) < 1e-6 * mean
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run(
+        [sys.executable, "-c", "import ctxscope.cli, sys; assert 'scipy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+        timeout=120,
+    )
 
 
 class TestSweep:

@@ -3,7 +3,10 @@
 The hashes and JSON payloads below were recorded from the release before the
 rank-1 propagation kernel replaced the stage-by-stage loop; the two sweeps
 longer than one CSV block and the sample CSV were recorded from the release
-before the block-wise CSV emitter replaced the per-cell writers. CSV and text
+before the block-wise CSV emitter replaced the per-cell writers. The four
+sampled entries (the noisy phase-scan, the sampled trans-scan, the sample CSV
+and the sample JSON counts) were re-recorded when the counting layer switched
+to exact Poisson draws from one seeded NumPy stream per call. CSV and text
 outputs must match byte for byte. JSON outputs must keep the same keys and
 every number within 1e-14, which leaves room for the kernel's last-bit
 rounding but nothing more.
@@ -31,12 +34,12 @@ HASHED = {
         "b3e05b683bfcefdd56bf2b24da99f1f85f29a7ddec8b9bcc03e7d224aec6929d",
     ("phase-scan", "--state", "V0", "--steps", "7", "--visibility", "0.9", "--rate", "500",
      "--duration", "2", "--seed", "3"):
-        "bcfb958a2c5923af553d0e4ed1ddbda845392405d15f6951d7ca9831211dde9c",
+        "409900ae9a27766adc43a84ec295d34c43019b89531d983c7c77888bd1088eb6",
     ("trans-scan", "--state", "Bf", "--target", "D2", "--steps", "7"):
         "98de9fc34307e97dfccfd8e9ad575be8348d895c6328c3199a2d43f85143a943",
     ("trans-scan", "--state", "Nf", "--target", "S2", "--steps", "5", "--rate", "200",
      "--duration", "1", "--seed", "11"):
-        "f009169dc080d46d9607f9483fa66dfc4365755b51f5bde2488d4476ea21e5d5",
+        "91441c2df7d0196c3d4bb0c9a442c8e11d131c8ae3b92ba641b43cb2be941f59",
     ("sweep", "--resolution", "101"):
         "98097313040ad34f14037f645bd7c84ff31ff516634ea3a61be15a2a95929187",
     ("sweep", "--complex", "--samples", "2000", "--seed", "4"):
@@ -47,7 +50,7 @@ HASHED = {
         "c48ee9d59330aa7bc2725519e8222522fcc47998b3c97f0bb9d501dde9261769",
     ("sample", "--state", "V0", "--rate", "37.5", "--duration", "2", "--setting", "0.25",
      "--seed", "9", "--format", "csv"):
-        "5ccde16cbdc9d33485bb8f73c8cc06da1f4107188f4cac8c6e9ea062bfa71fda",
+        "e6873e1646dea4678c2f76854f9a5df819e9ea0153a14bbe99fa7fdaf4b5f163",
 }
 
 JSON = {
@@ -74,7 +77,7 @@ JSON = {
         "witness_from_outputs": 0.2222222222222222,
     },
     ("sample", "--state", "Bf", "--block", "f", "--phase", "D2:0.5", "--seed", "5"): {
-        "counts": [19460, 16451, 62369],
+        "counts": [19475, 16345, 61818],
         "duration": 100.0,
         "rate": 1000.0,
         "seed": 5,

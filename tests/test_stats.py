@@ -54,15 +54,25 @@ class TestSampleCounts:
         for count in rec.counts:
             assert abs(count - mu) < 5.0 * math.sqrt(mu)
 
-    @pytest.mark.parametrize("mu,seed", [(100.0, 5000), (5.0, 9000)])
+    @pytest.mark.parametrize("mu,seed", [(5.0, 9000), (29.9, 9001), (30.0, 9002), (100.0, 5000)])
     def test_sampler_moments(self, mu, seed):
-        # one draw per seed mirrors how scan points derive their seeds
-        draws = np.array([
-            sample_counts((1.0, 0.0, 0.0), mu, 1.0, seed + i).counts[0]
-            for i in range(10_000)
-        ], dtype=float)
-        assert abs(draws.mean() - mu) < 5.0 * math.sqrt(mu / 10_000)
+        n = 100_000
+        ideal = FringeDataset(np.zeros(n), np.tile([1.0, 0.0, 0.0], (n, 1)), "ideal")
+        draws = sample_dataset(ideal, mu, 1.0, seed).values[:, 0]
+        assert abs(draws.mean() - mu) < 5.0 * math.sqrt(mu / n)
         assert abs(draws.var(ddof=1) - mu) < 0.1 * mu
+        # chi-square against the exact pmf; both tails fold into the end bins
+        # so that every bin expects at least 5 draws
+        k = np.arange(int(mu + 12.0 * math.sqrt(mu) + 20.0))
+        pmf = np.exp(k * math.log(mu) - mu - np.array([math.lgamma(i + 1.0) for i in k]))
+        lo, hi = np.flatnonzero(n * pmf >= 5.0)[[0, -1]]
+        expected = n * pmf[lo:hi + 1]
+        expected[0] = n * pmf[:lo + 1].sum()
+        expected[-1] = n * (1.0 - pmf[:hi].sum())
+        observed = np.bincount(np.clip(draws, lo, hi) - lo, minlength=hi - lo + 1)
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        dof = expected.size - 1
+        assert chi2 < dof + 5.0 * math.sqrt(2.0 * dof), (chi2, dof)
 
     def test_invalid_rate_and_duration(self):
         with pytest.raises(InvalidRateError):
@@ -121,6 +131,11 @@ class TestNoisyFringe:
         partial = phase_scan(network, NF, "f", np.linspace(0.4, 2.0, 7))
         with pytest.raises(ValueError, match="0 and pi"):
             noisy_fringe(partial, 1.0, 1000.0, 100.0, 1)
+
+    def test_adjacent_seeds_do_not_overlap(self, nf_fringe):
+        seven = noisy_fringe(nf_fringe, 0.0, 1000.0, 100.0, 7).values
+        eight = noisy_fringe(nf_fringe, 0.0, 1000.0, 100.0, 8).values
+        assert not np.array_equal(seven[1:], eight[:-1])
 
     def test_requires_ideal_mode(self, nf_fringe):
         counts = noisy_fringe(nf_fringe, 1.0, 1000.0, 100.0, 1)
