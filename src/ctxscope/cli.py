@@ -17,13 +17,14 @@ import itertools
 import json
 import math
 import os
+import shutil
 import sys
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import interferometer, stats
-from .core import haar_random_states, normalize, real_amplitude_grid
+from .core import haar_state_blocks, normalize, real_grid_blocks
 from .interferometer import build_network, evaluate_states, run
 from .reference import FRINGE_MODELS, MEASURED, NAMED_STATES
 from .selfcheck import run_all_checks
@@ -35,7 +36,12 @@ ENV_SEED = "CTXSCOPE_SEED"
 DEFAULT_RATE = 1000.0
 DEFAULT_DURATION = 100.0
 DEFAULT_STEPS = 25
-CSV_BLOCK_ROWS = 65_536  # rows per chunk from _csv; bounds the formatting temporaries
+CSV_BLOCK_ROWS = 65_536  # rows per chunk from _csv and per block of sweep states
+# Most rows one sweep or scan may produce: about a minute at the ~3.2 us per
+# sweep row measured on a 2-CPU VM. Larger --resolution**2, --samples or
+# --steps exit 2 before anything is allocated.
+MAX_ROWS = 16_000_000
+SWEEP_METRICS = ("witness", "gain", "pf", "pd1", "pd2")
 
 
 class SchemaError(ValueError):
@@ -49,27 +55,62 @@ def _f9(x: float) -> str:
     return f"{x:.9f}"
 
 
-def _csv(header: str, columns: Sequence[Sequence[float]]) -> Iterator[str]:
-    """The header, then the rows in blocks of CSV_BLOCK_ROWS. Float columns
-    print as _f9 does (|x| < 1e-12 snapped to 0, nine decimals), others as integers."""
-    columns = [np.asarray(c) for c in columns]
-    floating = [c.dtype.kind == "f" for c in columns]
-    row = ",".join("%.9f" if f else "%d" for f in floating) + "\n"
+def _csv(header: str, blocks: Iterable[Sequence[Sequence[float]]]) -> Iterator[str]:
+    """The header, then the rows of each block of columns, at most CSV_BLOCK_ROWS
+    per chunk. Float columns print as _f9 does (|x| < 1e-12 snapped to 0, nine
+    decimals), others as integers."""
     yield header + "\n"
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
-        block = [np.where(np.abs(c) < 1e-12, 0.0, c) if f else c for c, f in zip(block, floating)]
-        values = itertools.chain.from_iterable(zip(*(c.tolist() for c in block)))
-        yield (row * len(block[0])) % tuple(values)
+    for columns in blocks:
+        columns = [np.asarray(c) for c in columns]
+        floating = [c.dtype.kind == "f" for c in columns]
+        row = ",".join("%.9f" if f else "%d" for f in floating) + "\n"
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
+            block = [np.where(np.abs(c) < 1e-12, 0.0, c) if f else c for c, f in zip(block, floating)]
+            values = itertools.chain.from_iterable(zip(*(c.tolist() for c in block)))
+            yield (row * len(block[0])) % tuple(values)
 
 
-def _write(out: str, *chunks: str) -> None:
-    """The one sink: every chunk is formatted before the output is opened."""
+def _write(out: str, chunks: Iterable[str]) -> None:
+    """The one sink; chunks are written as they are produced.
+
+    A file is written under a temporary name in its own directory and moved
+    over `out` only after the last chunk, so a call that fails part way
+    leaves `out` as it was. A device or pipe (such as /dev/null) is written
+    in place, since there is nothing to replace. Callers validate their
+    input before the first chunk, because stdout cannot be taken back.
+    """
     if out == "-":
         sys.stdout.writelines(chunks)
-    else:
+        return
+    if os.path.exists(out) and not os.path.isfile(out):
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
+        return
+    target = os.path.realpath(out)
+    folder, name = os.path.split(target)
+    tmp = os.path.join(folder, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _check_rows(flag: str, value: int, minimum: int, rows: int) -> None:
+    """Refuse a size flag below `minimum` or one that asks for more than MAX_ROWS rows."""
+    if value < minimum:
+        raise SchemaError(f"{flag} must be at least {minimum}")
+    if rows > MAX_ROWS:
+        raise SchemaError(f"{flag} {value} asks for {rows} rows; at most {MAX_ROWS} are allowed")
 
 
 def _json_dump(obj: object) -> str:
@@ -194,10 +235,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     failures = [r for r in results if not r.passed]
     if failures:
         lines.append(f"first failure: {failures[0].name}")
-        _write(args.out, "\n".join(lines) + "\n")
+        _write(args.out, ["\n".join(lines) + "\n"])
         return 1
     lines.append("all checks passed")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, ["\n".join(lines) + "\n"])
     return 0
 
 
@@ -206,9 +247,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     mods = _parse_modifiers(args)
     dist = run(build_network(), psi, mods)
     if args.format == "csv":
-        _write(args.out, *_csv("p1,p2,p3,survival", [[v] for v in (*dist, dist.survival)]))
+        _write(args.out, _csv("p1,p2,p3,survival", [[[v] for v in (*dist, dist.survival)]]))
     else:
-        _write(args.out, _json_dump({
+        _write(args.out, [_json_dump({
             "modifiers": [f"{m.action}:{m.target}" + (f":{m.value!r}" if m.action != "block" else "")
                           for m in mods],
             "p1": dist.p1,
@@ -216,7 +257,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "p3": dist.p3,
             "state": _state_parts(psi),
             "survival": dist.survival,
-        }))
+        })])
     return 0
 
 
@@ -251,17 +292,16 @@ def cmd_witness(args: argparse.Namespace) -> int:
             "blocked output: " + "  ".join(_f9(v) for v in metrics["blocked"])
             + f"  (survival {_f9(blocked['survival'])})",
         ]
-        _write(args.out, "\n".join(lines) + "\n")
+        _write(args.out, ["\n".join(lines) + "\n"])
     else:
-        _write(args.out, _json_dump(payload))
+        _write(args.out, [_json_dump(payload)])
     return 0
 
 
 def _run_scan(args: argparse.Namespace, kind: str) -> int:
+    _check_rows("--steps", args.steps, 1, args.steps)
     psi = _parse_state(args.state)
     network = build_network()
-    if args.steps < 1:
-        raise SchemaError("--steps must be at least 1")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise SchemaError("--from and --to must be finite")
     grid = np.linspace(args.start, args.stop, args.steps)
@@ -284,7 +324,7 @@ def _run_scan(args: argparse.Namespace, kind: str) -> int:
         header, last = IDEAL_CSV_HEADER, dataset.values.sum(axis=1)
     else:
         header, last = COUNTS_CSV_HEADER, np.full(len(dataset), dataset.duration or 0.0)
-    _write(args.out, *_csv(header, [dataset.settings, *dataset.values.T, last]))
+    _write(args.out, _csv(header, [[dataset.settings, *dataset.values.T, last]]))
     return 0
 
 
@@ -296,28 +336,40 @@ def cmd_trans_scan(args: argparse.Namespace) -> int:
     return _run_scan(args, "transmittance")
 
 
-def _sweep_columns(states: np.ndarray) -> list[np.ndarray]:
-    """witness, gain, pf, pd1, pd2; the output triples are freed before formatting."""
-    metrics = evaluate_states(build_network(), states)
-    return [metrics[k] for k in ("witness", "gain", "pf", "pd1", "pd2")]
+def _sweep_csv(lead: tuple[str, ...], blocks: Iterable[tuple[list, np.ndarray]]) -> Iterator[str]:
+    """Sweep CSV from (lead columns, states) blocks, evaluated one block at a
+    time; the trailer names the first row with the largest witness."""
+    best, where = -math.inf, ""
+
+    def rows() -> Iterator[list[np.ndarray]]:
+        nonlocal best, where
+        network = build_network()
+        for columns, states in blocks:
+            metrics = evaluate_states(network, states)
+            top = int(np.argmax(metrics["witness"]))
+            if metrics["witness"][top] > best:
+                best = metrics["witness"][top]
+                where = " ".join(f"{name}={_f9(c[top]) if c.dtype.kind == 'f' else c[top]}"
+                                 for name, c in zip(lead, columns))
+            yield [*columns, *(metrics[k] for k in SWEEP_METRICS)]
+
+    yield from _csv(",".join(lead + SWEEP_METRICS), rows())
+    yield f"# max_witness={_f9(best)} {where}\n"
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.complex:
-        if args.samples < 1:
-            raise SchemaError("--samples must be at least 1")
-        columns = _sweep_columns(haar_random_states(args.samples, _resolve_seed(args)))
-        top = int(np.argmax(columns[0]))
-        _write(args.out, *_csv("index,witness,gain,pf,pd1,pd2", [np.arange(args.samples), *columns]),
-               f"# max_witness={_f9(columns[0][top])} index={top}\n")
+        _check_rows("--samples", args.samples, 1, args.samples)
+        haar = haar_state_blocks(args.samples, _resolve_seed(args), CSV_BLOCK_ROWS)
+        lead = ("index",)
+        blocks = (([np.arange(start, start + len(states))], states)
+                  for start, states in zip(range(0, args.samples, CSV_BLOCK_ROWS), haar))
     else:
-        if args.resolution < 2:
-            raise SchemaError("--resolution must be at least 2")
-        alphas, betas, states = real_amplitude_grid(args.resolution)
-        columns = _sweep_columns(states)
-        top = int(np.argmax(columns[0]))
-        trailer = f"# max_witness={_f9(columns[0][top])} alpha={_f9(alphas[top])} beta={_f9(betas[top])}\n"
-        _write(args.out, *_csv("alpha,beta,witness,gain,pf,pd1,pd2", [alphas, betas, *columns]), trailer)
+        _check_rows("--resolution", args.resolution, 2, args.resolution ** 2)
+        grid = real_grid_blocks(args.resolution, CSV_BLOCK_ROWS)
+        lead = ("alpha", "beta")
+        blocks = (([alphas, betas], states) for alphas, betas, states in grid)
+    _write(args.out, _sweep_csv(lead, blocks))
     return 0
 
 
@@ -331,15 +383,15 @@ def cmd_sample(args: argparse.Namespace) -> int:
     record = stats.sample_counts(dist, args.rate, args.duration, seed, setting=args.setting)
     if args.format == "csv":
         columns = [[record.setting], *([c] for c in record.counts), [args.duration]]
-        _write(args.out, *_csv(COUNTS_CSV_HEADER, columns))
+        _write(args.out, _csv(COUNTS_CSV_HEADER, [columns]))
     else:
-        _write(args.out, _json_dump({
+        _write(args.out, [_json_dump({
             "counts": list(record.counts),
             "duration": args.duration,
             "rate": args.rate,
             "seed": record.seed,
             "setting": record.setting,
-        }))
+        })])
     return 0
 
 
@@ -347,14 +399,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     dataset = _read_counts_csv(args.input)
     offs, amps = interferometer.fringe_coefficients(build_network(), NAMED_STATES[args.model])
     result = stats.fit_fringe(dataset, list(zip(offs, amps)))
-    _write(args.out, _json_dump({
+    _write(args.out, [_json_dump({
         "model": args.model,
         "ports": [
             {"a": p.a, "b": p.b, "c": p.c, "stderr": p.stderr, "visibility": p.visibility}
             for p in result.ports
         ],
         "settings": int(dataset.settings.size),
-    }))
+    })])
     return 0
 
 
@@ -403,7 +455,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         f"max |delta|: probabilities {dev_probs:.9f}, gains {dev_gains:.9f}, "
         f"witnesses {dev_witness:.9f}"
     )
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, ["\n".join(lines) + "\n"])
     return 0
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -98,21 +98,48 @@ def basis_change(rows: Sequence[Sequence[complex] | np.ndarray]) -> TransferOper
     return TransferOperator(m)
 
 
+def haar_state_blocks(count: int, seed: int, block: int) -> Iterator[np.ndarray]:
+    """The rows of haar_random_states(count, seed), in blocks of at most `block`
+    rows (one empty block when count is 0).
+
+    Two default_rng(seed) streams: one draws the real parts block by block,
+    the other skips the count x 3 real parts and then draws the imaginary
+    parts. NumPy draws normals one after another, so the blocks hold the
+    same numbers as one whole-array draw of real parts, then imaginary parts.
+    """
+    real, imag = np.random.default_rng(seed), np.random.default_rng(seed)
+    sizes = [min(block, count - start) for start in range(0, max(count, 1), block)]
+    for rows in sizes:
+        imag.standard_normal((rows, DIM))
+    for rows in sizes:
+        z = real.standard_normal((rows, DIM)) + 1j * imag.standard_normal((rows, DIM))
+        yield z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 def haar_random_states(count: int, seed: int) -> np.ndarray:
     """(count, 3) array of uniformly random unit vectors, reproducible by seed."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, DIM)) + 1j * rng.standard_normal((count, DIM))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    return next(haar_state_blocks(count, seed, max(count, 1)))
+
+
+def real_grid_blocks(
+    resolution: int, block: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The rows of real_amplitude_grid(resolution), in blocks of at most `block`
+    rows (one empty block when there are none): row i has a = axis[i // resolution]
+    and b = axis[i % resolution]."""
+    axis = np.linspace(0.0, math.pi / 2.0, resolution)
+    count = resolution * resolution
+    for start in range(0, max(count, 1), block):
+        index = np.arange(start, min(start + block, count))
+        alphas, betas = axis[index // resolution], axis[index % resolution]
+        states = np.column_stack([
+            np.sin(alphas) * np.cos(betas),
+            np.sin(alphas) * np.sin(betas),
+            np.cos(alphas),
+        ]).astype(complex)
+        yield alphas, betas, states
 
 
 def real_amplitude_grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Angles a, b and states (sin a cos b, sin a sin b, cos a) over the first octant."""
-    axis = np.linspace(0.0, math.pi / 2.0, resolution)
-    grid_a, grid_b = np.meshgrid(axis, axis, indexing="ij")
-    alphas, betas = grid_a.ravel(), grid_b.ravel()
-    states = np.column_stack([
-        np.sin(alphas) * np.cos(betas),
-        np.sin(alphas) * np.sin(betas),
-        np.cos(alphas),
-    ]).astype(complex)
-    return alphas, betas, states
+    return next(real_grid_blocks(resolution, max(resolution * resolution, 1)))

@@ -48,6 +48,8 @@ class FringeDataset:
             raise ValueError(f"values must have shape ({settings.size}, 3), got {values.shape}")
         if settings.size == 0:
             raise ValueError("dataset needs at least one setting")
+        if not (np.all(np.isfinite(settings)) and np.all(np.isfinite(np.asarray(values, dtype=float)))):
+            raise ValueError("dataset settings and values must be finite")
         if self.mode == "ideal":
             if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
                 raise ValueError("ideal-mode values must be probabilities in [0, 1]")

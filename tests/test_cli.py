@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from ctxscope import stats
+import numpy as np
+
+from ctxscope import cli, stats
 from ctxscope.cli import main
 from ctxscope.reference import MEASURED
 
@@ -289,6 +291,110 @@ class TestSweep:
 
     def test_resolution_too_small(self, capsys):
         assert run_cli(capsys, "sweep", "--resolution", "1")[0] == 2
+
+
+def spy_evaluate(monkeypatch, edit=None):
+    """Replace cli.evaluate_states by a wrapper that records each block's row
+    count and may edit the metrics via edit(first_row, metrics)."""
+    real, sizes = cli.evaluate_states, []
+
+    def spy(network, states):
+        metrics = real(network, states)
+        if edit is not None:
+            edit(sum(sizes), metrics)
+        sizes.append(len(states))
+        return metrics
+
+    monkeypatch.setattr(cli, "evaluate_states", spy)
+    return sizes
+
+
+class TestSweepStreaming:
+    @pytest.mark.parametrize("argv, rows", [
+        (("sweep", "--resolution", "101"), 101 * 101),
+        (("sweep", "--complex", "--samples", "2500", "--seed", "4"), 2500),
+    ])
+    def test_no_evaluation_sees_more_than_one_block(self, capsys, monkeypatch, argv, rows):
+        _, whole = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 999)
+        sizes = spy_evaluate(monkeypatch)
+        code, streamed = run_cli(capsys, *argv)
+        assert code == 0
+        assert max(sizes) <= 999 and sum(sizes) == rows and len(sizes) == -(-rows // 999)
+        assert streamed == whole
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failure_in_second_block_leaves_no_trace(self, capsys, monkeypatch, tmp_path, existing):
+        out = tmp_path / "map.csv"
+        if existing:
+            out.write_bytes(b"earlier output\n")
+
+        def fail_second(first_row, metrics):
+            if first_row > 0:
+                raise ValueError("injected failure")
+
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 100)
+        spy_evaluate(monkeypatch, fail_second)
+        assert "injected failure" in usage_error(capsys, "sweep", "--resolution", "21", "--out", str(out))
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["map.csv"] if existing else [])
+        if existing:
+            assert out.read_bytes() == b"earlier output\n"
+
+    def test_trailer_keeps_first_maximum_when_blocks_tie(self, capsys, monkeypatch):
+        def tie(first_row, metrics):
+            rows = first_row + np.arange(len(metrics["witness"]))
+            metrics["witness"] = np.where(np.isin(rows, [2, 6]), 0.5, 0.0)
+
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)
+        spy_evaluate(monkeypatch, tie)
+        code, out = run_cli(capsys, "sweep", "--complex", "--samples", "10", "--seed", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == "# max_witness=0.500000000 index=2"
+
+    def test_rewrite_keeps_mode_and_device_is_written_in_place(self, tmp_path):
+        out = tmp_path / "map.csv"
+        out.write_text("earlier output\n")
+        out.chmod(0o640)
+        assert main(["sweep", "--resolution", "3", "--out", str(out)]) == 0
+        assert out.read_text().startswith("alpha,beta,")
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert main(["sweep", "--resolution", "3", "--out", os.devnull]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--resolution", "100000"),
+        ("sweep", "--resolution", str(math.isqrt(cli.MAX_ROWS) + 1)),
+        ("sweep", "--complex", "--samples", str(cli.MAX_ROWS + 1)),
+        ("phase-scan", "--state", "Nf", "--steps", str(cli.MAX_ROWS + 1)),
+        ("trans-scan", "--state", "Nf", "--steps", str(cli.MAX_ROWS + 1)),
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_sizes_above_the_cap_exit_2_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    def refuse(*args):
+        raise AssertionError("work started for an oversized request")
+
+    for name in ("build_network", "real_grid_blocks", "haar_state_blocks"):
+        monkeypatch.setattr(cli, name, refuse)
+    out = tmp_path / "table.csv"
+    out.write_bytes(b"earlier output\n")
+    assert "rows; at most" in usage_error(capsys, *argv, "--out", str(out))
+    assert out.read_bytes() == b"earlier output\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+def test_oversized_sweep_exits_2_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-c", "from ctxscope.cli import entry; entry()", "sweep", "--resolution", "100000"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestSample:

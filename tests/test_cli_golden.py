@@ -123,7 +123,7 @@ def test_csv_emitter_matches_per_cell_f9(monkeypatch):
     monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
     x = np.array([-0.0, 5e-13, -5e-13, 1e-12, -1e-12, -5e-10, 0.1234567895, -2.5])
     n = np.array([0, 7, -3, 10**15, 42, 1, 2, 3], dtype=np.int64)
-    chunks = list(cli._csv("x,y,n", [x, x[::-1], n]))
+    chunks = list(cli._csv("x,y,n", [[x, x[::-1], n]]))
     rows = [",".join([cli._f9(a), cli._f9(b), str(int(c))]) + "\n" for a, b, c in zip(x, x[::-1], n)]
     assert len(chunks) == 1 + 3
     assert "".join(chunks) == "x,y,n\n" + "".join(rows)

@@ -10,9 +10,12 @@ from ctxscope.core import (
     as_state,
     basis_change,
     haar_random_states,
+    haar_state_blocks,
     inner,
     norm_sq,
     normalize,
+    real_amplitude_grid,
+    real_grid_blocks,
 )
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -148,3 +151,36 @@ class TestStateHelpers:
         b = haar_random_states(100, 5)
         assert np.array_equal(a, b)
         assert np.linalg.norm(a, axis=1) == pytest.approx(np.ones(100), abs=1e-12)
+
+
+class TestStateBlocks:
+    """The block generators behind the streaming sweep give exactly the rows
+    of one whole-array computation, written out here as the reference."""
+
+    @pytest.mark.parametrize("count, block", [(1, 1), (10, 3), (1000, 64), (70_000, 65_536)])
+    def test_haar_blocks_equal_one_draw(self, count, block):
+        rng = np.random.default_rng(11)
+        z = rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))
+        whole = z / np.linalg.norm(z, axis=1, keepdims=True)
+        blocks = list(haar_state_blocks(count, 11, block))
+        assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= block
+        assert np.array_equal(np.concatenate(blocks), whole)
+        assert np.array_equal(haar_random_states(count, 11), whole)
+
+    @pytest.mark.parametrize("resolution, block", [(2, 3), (7, 5), (300, 7_001), (300, 65_536)])
+    def test_real_grid_blocks_equal_meshgrid(self, resolution, block):
+        axis = np.linspace(0.0, math.pi / 2.0, resolution)
+        alphas, betas = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+        states = np.column_stack([np.sin(alphas) * np.cos(betas), np.sin(alphas) * np.sin(betas),
+                                  np.cos(alphas)]).astype(complex)
+        blocks = list(real_grid_blocks(resolution, block))
+        assert max(len(b[0]) for b in blocks) <= block
+        streamed = [np.concatenate(parts) for parts in zip(*blocks)]
+        for got, whole, want in zip(streamed, real_amplitude_grid(resolution), (alphas, betas, states)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(whole, want)
+
+    def test_empty_sources_keep_their_shapes(self):
+        assert haar_random_states(0, 1).shape == (0, 3)
+        assert [a.shape for a in real_amplitude_grid(0)] == [(0,), (0,), (0, 3)]

@@ -238,6 +238,22 @@ class TestFringeDataset:
         with pytest.raises(ValueError):
             FringeDataset(np.array([0.0]), np.array([[1, -2, 3]]), "counts")
 
+    @pytest.mark.parametrize("settings, values, mode", [
+        ([0.0], [[math.nan, 0.0, 0.0]], "ideal"),
+        ([math.nan], [[0.2, 0.3, 0.4]], "ideal"),
+        ([0.0], [[1.0, math.inf, 3.0]], "counts"),
+        ([-math.inf], [[1, 2, 3]], "counts"),
+    ])
+    def test_non_finite_settings_and_values_are_rejected(self, settings, values, mode):
+        with pytest.raises(ValueError, match="must be finite") as excinfo:
+            FringeDataset(np.array(settings), values, mode)
+        assert excinfo.type is ValueError
+
+    def test_nan_probability_is_not_reported_as_a_rate_error(self):
+        with pytest.raises(ValueError, match="must be finite") as excinfo:
+            sample_dataset(FringeDataset(np.zeros(1), [[math.nan, 0, 0]], "ideal"), 1.0, 1.0, 0)
+        assert excinfo.type is ValueError
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             FringeDataset(np.array([0.0]), np.array([[0.1, 0.2, 0.3]]), "weird")
