@@ -37,9 +37,10 @@ DEFAULT_RATE = 1000.0
 DEFAULT_DURATION = 100.0
 DEFAULT_STEPS = 25
 CSV_BLOCK_ROWS = 65_536  # rows per chunk from _csv and per block of sweep states
-# Most rows one sweep or scan may produce: about a minute at the ~3.2 us per
-# sweep row measured on a 2-CPU VM. Larger --resolution**2, --samples or
-# --steps exit 2 before anything is allocated.
+# Most rows one sweep or scan may produce: about 18 s at the ~1.1 us per
+# sweep row measured on a 2-CPU VM (set as about a minute when a row took
+# ~3.3 us). Larger --resolution**2, --samples or --steps exit 2 before
+# anything is allocated.
 MAX_ROWS = 16_000_000
 SWEEP_METRICS = ("witness", "gain", "pf", "pd1", "pd2")
 
@@ -55,20 +56,86 @@ def _f9(x: float) -> str:
     return f"{x:.9f}"
 
 
+def _digit_rows(out: np.ndarray, n: np.ndarray) -> None:
+    """Write the unsigned integers n as zero-padded ASCII digits down the rows
+    of the uint8 array out, one row per digit; n must be below 10**len(out)."""
+    for row in out[::-1]:
+        q = n // 10
+        row[:] = n - q * 10 + 48
+        n = q
+
+
+def _ascii_rows(block: list[np.ndarray]) -> str:
+    """The rows of a block of snapped float and integer columns, as "%.9f" and
+    "%d" print them cell by cell; every float must be below 2**53 / 1e9 in
+    magnitude, so that |x| * 1e9 rounds to an exact int64.
+
+    Each output column is one byte row of a uint8 buffer, transposed at the
+    end. A field is a sign byte if its column holds a negative value, as many
+    digits as the column's largest integer part needs, a point and nine
+    digits for floats, and a separator. NUL stands for a missing sign and for
+    leading zeros, and the NULs are removed last. A float prints from
+    n = rint(|x| * 1e9), the correctly rounded nine-decimal value unless
+    |x| * 1e9 lies within its rounding error of a half-integer; those rare
+    cells take n from "%.9f" one by one. A negative float keeps its sign even
+    when it rounds to zero, as "%.9f" does."""
+    buf = np.empty((sum(19 if c.dtype.kind == "f" else 22 for c in block), len(block[0])), dtype=np.uint8)
+    pos = 0
+    for c in block:
+        frac = None
+        if c.dtype.kind == "f":
+            y = np.abs(c) * 1e9
+            n = np.rint(y)
+            near_tie = np.abs(np.abs(y - n) - 0.5) <= y * 2.0 ** -50
+            n = n.astype(np.int64)
+            for i in np.flatnonzero(near_tie):
+                n[i] = int(("%.9f" % abs(c[i])).replace(".", ""))
+            whole = n // 10 ** 9
+            whole, frac = whole.astype(np.uint32), (n - whole * 10 ** 9).astype(np.uint32)
+        else:
+            whole = np.abs(c).astype(np.uint64)
+        negative = c < 0
+        if negative.any():
+            buf[pos] = np.where(negative, ord("-"), 0)
+            pos += 1
+        count = len(str(whole.max()))
+        _digit_rows(buf[pos:pos + count], whole)
+        for k in range(1, count):
+            buf[pos + count - 1 - k][whole < 10 ** k] = 0
+        pos += count
+        if frac is not None:
+            buf[pos] = ord(".")
+            _digit_rows(buf[pos + 1:pos + 10], frac)
+            pos += 10
+        buf[pos] = ord(",")
+        pos += 1
+    buf[pos - 1] = ord("\n")
+    return buf[:pos].T.tobytes().replace(b"\0", b"").decode("ascii")
+
+
 def _csv(header: str, blocks: Iterable[Sequence[Sequence[float]]]) -> Iterator[str]:
     """The header, then the rows of each block of columns, at most CSV_BLOCK_ROWS
-    per chunk. Float columns print as _f9 does (|x| < 1e-12 snapped to 0, nine
-    decimals), others as integers."""
+    per chunk. Float columns print as _f9 does (|x| < 1e-12 snapped to 0, then
+    "%.9f"), integer columns as "%d".
+
+    A chunk is formatted as a whole by _ascii_rows. A chunk with a float of
+    magnitude 2**53 / 1e9 or more (or not finite), or a column that is neither
+    float nor integer, is formatted cell by cell with "%" instead; the bytes
+    are the same either way."""
     yield header + "\n"
     for columns in blocks:
         columns = [np.asarray(c) for c in columns]
         floating = [c.dtype.kind == "f" for c in columns]
         row = ",".join("%.9f" if f else "%d" for f in floating) + "\n"
+        numeric = all(c.dtype.kind in "fiu" for c in columns)
         for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
             block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
             block = [np.where(np.abs(c) < 1e-12, 0.0, c) if f else c for c, f in zip(block, floating)]
-            values = itertools.chain.from_iterable(zip(*(c.tolist() for c in block)))
-            yield (row * len(block[0])) % tuple(values)
+            if numeric and all(np.all(np.abs(c) < 2.0 ** 53 / 1e9) for c, f in zip(block, floating) if f):
+                yield _ascii_rows(block)
+            else:
+                values = itertools.chain.from_iterable(zip(*(c.tolist() for c in block)))
+                yield (row * len(block[0])) % tuple(values)
 
 
 def _write(out: str, chunks: Iterable[str]) -> None:

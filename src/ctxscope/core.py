@@ -40,13 +40,19 @@ def norm_sq(state: Sequence[complex] | np.ndarray) -> float:
 
 def normalize(state: Sequence[complex] | np.ndarray) -> np.ndarray:
     """Unit vector along state, scaled by its largest real or imaginary part
-    first so that huge or tiny amplitudes neither overflow nor underflow."""
+    first so that huge or tiny amplitudes neither overflow nor underflow.
+
+    The real and imaginary parts are divided as reals: a complex division
+    multiplies by the reciprocal of the divisor, which overflows for a
+    subnormal scale."""
     arr = as_state(state)
-    scale = np.abs(np.stack([arr.real, arr.imag])).max()
+    parts = np.stack([arr.real, arr.imag])
+    scale = np.abs(parts).max()
     if scale == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    arr = arr / scale
-    return arr / np.linalg.norm(arr)
+    parts = parts / scale
+    parts = parts / np.linalg.norm(parts)
+    return parts[0] + 1j * parts[1]
 
 
 def inner(a: Sequence[complex] | np.ndarray, b: Sequence[complex] | np.ndarray) -> complex:

@@ -89,6 +89,21 @@ class TestRun:
             assert payload[key] == pytest.approx(expected[key], abs=1e-14)
         assert payload["state"] == pytest.approx(expected["state"], abs=1e-14)
 
+    @pytest.mark.parametrize("command, state, unit", [
+        ("witness", "1e-320,0,0,0,0,0", "1,0,0,0,0,0"),
+        ("run", "0,1e-310,0,0,0,0", "0,1,0,0,0,0"),
+    ])
+    def test_subnormal_amplitudes_print_the_unit_state_output(self, command, state, unit):
+        def call(spec):
+            return subprocess.run(
+                [sys.executable, "-c", "from ctxscope.cli import entry; entry()", command, "--state", spec],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            )
+        tiny, expected = call(state), call(unit)
+        assert (tiny.returncode, tiny.stderr) == (0, "")
+        assert tiny.stdout == expected.stdout
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["run", "--state", "Nf", "--bogus"])

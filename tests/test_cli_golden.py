@@ -3,7 +3,9 @@
 The hashes and JSON payloads below were recorded from the release before the
 rank-1 propagation kernel replaced the stage-by-stage loop; the two sweeps
 longer than one CSV block and the sample CSV were recorded from the release
-before the block-wise CSV emitter replaced the per-cell writers. The four
+before the block-wise CSV emitter replaced the per-cell writers, and the
+phase scan at 1e300 from the release before the emitter formatted digits
+with NumPy (its settings take the emitter's per-cell "%" path). The four
 sampled entries (the noisy phase-scan, the sampled trans-scan, the sample CSV
 and the sample JSON counts) were re-recorded when the counting layer switched
 to exact Poisson draws from one seeded NumPy stream per call. CSV and text
@@ -13,9 +15,12 @@ rounding but nothing more.
 """
 import hashlib
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctxscope import cli
 from ctxscope.cli import main
@@ -51,6 +56,8 @@ HASHED = {
     ("sample", "--state", "V0", "--rate", "37.5", "--duration", "2", "--setting", "0.25",
      "--seed", "9", "--format", "csv"):
         "e6873e1646dea4678c2f76854f9a5df819e9ea0153a14bbe99fa7fdaf4b5f163",
+    ("phase-scan", "--from", "1e300", "--to", "1e300", "--state", "Nf", "--steps", "2"):
+        "cb7129438a24988681bba9eab76fea2780b91585d32c1247826b68fdce081622",
 }
 
 JSON = {
@@ -127,3 +134,59 @@ def test_csv_emitter_matches_per_cell_f9(monkeypatch):
     rows = [",".join([cli._f9(a), cli._f9(b), str(int(c))]) + "\n" for a, b, c in zip(x, x[::-1], n)]
     assert len(chunks) == 1 + 3
     assert "".join(chunks) == "x,y,n\n" + "".join(rows)
+
+
+# Cells where nine-decimal rounding is hard to get right: negatives that round
+# to zero, exact and near ties at the ninth decimal, and large magnitudes.
+HARD_CELLS = [-4e-10, -5e-10, 9.9999999995, 0.1234567895, 123456.7890123455]
+EXACT_LIMIT = 2.0 ** 53 / 1e9
+
+
+def _tie(k: int, side: int) -> float:
+    """(k + 0.5) / 1e9, or its neighbour one ulp below (side -1) or above (side 1)."""
+    x = (k + 0.5) / 1e9
+    return x if side == 0 else float(np.nextafter(x, side * math.inf))
+
+
+EDGE_CELLS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, 1e300, -1e300,
+              math.nan, math.inf, -math.inf,
+              *(float(np.nextafter(x, to)) for x in (1e-12, -1e-12, EXACT_LIMIT)
+                for to in (-math.inf, 0.0, math.inf)),
+              1e-12, -1e-12, EXACT_LIMIT, -EXACT_LIMIT, *HARD_CELLS]
+FLOAT_CELLS = st.one_of(
+    st.sampled_from(EDGE_CELLS),
+    st.builds(_tie, st.integers(-10 ** 16, 10 ** 16), st.sampled_from([-1, 0, 1])),
+    st.floats(min_value=-1e7, max_value=1e7),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def per_cell_rows(columns) -> str:
+    return "".join(
+        ",".join(cli._f9(v) if c.dtype.kind == "f" else "%d" % v for v, c in zip(row, columns)) + "\n"
+        for row in zip(*columns))
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.integers(1, 12))
+    cells = st.lists(FLOAT_CELLS, min_size=rows, max_size=rows)
+    ints = st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=rows, max_size=rows)
+    return [np.array(draw(cells)) if kind == "f" else np.array(draw(ints), dtype=np.int64)
+            for kind in draw(st.lists(st.sampled_from("fi"), min_size=1, max_size=4))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(tables(), st.integers(1, 5))
+def test_csv_emitter_is_byte_identical_to_per_cell_formatting(columns, block_rows):
+    with mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
+        text = "".join(cli._csv("h", [columns]))
+    assert text == "h\n" + per_cell_rows(columns)
+
+
+def test_csv_emitter_hard_cells():
+    x = np.array(HARD_CELLS + [-v for v in HARD_CELLS])
+    n = np.array([0, 1, -1, 2 ** 63 - 1, -2 ** 63, 10 ** 18, 99, 100, 999, 1000], dtype=np.int64)
+    text = "".join(cli._csv("x,n", [[x, n]]))
+    assert text == "x,n\n" + per_cell_rows([x, n])
+    assert text.splitlines()[1:3] == ["-0.000000000,0", "-0.000000001,1"]

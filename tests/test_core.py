@@ -146,6 +146,14 @@ class TestStateHelpers:
         expected = np.array([1 + 1j, 0.0, -1.0]) / math.sqrt(3.0)
         assert np.allclose(psi, expected, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("amps, unit", [
+        ([1e-320, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([1e-310j, 0.0, 0.0], [1j, 0.0, 0.0]),
+        ([5e-324, 0.0, -5e-324j], [2 ** -0.5, 0.0, -(2 ** -0.5) * 1j]),
+    ])
+    def test_normalize_subnormal_amplitudes(self, amps, unit):
+        assert np.array_equal(normalize(np.array(amps)), normalize(np.array(unit)))
+
     def test_haar_states_are_normalized_and_reproducible(self):
         a = haar_random_states(100, 5)
         b = haar_random_states(100, 5)
