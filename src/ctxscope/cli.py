@@ -75,10 +75,13 @@ def _ascii_rows(block: list[np.ndarray]) -> str:
     digits as the column's largest integer part needs, a point and nine
     digits for floats, and a separator. NUL stands for a missing sign and for
     leading zeros, and the NULs are removed last. A float prints from
-    n = rint(|x| * 1e9), the correctly rounded nine-decimal value unless
-    |x| * 1e9 lies within its rounding error of a half-integer; those rare
-    cells take n from "%.9f" one by one. A negative float keeps its sign even
-    when it rounds to zero, as "%.9f" does."""
+    n = rint(y), y = |x| * 1e9 rounded, which is the correctly rounded
+    nine-decimal value unless y is exactly a half-integer: rounding is
+    monotonic and every half-integer below 2**52 is a double, so the product
+    cannot cross one without landing on it (from 2**52 to 2**53, y is an
+    integer that already rounds half to even). Those cells take n from
+    "%.9f" one by one. A negative float keeps its sign even when it rounds to
+    zero, as "%.9f" does."""
     buf = np.empty((sum(19 if c.dtype.kind == "f" else 22 for c in block), len(block[0])), dtype=np.uint8)
     pos = 0
     for c in block:
@@ -86,9 +89,9 @@ def _ascii_rows(block: list[np.ndarray]) -> str:
         if c.dtype.kind == "f":
             y = np.abs(c) * 1e9
             n = np.rint(y)
-            near_tie = np.abs(np.abs(y - n) - 0.5) <= y * 2.0 ** -50
+            tie = np.abs(y - n) == 0.5
             n = n.astype(np.int64)
-            for i in np.flatnonzero(near_tie):
+            for i in np.flatnonzero(tie):
                 n[i] = int(("%.9f" % abs(c[i])).replace(".", ""))
             whole = n // 10 ** 9
             whole, frac = whole.astype(np.uint32), (n - whole * 10 ** 9).astype(np.uint32)
@@ -286,10 +289,7 @@ def _read_counts_csv(path: str) -> stats.FringeDataset:
         durations.append(values[4])
     if not settings:
         raise SchemaError("input has no data rows")
-    return stats.FringeDataset(
-        np.asarray(settings), np.asarray(counts), "counts",
-        rate=None, duration=durations[0],
-    )
+    return stats.FringeDataset(np.asarray(settings), np.asarray(counts), "counts", durations[0])
 
 
 def _noise_requested(args: argparse.Namespace) -> bool:
@@ -372,17 +372,20 @@ def _run_scan(args: argparse.Namespace, kind: str) -> int:
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise SchemaError("--from and --to must be finite")
     grid = np.linspace(args.start, args.stop, args.steps)
-    if kind == "phase":
+    noisy = _noise_requested(args)
+    if kind == "phase" and noisy:
+        coefficients = interferometer.fringe_coefficients(network, psi, args.target)
+    elif kind == "phase":
         dataset = interferometer.phase_scan(network, psi, args.target, grid)
     else:
         dataset = interferometer.transmittance_scan(network, psi, args.target, grid)
-    if _noise_requested(args):
+    if noisy:
         visibility = 1.0 if args.visibility is None else args.visibility
         rate = DEFAULT_RATE if args.rate is None else args.rate
         duration = DEFAULT_DURATION if args.duration is None else args.duration
         seed = _resolve_seed(args)
         if kind == "phase":
-            dataset = stats.noisy_fringe(dataset, visibility, rate, duration, seed)
+            dataset = stats.noisy_fringe(grid, coefficients, visibility, rate, duration, seed)
         else:
             if visibility != 1.0:
                 raise SchemaError("--visibility models phase fringes; not valid for trans-scan")
@@ -464,8 +467,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     dataset = _read_counts_csv(args.input)
-    offs, amps = interferometer.fringe_coefficients(build_network(), NAMED_STATES[args.model])
-    result = stats.fit_fringe(dataset, list(zip(offs, amps)))
+    _, b, c = interferometer.fringe_coefficients(build_network(), NAMED_STATES[args.model])
+    result = stats.fit_fringe(dataset, np.hypot(b, c))
     _write(args.out, [_json_dump({
         "model": args.model,
         "ports": [
@@ -507,7 +510,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             dev_witness,
             row(name, "witness outputs", metrics["witness_outputs"][n], measured.witness),
         )
-        offs, amps = interferometer.fringe_coefficients(network, NAMED_STATES[name])
+        offs, amps, _ = interferometer.fringe_coefficients(network, NAMED_STATES[name])
         model_offs, model_amps = FRINGE_MODELS[name]
         for i in range(3):
             row(name, f"fringe a{i + 1}", offs[i], model_offs[i], ref_decimals=9)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import TransferOperator, as_state, basis_change
 from .contexts import INTERIOR_LABELS, canonical_paths, context_at
-from .stats import FringeDataset
+from .stats import FringeDataset, _scan_settings
 
 NORMALIZATION_ATOL = 1e-9
 
@@ -89,11 +89,6 @@ class OutputDistribution(NamedTuple):
     @property
     def survival(self) -> float:
         return self.p1 + self.p2 + self.p3
-
-    def port(self, index: int) -> float:
-        if index not in (1, 2, 3):
-            raise ValueError(f"port must be 1, 2, or 3, got {index}")
-        return self[index - 1]
 
 
 @dataclass(frozen=True)
@@ -229,9 +224,10 @@ def counterfactual_gain(
     Positive gain means more photons arrive at that port with the absorber in
     place than without it, beyond anything explainable by mere loss.
     """
-    free = run(network, psi)
-    with_block = run(network, psi, [block(blocked)])
-    return with_block.port(port) - free.port(port)
+    if port not in (1, 2, 3):
+        raise ValueError(f"port must be 1, 2, or 3, got {port}")
+    free, with_block = _propagate(network, as_state(psi)[None, :], [blocked], [[1.0], [0.0]])[:, 0, port - 1]
+    return float(with_block - free)
 
 
 def witness_from_outputs(free: np.ndarray, blocked: np.ndarray) -> np.ndarray:
@@ -269,15 +265,6 @@ def evaluate_states(network: Network, states: np.ndarray) -> dict[str, np.ndarra
     }
 
 
-def _scan_settings(grid: Sequence[float], what: str) -> np.ndarray:
-    settings = np.asarray(list(grid), dtype=float)
-    if settings.size == 0:
-        raise ValueError(f"{what} grid must be nonempty")
-    if not np.all(np.isfinite(settings)):
-        raise ValueError(f"{what} settings must be finite")
-    return settings
-
-
 def phase_scan(
     network: Network,
     psi: Sequence[complex] | np.ndarray,
@@ -313,10 +300,17 @@ def fringe_coefficients(
     network: Network,
     psi: Sequence[complex] | np.ndarray,
     target: str = "f",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-port (offset, cosine) coefficients of the phase fringe on target."""
-    p0, ppi = _propagate(network, as_state(psi)[None, :], [target], [[1.0], [-1.0]])[:, 0]
-    return (p0 + ppi) / 2.0, (p0 - ppi) / 2.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact per-port (a, b, c) of the phase fringe a + b cos(phi) + c sin(phi) on target.
+
+    One rank-1 update puts exp(i phi) on a single path, so each port's
+    probability is this three-term curve; it is read off phi = 0, pi and
+    +-pi/2. The two quarter turns are complex conjugates for a real state, so
+    its c is exactly 0 and not a rounding residue.
+    """
+    factors = [[1.0], [-1.0], [1j], [-1j]]
+    p0, ppi, plus, minus = _propagate(network, as_state(psi)[None, :], [target], factors)[:, 0]
+    return (p0 + ppi) / 2.0, (p0 - ppi) / 2.0, (plus - minus) / 2.0
 
 
 __all__ = [

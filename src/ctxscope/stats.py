@@ -36,7 +36,6 @@ class FringeDataset:
     settings: np.ndarray  # (n,) control parameter, radians
     values: np.ndarray    # (n, 3) per-port probabilities or counts
     mode: str             # "ideal" | "counts"
-    rate: float | None = None
     duration: float | None = None
 
     def __post_init__(self) -> None:
@@ -67,6 +66,15 @@ class FringeDataset:
         return int(self.settings.size)
 
 
+def _scan_settings(grid: Sequence[float], what: str) -> np.ndarray:
+    settings = np.asarray(list(grid), dtype=float)
+    if settings.size == 0:
+        raise ValueError(f"{what} grid must be nonempty")
+    if not np.all(np.isfinite(settings)):
+        raise ValueError(f"{what} settings must be finite")
+    return settings
+
+
 class CountRecord(NamedTuple):
     counts: tuple[int, int, int]
     setting: float
@@ -76,8 +84,8 @@ class CountRecord(NamedTuple):
 class PortFit(NamedTuple):
     a: float           # fitted offset
     b: float           # fitted cosine coefficient
-    c: float           # fitted sine coefficient (zero up to noise for these models)
-    visibility: float  # sqrt(b^2 + c^2) / |model cosine coefficient|
+    c: float           # fitted sine coefficient
+    visibility: float  # sqrt(b^2 + c^2) / model fringe amplitude
     stderr: float      # standard error of the visibility estimate
 
 
@@ -133,55 +141,47 @@ def sample_dataset(ideal: FringeDataset, rate: float, duration: float, seed: int
     """Poisson-sample every point of an ideal scan, from one stream per call."""
     if ideal.mode != "ideal":
         raise ValueError("sample_dataset needs an ideal-mode dataset")
-    return FringeDataset(ideal.settings, _draw(ideal.values, rate, duration, seed), "counts", rate, duration)
-
-
-def _endpoint_coefficients(dataset: FringeDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Offset and cosine amplitude per port, read off the 0 and pi settings."""
-    settings = dataset.settings
-    at_zero = np.flatnonzero(np.abs(settings) <= 1e-9)
-    at_pi = np.flatnonzero(np.abs(settings - math.pi) <= 1e-9)
-    if at_zero.size == 0 or at_pi.size == 0:
-        raise ValueError("dataset must contain settings 0 and pi to extract fringe coefficients")
-    p0 = dataset.values[at_zero[0]].astype(float)
-    ppi = dataset.values[at_pi[0]].astype(float)
-    return (p0 + ppi) / 2.0, (p0 - ppi) / 2.0
+    return FringeDataset(ideal.settings, _draw(ideal.values, rate, duration, seed), "counts", duration)
 
 
 def noisy_fringe(
-    ideal: FringeDataset,
+    settings: Sequence[float],
+    coefficients: tuple[np.ndarray, np.ndarray, np.ndarray],
     visibility: float,
     rate: float,
     duration: float,
     seed: int,
 ) -> FringeDataset:
-    """Degrade an ideal phase fringe to visibility V and Poisson-sample it.
+    """Poisson counts of a phase fringe degraded to visibility V.
 
-    Per port the ideal curve a + b cos(phi), with a and b taken exactly from
-    the dataset's 0 and pi settings, is replaced by a + V b cos(phi) before
-    sampling. All settings are drawn from one stream seeded by seed.
+    coefficients holds each port's (a, b, c) of the ideal curve
+    a + b cos(phi) + c sin(phi), as interferometer.fringe_coefficients gives
+    them. The counts at each setting have means rate * duration times
+    a + V (b cos(phi) + c sin(phi)), all drawn from one stream seeded by seed.
     """
-    if ideal.mode != "ideal":
-        raise ValueError("noisy_fringe needs an ideal-mode dataset")
+    settings = _scan_settings(settings, "phase")
     if not 0.0 <= visibility <= 1.0:
         raise VisibilityOutOfRangeError(f"visibility must lie in [0, 1], got {visibility}")
-    offs, amps = _endpoint_coefficients(ideal)
-    means = offs[None, :] + visibility * amps[None, :] * np.cos(ideal.settings)[:, None]
-    return FringeDataset(ideal.settings, _draw(means, rate, duration, seed), "counts", rate, duration)
+    a, b, c = (np.asarray(v, dtype=float) for v in coefficients)
+    # (V b) cos + (V c) sin: with c = 0 (real states) these are bit for bit
+    # the means, and so the counts, of the two-term model a + V b cos(phi)
+    means = a + visibility * b * np.cos(settings)[:, None] + visibility * c * np.sin(settings)[:, None]
+    return FringeDataset(settings, _draw(means, rate, duration, seed), "counts", duration)
 
 
-def fit_fringe(data: FringeDataset, model: Sequence[tuple[float, float]]) -> FitResult:
+def fit_fringe(data: FringeDataset, amplitudes: Sequence[float]) -> FitResult:
     """Least-squares fringe fit of normalized counts on {1, cos, sin}.
 
     Counts are normalized per setting by the total across the three ports,
-    which removes rate drift and any overall scale. The visibility for port i
-    is sqrt(b^2 + c^2) / |b_model_i| with its standard error propagated from
+    which removes rate drift and any overall scale. amplitudes holds each
+    port's model fringe amplitude |b + i c|. The visibility for port i is
+    sqrt(b^2 + c^2) / amplitudes[i] with its standard error propagated from
     the residual variance; values above 1 are reported as-is.
     """
     if data.mode != "counts":
         raise ValueError("fit_fringe needs a counts-mode dataset")
-    if len(model) != 3:
-        raise ValueError("model must give (offset, cosine) coefficients for all three ports")
+    if len(amplitudes) != 3:
+        raise ValueError("model must give a fringe amplitude for each of the three ports")
     phi = data.settings
     n = phi.size
     if np.unique(phi).size < 3:
@@ -198,9 +198,9 @@ def fit_fringe(data: FringeDataset, model: Sequence[tuple[float, float]]) -> Fit
     gram_inv = np.linalg.inv(gram)
     ports = []
     for i in range(3):
-        b_model = float(model[i][1])
-        if b_model == 0.0:
-            raise ValueError(f"model cosine coefficient for port {i + 1} must be nonzero")
+        model_amp = float(amplitudes[i])
+        if not model_amp > 0.0:
+            raise ValueError(f"model fringe amplitude for port {i + 1} must be positive")
         coef, *_ = np.linalg.lstsq(design, y[:, i], rcond=None)
         a, b, c = (float(v) for v in coef)
         resid = y[:, i] - design @ coef
@@ -213,5 +213,5 @@ def fit_fringe(data: FringeDataset, model: Sequence[tuple[float, float]]) -> Fit
             amp_var = float(grad @ cov[1:, 1:] @ grad)
         else:
             amp_var = float(cov[1, 1])
-        ports.append(PortFit(a, b, c, amp / abs(b_model), math.sqrt(max(amp_var, 0.0)) / abs(b_model)))
+        ports.append(PortFit(a, b, c, amp / model_amp, math.sqrt(max(amp_var, 0.0)) / model_amp))
     return FitResult(tuple(ports))

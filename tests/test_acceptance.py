@@ -151,8 +151,9 @@ def test_c05_fringe_models(network):
     worst = 0.0
     for name, (offsets, amplitudes) in EXACT_FRINGE.items():
         psi = NAMED_STATES[name]
-        offs, amps = fringe_coefficients(network, psi)
-        worst = max(worst, float(np.max(np.abs(offs - offsets))), float(np.max(np.abs(amps - amplitudes))))
+        offs, amps, sines = fringe_coefficients(network, psi)
+        worst = max(worst, float(np.max(np.abs(offs - offsets))), float(np.max(np.abs(amps - amplitudes))),
+                    float(np.max(np.abs(sines))))
         # independent route: least squares on a full ideal scan
         grid = np.linspace(0.0, 2.0 * math.pi, 13)
         scan = phase_scan(network, psi, "f", grid)
@@ -203,13 +204,12 @@ def test_c07_sweep_finds_maximal_violation(network):
 
 def test_c08_statistical_layer(network):
     true_v = 0.95
-    offs, amps = fringe_coefficients(network, NAMED_STATES["Bf"])
-    model = list(zip(offs, amps))
+    coefficients = offs, amps, sines = fringe_coefficients(network, NAMED_STATES["Bf"])
+    model = np.hypot(amps, sines)
     grid = np.linspace(0.0, 2.0 * math.pi, 25)
-    ideal = phase_scan(network, NAMED_STATES["Bf"], "f", grid)
     hits = total = 0
     for trial in range(500):
-        data = noisy_fringe(ideal, true_v, 1000.0, 100.0, 100_000 + 40 * trial)
+        data = noisy_fringe(grid, coefficients, true_v, 1000.0, 100.0, 100_000 + 40 * trial)
         for port in fit_fringe(data, model).ports:
             total += 1
             if abs(port.visibility - true_v) <= 3.0 * port.stderr:

@@ -9,7 +9,7 @@ import pytest
 
 import numpy as np
 
-from ctxscope import cli, stats
+from ctxscope import cli, interferometer, stats
 from ctxscope.cli import main
 from ctxscope.reference import MEASURED
 
@@ -168,6 +168,15 @@ class TestScans:
         counts = [int(c) for c in first[1:4]]
         mu = 1e5 / 3
         assert all(abs(c - mu) < 5 * math.sqrt(mu) for c in counts)
+
+    @pytest.mark.parametrize("grid", [("--steps", "4"), ("--from", "0.5", "--steps", "9")])
+    def test_noisy_phase_scan_runs_on_grids_without_zero_and_pi(self, capsys, monkeypatch, grid):
+        monkeypatch.setattr(interferometer, "phase_scan", lambda *args: pytest.fail("built an ideal scan"))
+        code, out = run_cli(capsys, "phase-scan", "--state", "V0", *grid, "--visibility", "0.9", "--seed", "1")
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[0] == "setting,n1,n2,n3,duration"
+        assert len(lines) == 1 + int(grid[-1])
 
     def test_trans_scan_starts_at_blocked_distribution(self, capsys):
         code, out = run_cli(capsys, "trans-scan", "--state", "Nf", "--steps", "5")

@@ -184,9 +184,25 @@ def test_csv_emitter_is_byte_identical_to_per_cell_formatting(columns, block_row
     assert text == "h\n" + per_cell_rows(columns)
 
 
+def _around_ties(k: int) -> list[float]:
+    """(k + 0.5) / 1e9 and the three doubles on either side of it."""
+    x = (k + 0.5) / 1e9
+    return [x + step * float(np.spacing(x)) for step in range(-3, 4)]
+
+
 def test_csv_emitter_hard_cells():
     x = np.array(HARD_CELLS + [-v for v in HARD_CELLS])
     n = np.array([0, 1, -1, 2 ** 63 - 1, -2 ** 63, 10 ** 18, 99, 100, 999, 1000], dtype=np.int64)
     text = "".join(cli._csv("x,n", [[x, n]]))
     assert text == "x,n\n" + per_cell_rows([x, n])
     assert text.splitlines()[1:3] == ["-0.000000000,0", "-0.000000001,1"]
+    # From 2**49 / 1e9 up, |x| * 1e9 can round to exactly a half-integer (a
+    # tie for rint) while x itself lies off it; up to 2**53 / 1e9 the block
+    # formatter must still print those cells and their neighbours as "%.9f" does.
+    big = np.array([v for k in (2 ** 49 + 3, 2 ** 50 + 12_345, 2 ** 51 + 7, 2 ** 52 - 2, 2 ** 52 + 9,
+                                2 ** 53 - 9) for v in _around_ties(k)])
+    assert np.all((2 ** 49 / 1e9 <= big) & (big < EXACT_LIMIT))
+    assert np.count_nonzero(big * 1e9 % 1.0 == 0.5) >= 4
+    big = np.concatenate([big, -big])
+    text = "".join(cli._csv("x", [[big]]))
+    assert text == "x\n" + per_cell_rows([big])

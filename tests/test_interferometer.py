@@ -19,7 +19,7 @@ from ctxscope.interferometer import (
     transmittance_scan,
     witness_from_outputs,
 )
-from ctxscope.reference import NAMED_STATES
+from ctxscope.reference import FRINGE_MODELS, NAMED_STATES
 
 NF = NAMED_STATES["Nf"]
 BF = NAMED_STATES["Bf"]
@@ -322,6 +322,23 @@ class TestFringeCoefficients:
         ],
     )
     def test_exact_model_coefficients(self, network, name, offsets, amplitudes):
-        offs, amps = fringe_coefficients(network, NAMED_STATES[name])
+        offs, amps, sines = fringe_coefficients(network, NAMED_STATES[name])
         assert offs == pytest.approx(offsets, abs=1e-12)
         assert amps == pytest.approx(amplitudes, abs=1e-12)
+        assert float(np.max(np.abs(sines))) <= 1e-15
+        assert float(np.max(np.abs(offs - FRINGE_MODELS[name][0]))) <= 1e-15
+        assert float(np.max(np.abs(amps - FRINGE_MODELS[name][1]))) <= 1e-15
+
+    def test_real_states_have_an_exactly_zero_sine_term(self, network):
+        # a rounding residue in c would move the means of noisy scans of real states
+        for psi in [*NAMED_STATES.values(), *np.random.default_rng(8).normal(size=(20, 3))]:
+            for target in INTERIOR_LABELS:
+                assert not np.any(fringe_coefficients(network, psi / np.linalg.norm(psi), target)[2])
+
+    def test_three_terms_reproduce_the_phase_scan(self, network):
+        grid = np.concatenate([np.linspace(0.2, 6.0, 11), [-3.0, 77.0]])  # neither 0 nor pi
+        for psi in haar_random_states(200, 12):
+            for target in INTERIOR_LABELS:
+                a, b, c = fringe_coefficients(network, psi, target)
+                curve = a + b * np.cos(grid)[:, None] + c * np.sin(grid)[:, None]
+                assert float(np.max(np.abs(curve - phase_scan(network, psi, target, grid).values))) <= 1e-12

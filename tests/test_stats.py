@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ctxscope import stats
+from ctxscope.contexts import INTERIOR_LABELS
+from ctxscope.core import haar_random_states, normalize
 from ctxscope.interferometer import fringe_coefficients, phase_scan
 from ctxscope.reference import NAMED_STATES
 from ctxscope.stats import (
@@ -27,9 +30,14 @@ def nf_fringe(network):
 
 
 @pytest.fixture(scope="module")
-def nf_model(network):
-    offs, amps = fringe_coefficients(network, NF)
-    return list(zip(offs, amps))
+def nf_coefficients(network):
+    return fringe_coefficients(network, NF)
+
+
+@pytest.fixture(scope="module")
+def nf_model(nf_coefficients):
+    _, b, c = nf_coefficients
+    return np.hypot(b, c)
 
 
 class TestSampleCounts:
@@ -100,47 +108,53 @@ class TestSampleDataset:
 
 
 class TestNoisyFringe:
-    def test_full_visibility_tracks_ideal_curve(self, nf_fringe):
+    def test_full_visibility_tracks_ideal_curve(self, nf_fringe, nf_coefficients):
         rate, duration = 10_000.0, 100.0
-        noisy = noisy_fringe(nf_fringe, 1.0, rate, duration, 11)
+        noisy = noisy_fringe(nf_fringe.settings, nf_coefficients, 1.0, rate, duration, 11)
         scale = rate * duration
         sigma = np.sqrt(np.maximum(nf_fringe.values * scale, 1.0)) / scale
         dev = np.abs(noisy.values / scale - nf_fringe.values)
         assert float(np.max(dev / sigma)) < 5.0
 
-    def test_zero_visibility_is_flat(self, nf_fringe):
-        noisy = noisy_fringe(nf_fringe, 0.0, 1000.0, 100.0, 3)
+    def test_zero_visibility_is_flat(self, nf_fringe, nf_coefficients):
+        noisy = noisy_fringe(nf_fringe.settings, nf_coefficients, 0.0, 1000.0, 100.0, 3)
         means = np.array([5 / 27, 5 / 27, 17 / 27]) * 1e5
         for port in range(3):
             column = noisy.values[:, port].astype(float)
             sigma = math.sqrt(means[port])
             assert np.all(np.abs(column - means[port]) < 5.0 * sigma)
 
-    def test_port3_means_follow_fringe_model(self, network):
+    def test_port3_means_follow_fringe_model(self, nf_coefficients):
         grid = np.linspace(0.0, 2.0 * math.pi, 9)
-        ideal = phase_scan(network, NF, "f", grid)
-        noisy = noisy_fringe(ideal, 1.0, 1000.0, 100.0, 21)
+        noisy = noisy_fringe(grid, nf_coefficients, 1.0, 1000.0, 100.0, 21)
         expected = (17.0 - 8.0 * np.cos(grid)) / 27.0 * 1e5
         assert np.all(np.abs(noisy.values[:, 2] - expected) < 5.0 * np.sqrt(expected))
 
-    def test_visibility_out_of_range(self, nf_fringe):
+    def test_visibility_out_of_range(self, nf_fringe, nf_coefficients):
         with pytest.raises(VisibilityOutOfRangeError):
-            noisy_fringe(nf_fringe, 1.2, 1000.0, 100.0, 1)
+            noisy_fringe(nf_fringe.settings, nf_coefficients, 1.2, 1000.0, 100.0, 1)
 
-    def test_requires_zero_and_pi_settings(self, network):
-        partial = phase_scan(network, NF, "f", np.linspace(0.4, 2.0, 7))
-        with pytest.raises(ValueError, match="0 and pi"):
-            noisy_fringe(partial, 1.0, 1000.0, 100.0, 1)
-
-    def test_adjacent_seeds_do_not_overlap(self, nf_fringe):
-        seven = noisy_fringe(nf_fringe, 0.0, 1000.0, 100.0, 7).values
-        eight = noisy_fringe(nf_fringe, 0.0, 1000.0, 100.0, 8).values
+    def test_adjacent_seeds_do_not_overlap(self, nf_fringe, nf_coefficients):
+        seven = noisy_fringe(nf_fringe.settings, nf_coefficients, 0.0, 1000.0, 100.0, 7).values
+        eight = noisy_fringe(nf_fringe.settings, nf_coefficients, 0.0, 1000.0, 100.0, 8).values
         assert not np.array_equal(seven[1:], eight[:-1])
 
-    def test_requires_ideal_mode(self, nf_fringe):
-        counts = noisy_fringe(nf_fringe, 1.0, 1000.0, 100.0, 1)
-        with pytest.raises(ValueError):
-            noisy_fringe(counts, 1.0, 1000.0, 100.0, 1)
+    def test_rejects_empty_and_non_finite_grids(self, monkeypatch, nf_coefficients):
+        monkeypatch.setattr(stats, "_draw", lambda *args: pytest.fail("drew counts"))
+        for grid, message in (([], "nonempty"), ([0.5, math.nan], "finite"), ([math.inf], "finite")):
+            with pytest.raises(ValueError, match=message):
+                noisy_fringe(grid, nf_coefficients, 1.0, 1000.0, 100.0, 1)
+
+    def test_full_visibility_means_equal_the_ideal_scan(self, network, monkeypatch):
+        # any grid (no 0 or pi here), complex states and every interior target
+        drawn = []
+        monkeypatch.setattr(stats, "_draw", lambda probs, *args: drawn.append(probs) or np.zeros(probs.shape))
+        grid = np.concatenate([np.linspace(0.3, 5.9, 17), [-40.0, 1e3]])
+        for psi in haar_random_states(25, 31):
+            for target in INTERIOR_LABELS:
+                noisy_fringe(grid, fringe_coefficients(network, psi, target), 1.0, 7.0, 3.0, 5)
+                ideal = phase_scan(network, psi, target, grid).values
+                assert float(np.max(np.abs(drawn.pop() - ideal))) <= 1e-12
 
 
 class TestFitFringe:
@@ -151,41 +165,51 @@ class TestFitFringe:
             assert port.visibility == pytest.approx(1.0, abs=1e-9)
             assert port.c == pytest.approx(0.0, abs=1e-9)
 
-    def test_exact_degraded_curve_recovers_true_visibility(self, nf_fringe, nf_model):
-        offs = np.array([m[0] for m in nf_model])
-        amps = np.array([m[1] for m in nf_model])
+    def test_exact_degraded_curve_recovers_true_visibility(self, nf_fringe, nf_coefficients, nf_model):
+        offs, amps, _ = nf_coefficients
         curve = offs[None, :] + 0.7 * amps[None, :] * np.cos(nf_fringe.settings)[:, None]
         exact = FringeDataset(nf_fringe.settings, curve * 1e6, "counts")
         fit = fit_fringe(exact, nf_model)
         for port in fit.ports:
             assert port.visibility == pytest.approx(0.7, abs=1e-9)
 
-    def test_scale_invariance(self, nf_fringe, nf_model):
-        noisy = noisy_fringe(nf_fringe, 1.0, 1000.0, 100.0, 4)
+    def test_scale_invariance(self, nf_fringe, nf_coefficients, nf_model):
+        noisy = noisy_fringe(nf_fringe.settings, nf_coefficients, 1.0, 1000.0, 100.0, 4)
         base = fit_fringe(noisy, nf_model)
         scaled = FringeDataset(noisy.settings, noisy.values.astype(float) * 137.0, "counts")
         rescaled = fit_fringe(scaled, nf_model)
         for a, b in zip(base.ports, rescaled.ports):
             assert b.visibility == pytest.approx(a.visibility, abs=1e-9)
 
-    def test_noisy_recovery_within_three_percent(self, nf_fringe, nf_model):
+    def test_noisy_recovery_within_three_percent(self, nf_fringe, nf_coefficients, nf_model):
         for seed in (1, 2, 3, 4, 5):
-            data = noisy_fringe(nf_fringe, 1.0, 1000.0, 100.0, seed)
+            data = noisy_fringe(nf_fringe.settings, nf_coefficients, 1.0, 1000.0, 100.0, seed)
             fit = fit_fringe(data, nf_model)
             for port in fit.ports:
                 assert 0.97 <= port.visibility <= 1.03
 
-    def test_sine_term_absorbs_no_signal(self, nf_fringe, nf_model):
+    def test_sine_term_absorbs_no_signal(self, nf_fringe, nf_coefficients, nf_model):
         # the models carry no phase offset, so c must stay at noise level
-        data = noisy_fringe(nf_fringe, 1.0, 1000.0, 100.0, 8)
+        data = noisy_fringe(nf_fringe.settings, nf_coefficients, 1.0, 1000.0, 100.0, 8)
         fit = fit_fringe(data, nf_model)
         for port in fit.ports:
             assert abs(port.c) < 5.0 * port.stderr + 1e-6
 
-    def test_visibility_above_one_is_not_clamped(self, nf_fringe, nf_model):
-        data = noisy_fringe(nf_fringe, 1.0, 1000.0, 100.0, 1)
+    def test_visibility_above_one_is_not_clamped(self, nf_fringe, nf_coefficients, nf_model):
+        data = noisy_fringe(nf_fringe.settings, nf_coefficients, 1.0, 1000.0, 100.0, 1)
         fit = fit_fringe(data, nf_model)
         assert any(port.visibility > 1.0 for port in fit.ports)
+
+    def test_complex_state_recovers_injected_visibility(self, network):
+        # psi ~ (1, i, 0.5) has a sine term; its fringe amplitude is |b + i c|
+        psi = normalize(np.array([1.0, 1.0j, 0.5]))
+        coefficients = fringe_coefficients(network, psi)
+        amplitudes = np.hypot(coefficients[1], coefficients[2])
+        grid = np.linspace(0.0, 2.0 * math.pi, 25)
+        for seed in (1, 2, 3, 4, 5):
+            fit = fit_fringe(noisy_fringe(grid, coefficients, 0.8, 1000.0, 100.0, seed), amplitudes)
+            for port in fit.ports:
+                assert abs(port.visibility - 0.8) < 5.0 * port.stderr
 
     def test_three_settings_fit_exactly_with_zero_stderr(self, network, nf_model):
         grid = [0.0, math.pi / 2.0, math.pi]
