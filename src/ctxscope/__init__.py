@@ -53,9 +53,7 @@ from .interferometer import (
 )
 from .reference import FRINGE_MODELS, MAX_WITNESS_VALUE, MEASURED, NAMED_STATES
 from .stats import (
-    CountRecord,
     DegenerateDesignError,
-    FitResult,
     FringeDataset,
     InvalidDurationError,
     InvalidRateError,

@@ -19,7 +19,7 @@ import math
 import os
 import shutil
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -47,6 +47,14 @@ SWEEP_METRICS = ("witness", "gain", "pf", "pd1", "pd2")
 
 class SchemaError(ValueError):
     """Malformed flag value or input file."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach main as SchemaError, so
+    that they print as one `error:` line like every other usage error."""
+
+    def error(self, message: str) -> NoReturn:
+        raise SchemaError(message)
 
 
 def _f9(x: float) -> str:
@@ -269,7 +277,7 @@ def _read_counts_csv(path: str) -> stats.FringeDataset:
     rows = [(reader.line_num, row) for row in reader if row]
     if not rows or [cell.strip() for cell in rows[0][1]] != COUNTS_CSV_HEADER.split(","):
         raise SchemaError(f"input must start with header {COUNTS_CSV_HEADER!r}")
-    settings, counts, durations = [], [], []
+    settings, counts, duration = [], [], None
     for lineno, row in rows[1:]:
         if len(row) != 5:
             raise SchemaError(f"line {lineno}: expected 5 fields, got {len(row)}")
@@ -281,15 +289,14 @@ def _read_counts_csv(path: str) -> stats.FringeDataset:
             raise SchemaError(f"line {lineno}: non-finite field in {row}")
         if any(v < 0 for v in values[1:4]):
             raise SchemaError(f"line {lineno}: counts must be non-negative")
-        if durations and values[4] != durations[0]:
-            raise SchemaError(
-                f"line {lineno}: duration {values[4]:g} differs from the first row's {durations[0]:g}")
+        if duration is not None and values[4] != duration:
+            raise SchemaError(f"line {lineno}: duration {values[4]:g} differs from the first row's {duration:g}")
         settings.append(values[0])
         counts.append(values[1:4])
-        durations.append(values[4])
+        duration = values[4]
     if not settings:
         raise SchemaError("input has no data rows")
-    return stats.FringeDataset(np.asarray(settings), np.asarray(counts), "counts", durations[0])
+    return stats.FringeDataset(settings, counts, "counts")
 
 
 def _noise_requested(args: argparse.Namespace) -> bool:
@@ -309,28 +316,25 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _distribution(probs: Sequence[float]) -> dict[str, float]:
+    p1, p2, p3 = (float(p) for p in probs)
+    return {"p1": p1, "p2": p2, "p3": p3, "survival": p1 + p2 + p3}
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     psi = _parse_state(args.state)
     mods = _parse_modifiers(args)
-    dist = run(build_network(), psi, mods)
+    fields = _distribution(run(build_network(), psi, mods))
     if args.format == "csv":
-        _write(args.out, _csv("p1,p2,p3,survival", [[[v] for v in (*dist, dist.survival)]]))
+        _write(args.out, _csv(",".join(fields), [[[v] for v in fields.values()]]))
     else:
         _write(args.out, [_json_dump({
+            **fields,
             "modifiers": [f"{m.action}:{m.target}" + (f":{m.value!r}" if m.action != "block" else "")
                           for m in mods],
-            "p1": dist.p1,
-            "p2": dist.p2,
-            "p3": dist.p3,
             "state": _state_parts(psi),
-            "survival": dist.survival,
         })])
     return 0
-
-
-def _distribution(probs: np.ndarray) -> dict[str, float]:
-    p1, p2, p3 = (float(p) for p in probs)
-    return {"p1": p1, "p2": p2, "p3": p3, "survival": p1 + p2 + p3}
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
@@ -371,6 +375,8 @@ def _run_scan(args: argparse.Namespace, kind: str) -> int:
     network = build_network()
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise SchemaError("--from and --to must be finite")
+    if not math.isfinite(args.stop - args.start):
+        raise SchemaError("--to minus --from must be finite")
     grid = np.linspace(args.start, args.stop, args.steps)
     noisy = _noise_requested(args)
     if kind == "phase" and noisy:
@@ -379,7 +385,9 @@ def _run_scan(args: argparse.Namespace, kind: str) -> int:
         dataset = interferometer.phase_scan(network, psi, args.target, grid)
     else:
         dataset = interferometer.transmittance_scan(network, psi, args.target, grid)
-    if noisy:
+    if not noisy:
+        header, last = IDEAL_CSV_HEADER, dataset.values.sum(axis=1)
+    else:
         visibility = 1.0 if args.visibility is None else args.visibility
         rate = DEFAULT_RATE if args.rate is None else args.rate
         duration = DEFAULT_DURATION if args.duration is None else args.duration
@@ -390,10 +398,7 @@ def _run_scan(args: argparse.Namespace, kind: str) -> int:
             if visibility != 1.0:
                 raise SchemaError("--visibility models phase fringes; not valid for trans-scan")
             dataset = stats.sample_dataset(dataset, rate, duration, seed)
-    if dataset.mode == "ideal":
-        header, last = IDEAL_CSV_HEADER, dataset.values.sum(axis=1)
-    else:
-        header, last = COUNTS_CSV_HEADER, np.full(len(dataset), dataset.duration or 0.0)
+        header, last = COUNTS_CSV_HEADER, np.full(len(dataset), duration)
     _write(args.out, _csv(header, [[dataset.settings, *dataset.values.T, last]]))
     return 0
 
@@ -450,17 +455,17 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise SchemaError("--setting must be finite")
     dist = run(build_network(), psi, mods)
     seed = _resolve_seed(args)
-    record = stats.sample_counts(dist, args.rate, args.duration, seed, setting=args.setting)
+    counts = stats.sample_counts(dist, args.rate, args.duration, seed)
     if args.format == "csv":
-        columns = [[record.setting], *([c] for c in record.counts), [args.duration]]
+        columns = [[args.setting], *([c] for c in counts), [args.duration]]
         _write(args.out, _csv(COUNTS_CSV_HEADER, [columns]))
     else:
         _write(args.out, [_json_dump({
-            "counts": list(record.counts),
+            "counts": list(counts),
             "duration": args.duration,
             "rate": args.rate,
-            "seed": record.seed,
-            "setting": record.setting,
+            "seed": seed,
+            "setting": args.setting,
         })])
     return 0
 
@@ -468,12 +473,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     dataset = _read_counts_csv(args.input)
     _, b, c = interferometer.fringe_coefficients(build_network(), NAMED_STATES[args.model])
-    result = stats.fit_fringe(dataset, np.hypot(b, c))
+    ports = stats.fit_fringe(dataset, np.hypot(b, c))
     _write(args.out, [_json_dump({
         "model": args.model,
         "ports": [
             {"a": p.a, "b": p.b, "c": p.c, "stderr": p.stderr, "visibility": p.visibility}
-            for p in result.ports
+            for p in ports
         ],
         "settings": int(dataset.settings.size),
     })])
@@ -572,7 +577,7 @@ def _add_scan_grid(sp: argparse.ArgumentParser, stop_default: float) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctxscope",
         description="Simulate the five-splitter three-path interferometer, its "
                     "contextuality witness, and counterfactual gain.",
@@ -650,8 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except stats.DegenerateDesignError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,13 +36,11 @@ class FringeDataset:
     settings: np.ndarray  # (n,) control parameter, radians
     values: np.ndarray    # (n, 3) per-port probabilities or counts
     mode: str             # "ideal" | "counts"
-    duration: float | None = None
 
     def __post_init__(self) -> None:
-        settings = np.asarray(self.settings, dtype=float).reshape(-1)
-        values = np.asarray(self.values)
-        if self.mode == "ideal":
-            values = values.astype(float)
+        # copies, so that freezing them below leaves the caller's arrays writeable
+        settings = np.array(self.settings, dtype=float).reshape(-1)
+        values = np.array(self.values, dtype=float if self.mode == "ideal" else None)
         if values.shape != (settings.size, 3):
             raise ValueError(f"values must have shape ({settings.size}, 3), got {values.shape}")
         if settings.size == 0:
@@ -75,27 +73,12 @@ def _scan_settings(grid: Sequence[float], what: str) -> np.ndarray:
     return settings
 
 
-class CountRecord(NamedTuple):
-    counts: tuple[int, int, int]
-    setting: float
-    seed: int
-
-
 class PortFit(NamedTuple):
     a: float           # fitted offset
     b: float           # fitted cosine coefficient
     c: float           # fitted sine coefficient
     visibility: float  # sqrt(b^2 + c^2) / model fringe amplitude
     stderr: float      # standard error of the visibility estimate
-
-
-@dataclass(frozen=True)
-class FitResult:
-    ports: tuple[PortFit, PortFit, PortFit]
-
-    @property
-    def visibilities(self) -> tuple[float, float, float]:
-        return tuple(p.visibility for p in self.ports)
 
 
 def _draw(probs: np.ndarray, rate: float, duration: float, seed: int) -> np.ndarray:
@@ -123,9 +106,9 @@ def sample_counts(
     rate: float,
     duration: float,
     seed: int,
-    setting: float = 0.0,
-) -> CountRecord:
-    """Poisson counts for one detection run at the given port probabilities.
+) -> tuple[int, int, int]:
+    """Poisson counts of the three ports for one detection run at the given
+    port probabilities.
 
     Each port's count is drawn with mean rate * duration * p. Identical
     (dist, rate, duration, seed) always reproduce identical counts.
@@ -133,15 +116,14 @@ def sample_counts(
     probs = np.asarray(tuple(dist), dtype=float).reshape(-1)
     if probs.size != 3:
         raise ValueError("distribution must have three port probabilities")
-    counts = _draw(probs, rate, duration, seed)
-    return CountRecord(tuple(int(c) for c in counts), float(setting), int(seed))
+    return tuple(int(c) for c in _draw(probs, rate, duration, seed))
 
 
 def sample_dataset(ideal: FringeDataset, rate: float, duration: float, seed: int) -> FringeDataset:
     """Poisson-sample every point of an ideal scan, from one stream per call."""
     if ideal.mode != "ideal":
         raise ValueError("sample_dataset needs an ideal-mode dataset")
-    return FringeDataset(ideal.settings, _draw(ideal.values, rate, duration, seed), "counts", duration)
+    return FringeDataset(ideal.settings, _draw(ideal.values, rate, duration, seed), "counts")
 
 
 def noisy_fringe(
@@ -166,11 +148,12 @@ def noisy_fringe(
     # (V b) cos + (V c) sin: with c = 0 (real states) these are bit for bit
     # the means, and so the counts, of the two-term model a + V b cos(phi)
     means = a + visibility * b * np.cos(settings)[:, None] + visibility * c * np.sin(settings)[:, None]
-    return FringeDataset(settings, _draw(means, rate, duration, seed), "counts", duration)
+    return FringeDataset(settings, _draw(means, rate, duration, seed), "counts")
 
 
-def fit_fringe(data: FringeDataset, amplitudes: Sequence[float]) -> FitResult:
-    """Least-squares fringe fit of normalized counts on {1, cos, sin}.
+def fit_fringe(data: FringeDataset, amplitudes: Sequence[float]) -> tuple[PortFit, PortFit, PortFit]:
+    """Least-squares fringe fit of normalized counts on {1, cos, sin}, one
+    PortFit per output port.
 
     Counts are normalized per setting by the total across the three ports,
     which removes rate drift and any overall scale. amplitudes holds each
@@ -187,9 +170,12 @@ def fit_fringe(data: FringeDataset, amplitudes: Sequence[float]) -> FitResult:
     if np.unique(phi).size < 3:
         raise DegenerateDesignError("need at least 3 distinct settings")
     counts = np.asarray(data.values, dtype=float)
-    totals = counts.sum(axis=1)
+    with np.errstate(over="ignore"):
+        totals = counts.sum(axis=1)
     if np.any(totals <= 0.0):
         raise DegenerateDesignError("every setting needs a positive total count")
+    if not np.all(np.isfinite(totals)):
+        raise DegenerateDesignError("every setting needs a finite total count")
     y = counts / totals[:, None]
     design = np.column_stack([np.ones(n), np.cos(phi), np.sin(phi)])
     gram = design.T @ design
@@ -214,4 +200,4 @@ def fit_fringe(data: FringeDataset, amplitudes: Sequence[float]) -> FitResult:
         else:
             amp_var = float(cov[1, 1])
         ports.append(PortFit(a, b, c, amp / model_amp, math.sqrt(max(amp_var, 0.0)) / model_amp))
-    return FitResult(tuple(ports))
+    return tuple(ports)

@@ -210,7 +210,7 @@ def test_c08_statistical_layer(network):
     hits = total = 0
     for trial in range(500):
         data = noisy_fringe(grid, coefficients, true_v, 1000.0, 100.0, 100_000 + 40 * trial)
-        for port in fit_fringe(data, model).ports:
+        for port in fit_fringe(data, model):
             total += 1
             if abs(port.visibility - true_v) <= 3.0 * port.stderr:
                 hits += 1
@@ -218,7 +218,7 @@ def test_c08_statistical_layer(network):
     exact = FringeDataset(grid, (np.asarray(offs)[None, :]
                                  + true_v * np.asarray(amps)[None, :] * np.cos(grid)[:, None]) * 1e6,
                           "counts")
-    noiseless_dev = max(abs(p.visibility - true_v) for p in fit_fringe(exact, model).ports)
+    noiseless_dev = max(abs(p.visibility - true_v) for p in fit_fringe(exact, model))
     ok = coverage >= 0.99 and noiseless_dev < 1e-6
     report("8", ok, f"coverage {hits}/{total} = {coverage:.4f} (>= 0.99), "
                     f"noiseless recovery dev {noiseless_dev:.2e} (< 1e-6)")

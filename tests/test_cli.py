@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -12,6 +13,9 @@ import numpy as np
 from ctxscope import cli, interferometer, stats
 from ctxscope.cli import main
 from ctxscope.reference import MEASURED
+from ctxscope.selfcheck import CheckResult
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -30,12 +34,26 @@ def usage_error(capsys, *argv) -> str:
     return captured.err
 
 
+def run_entry(*argv) -> subprocess.CompletedProcess:
+    """Run argv through entry() in a fresh interpreter, as the installed script does."""
+    return subprocess.run(
+        [sys.executable, "-c", "from ctxscope.cli import entry; entry()", *argv],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
 class TestCheck:
     def test_passes_on_fresh_build(self, capsys):
         code, out = run_cli(capsys, "check")
         assert code == 0
         assert "all checks passed" in out
         assert out.count("ok  ") == 5
+
+    def test_failing_suite_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_all_checks", lambda: [CheckResult("broken", False, "injected")])
+        code, out = run_cli(capsys, "check")
+        assert code == 1
+        assert out == "FAIL  broken: injected\nfirst failure: broken\n"
 
 
 class TestRun:
@@ -94,20 +112,25 @@ class TestRun:
         ("run", "0,1e-310,0,0,0,0", "0,1,0,0,0,0"),
     ])
     def test_subnormal_amplitudes_print_the_unit_state_output(self, command, state, unit):
-        def call(spec):
-            return subprocess.run(
-                [sys.executable, "-c", "from ctxscope.cli import entry; entry()", command, "--state", spec],
-                capture_output=True, text=True, timeout=60,
-                env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
-            )
-        tiny, expected = call(state), call(unit)
+        tiny, expected = (run_entry(command, "--state", spec) for spec in (state, unit))
         assert (tiny.returncode, tiny.stderr) == (0, "")
         assert tiny.stdout == expected.stdout
 
-    def test_unknown_flag_exits_2(self):
-        with pytest.raises(SystemExit) as err:
-            main(["run", "--state", "Nf", "--bogus"])
-        assert err.value.code == 2
+    def test_unknown_flag_exits_2(self, capsys):
+        assert usage_error(capsys, "run", "--state", "Nf", "--bogus") == (
+            "error: unrecognized arguments: --bogus\n")
+
+    def test_non_numeric_state_part_is_usage_error(self, capsys):
+        assert "state amplitudes must be numeric" in usage_error(capsys, "run", "--state", "1,0,x,0,0,0")
+
+    @pytest.mark.parametrize("spec, message", [("f", "needs the form LABEL:VALUE"), ("f:x", "must be numeric")])
+    def test_malformed_phase_is_usage_error(self, capsys, spec, message):
+        assert message in usage_error(capsys, "run", "--state", "Nf", "--phase", spec)
+
+    def test_out_into_missing_directory_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "run.json"
+        assert str(out) in usage_error(capsys, "run", "--state", "Nf", "--out", str(out))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWitness:
@@ -219,11 +242,35 @@ class TestScans:
         ("phase-scan", "--state", "Nf", "--from", "inf", "--steps", "3"),
         ("trans-scan", "--state", "Nf", "--to", "nan", "--steps", "3"),
         ("sample", "--state", "Nf", "--setting", "nan", "--format", "csv"),
+        ("phase-scan", "--state", "Nf", "--from=-1e308", "--to=1e308", "--steps=3"),
+        ("phase-scan", "--state", "Nf", "--visibility", "0.9", "--from=-1e308", "--to=1e308", "--steps=3"),
+        ("trans-scan", "--state", "Nf", "--from=-1e308", "--to=1e308", "--steps=3"),
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[3:5]),
 )
 def test_non_finite_modifier_or_setting_is_one_line_usage_error(capsys, argv):
     usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phase-scan", "--state", "Nf", "--from=-1e308", "--to=1e308", "--steps=3"),
+        ("sample", "--state", "Nf", "--seed", "1e308"),
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_usage_errors_are_one_line_in_a_fresh_process(argv):
+    proc = run_entry(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_help_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["sample", "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ctxscope sample ")
 
 
 @pytest.mark.parametrize(
@@ -264,10 +311,9 @@ def test_large_finite_budget_still_counts(capsys):
 
 
 def test_cli_import_does_not_load_scipy():
-    src = Path(__file__).resolve().parents[1] / "src"
     subprocess.run(
         [sys.executable, "-c", "import ctxscope.cli, sys; assert 'scipy' not in sys.modules"],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         check=True,
         timeout=120,
     )
@@ -410,12 +456,7 @@ def test_sizes_above_the_cap_exit_2_before_any_work(capsys, monkeypatch, tmp_pat
 
 
 def test_oversized_sweep_exits_2_without_traceback():
-    proc = subprocess.run(
-        [sys.executable, "-c", "from ctxscope.cli import entry; entry()", "sweep", "--resolution", "100000"],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
-        timeout=60,
-    )
+    proc = run_entry("sweep", "--resolution", "100000")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
@@ -449,6 +490,11 @@ class TestSample:
     def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("CTXSCOPE_SEED", "not-a-number")
         assert run_cli(capsys, "sample", "--state", "Nf")[0] == 2
+
+    def test_seed_of_2_to_the_64_is_usage_error(self, capsys, monkeypatch):
+        assert "64-bit" in usage_error(capsys, "sample", "--state", "Nf", "--seed", str(2 ** 64))
+        monkeypatch.setenv("CTXSCOPE_SEED", str(2 ** 64))
+        assert "64-bit" in usage_error(capsys, "sample", "--state", "Nf")
 
 
 class TestFit:
@@ -524,8 +570,38 @@ class TestFit:
         path = tmp_path / "scan.csv"
         assert main(["phase-scan", "--state", "Nf", "--steps", "7", "--rate", "50", "--out", str(path)]) == 0
         nan_port = stats.PortFit(math.nan, 0.0, 0.0, math.nan, math.inf)
-        monkeypatch.setattr(stats, "fit_fringe", lambda data, model: stats.FitResult((nan_port,) * 3))
+        monkeypatch.setattr(stats, "fit_fringe", lambda data, model: (nan_port,) * 3)
         usage_error(capsys, "fit", "--input", str(path), "--model", "Nf")
+
+    @pytest.mark.parametrize("body, message", [
+        ("0.0,1,2,3\n", "line 2: expected 5 fields, got 4"),
+        ("0.0,1,two,3,1.0\n", "line 2: non-numeric field"),
+        ("0.0,1,2,3,1.0\n1.0,1,-2,3,1.0\n", "line 3: counts must be non-negative"),
+        ("", "input has no data rows"),
+    ], ids=["four fields", "non-numeric", "negative count", "header only"])
+    def test_malformed_counts_csv_is_usage_error(self, capsys, tmp_path, body, message):
+        path = tmp_path / "counts.csv"
+        path.write_text("setting,n1,n2,n3,duration\n" + body)
+        assert message in usage_error(capsys, "fit", "--input", str(path), "--model", "Nf")
+
+    def test_reads_counts_from_stdin(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "scan.csv"
+        assert main(["phase-scan", "--state", "Nf", "--steps", "7", "--seed", "2", "--rate", "50",
+                     "--out", str(path)]) == 0
+        _, from_file = run_cli(capsys, "fit", "--input", str(path), "--model", "Nf")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+        code, from_stdin = run_cli(capsys, "fit", "--input", "-", "--model", "Nf")
+        assert code == 0
+        assert from_stdin == from_file
+
+    def test_overflowing_row_totals_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("setting,n1,n2,n3,duration\n"
+                        + "".join(f"{phi},1e308,1e308,1e308,1.0\n" for phi in (0.0, 1.0, 2.0, 3.0)))
+        code = main(["fit", "--input", str(path), "--model", "Nf"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == "error: every setting needs a finite total count\n"
 
     def test_degenerate_design_exits_3(self, capsys, tmp_path):
         two = tmp_path / "two.csv"
