@@ -37,7 +37,7 @@ DEFAULT_RATE = 1000.0
 DEFAULT_DURATION = 100.0
 DEFAULT_STEPS = 25
 CSV_BLOCK_ROWS = 65_536  # rows per chunk from _csv and per block of sweep states
-# Most rows one sweep or scan may produce: about 18 s at the ~1.1 us per
+# Most rows one sweep or scan may produce: about 12 s at the ~0.75 us per
 # sweep row measured on a 2-CPU VM (set as about a minute when a row took
 # ~3.3 us). Larger --resolution**2, --samples or --steps exit 2 before
 # anything is allocated.
@@ -90,7 +90,11 @@ def _ascii_rows(block: list[np.ndarray]) -> str:
     integer that already rounds half to even). Those cells take n from
     "%.9f" one by one. A negative float keeps its sign even when it rounds to
     zero, as "%.9f" does."""
-    buf = np.empty((sum(19 if c.dtype.kind == "f" else 22 for c in block), len(block[0])), dtype=np.uint8)
+    rows = len(block[0])
+    # An odd number of 64-byte lines per byte row: with a stride of exactly
+    # 64 KiB every byte of an output row maps to the same cache sets.
+    stride = ((rows + 63) // 64 | 1) * 64
+    buf = np.empty((sum(19 if c.dtype.kind == "f" else 22 for c in block), stride), dtype=np.uint8)[:, :rows]
     pos = 0
     for c in block:
         frac = None
@@ -289,6 +293,8 @@ def _read_counts_csv(path: str) -> stats.FringeDataset:
             raise SchemaError(f"line {lineno}: non-finite field in {row}")
         if any(v < 0 for v in values[1:4]):
             raise SchemaError(f"line {lineno}: counts must be non-negative")
+        if not values[4] > 0:
+            raise SchemaError(f"line {lineno}: duration must be positive")
         if duration is not None and values[4] != duration:
             raise SchemaError(f"line {lineno}: duration {values[4]:g} differs from the first row's {duration:g}")
         settings.append(values[0])
@@ -297,6 +303,12 @@ def _read_counts_csv(path: str) -> stats.FringeDataset:
     if not settings:
         raise SchemaError("input has no data rows")
     return stats.FringeDataset(settings, counts, "counts")
+
+
+def _check_counts_duration(duration: float) -> None:
+    """Refuse a positive duration that the counts CSV would print as zero."""
+    if duration > 0 and _f9(duration) == "0.000000000":
+        raise SchemaError(f"--duration {duration:g} would print as 0.000000000 in the counts CSV")
 
 
 def _noise_requested(args: argparse.Namespace) -> bool:
@@ -391,6 +403,7 @@ def _run_scan(args: argparse.Namespace, kind: str) -> int:
         visibility = 1.0 if args.visibility is None else args.visibility
         rate = DEFAULT_RATE if args.rate is None else args.rate
         duration = DEFAULT_DURATION if args.duration is None else args.duration
+        _check_counts_duration(duration)
         seed = _resolve_seed(args)
         if kind == "phase":
             dataset = stats.noisy_fringe(grid, coefficients, visibility, rate, duration, seed)
@@ -453,6 +466,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     mods = _parse_modifiers(args)
     if not math.isfinite(args.setting):
         raise SchemaError("--setting must be finite")
+    if args.format == "csv":
+        _check_counts_duration(args.duration)
     dist = run(build_network(), psi, mods)
     seed = _resolve_seed(args)
     counts = stats.sample_counts(dist, args.rate, args.duration, seed)

@@ -134,16 +134,13 @@ def real_grid_blocks(
     rows (one empty block when there are none): row i has a = axis[i // resolution]
     and b = axis[i % resolution]."""
     axis = np.linspace(0.0, math.pi / 2.0, resolution)
+    sin, cos = np.sin(axis), np.cos(axis)
     count = resolution * resolution
     for start in range(0, max(count, 1), block):
         index = np.arange(start, min(start + block, count))
-        alphas, betas = axis[index // resolution], axis[index % resolution]
-        states = np.column_stack([
-            np.sin(alphas) * np.cos(betas),
-            np.sin(alphas) * np.sin(betas),
-            np.cos(alphas),
-        ]).astype(complex)
-        yield alphas, betas, states
+        a, b = index // resolution, index % resolution
+        states = np.column_stack([sin[a] * cos[b], sin[a] * sin[b], cos[a]]).astype(complex)
+        yield axis[a], axis[b], states
 
 
 def real_amplitude_grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

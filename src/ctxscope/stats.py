@@ -94,6 +94,8 @@ def _draw(probs: np.ndarray, rate: float, duration: float, seed: int) -> np.ndar
     budget = rate * duration
     if not math.isfinite(budget):
         raise InvalidRateError(f"rate * duration must be finite, got {rate} * {duration}")
+    if budget == 0.0:
+        raise InvalidRateError(f"rate * duration underflows to 0, got {rate} * {duration}")
     try:
         counts = np.random.default_rng(seed).poisson(budget * np.clip(probs, 0.0, 1.0))
     except ValueError as exc:  # NumPy refuses means whose counts would not fit in int64
@@ -167,7 +169,8 @@ def fit_fringe(data: FringeDataset, amplitudes: Sequence[float]) -> tuple[PortFi
         raise ValueError("model must give a fringe amplitude for each of the three ports")
     phi = data.settings
     n = phi.size
-    if np.unique(phi).size < 3:
+    # not np.unique, which imports numpy.ma in NumPy 2; -0.0 and 0.0 count as one setting
+    if np.count_nonzero(np.diff(np.sort(phi))) + 1 < 3:
         raise DegenerateDesignError("need at least 3 distinct settings")
     counts = np.asarray(data.values, dtype=float)
     with np.errstate(over="ignore"):

@@ -301,6 +301,37 @@ def test_budget_beyond_int64_counts_is_one_line_usage_error(capsys, argv):
     assert "too large to count in int64" in usage_error(capsys, *argv)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--state", "Nf", "--rate", "1e15", "--duration", "1e-10", "--format", "csv"),
+        ("phase-scan", "--state", "Nf", "--steps", "3", "--rate", "1e15", "--duration", "1e-10"),
+        ("trans-scan", "--state", "Nf", "--steps", "3", "--rate", "1e15", "--duration", "4e-10"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_duration_printing_as_zero_in_counts_csv_is_one_line_usage_error(capsys, argv):
+    assert "would print as 0.000000000 in the counts CSV" in usage_error(capsys, *argv)
+
+
+def test_tiny_duration_still_samples_to_json(capsys):
+    code, out = run_cli(capsys, "sample", "--state", "Nf", "--rate", "1e15", "--duration", "1e-10")
+    assert code == 0
+    assert json.loads(out)["duration"] == 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--state", "Nf", "--rate", "1e-300", "--duration", "1e-300"),
+        ("phase-scan", "--state", "V0", "--steps", "3", "--rate", "5e-324", "--duration", "0.5"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_underflowing_photon_budget_is_one_line_usage_error(capsys, argv):
+    assert "rate * duration underflows to 0" in usage_error(capsys, *argv)
+
+
 def test_large_finite_budget_still_counts(capsys):
     code, out = run_cli(capsys, "sample", "--state", "V0", "--rate", "1e17", "--duration", "100")
     assert code == 0
@@ -314,6 +345,22 @@ def test_cli_import_does_not_load_scipy():
     subprocess.run(
         [sys.executable, "-c", "import ctxscope.cli, sys; assert 'scipy' not in sys.modules"],
         env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=True,
+        timeout=120,
+    )
+
+
+def test_fit_does_not_load_numpy_ma(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text("setting,n1,n2,n3,duration\n"
+                    + "".join(f"{phi},{10 + k},20,30,1.0\n" for k, phi in enumerate((0.0, 1.0, 2.0, 3.0))))
+    code = ("import sys; from ctxscope.cli import main; "
+            f"assert main(['fit', '--input', {str(path)!r}, '--model', 'Nf']) == 0; "
+            "assert 'numpy.ma' not in sys.modules")
+    subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
         check=True,
         timeout=120,
     )
@@ -577,8 +624,9 @@ class TestFit:
         ("0.0,1,2,3\n", "line 2: expected 5 fields, got 4"),
         ("0.0,1,two,3,1.0\n", "line 2: non-numeric field"),
         ("0.0,1,2,3,1.0\n1.0,1,-2,3,1.0\n", "line 3: counts must be non-negative"),
+        ("".join(f"{phi},1,2,3,-5\n" for phi in (0.0, 1.0, 2.0, 3.0)), "line 2: duration must be positive"),
         ("", "input has no data rows"),
-    ], ids=["four fields", "non-numeric", "negative count", "header only"])
+    ], ids=["four fields", "non-numeric", "negative count", "negative duration", "header only"])
     def test_malformed_counts_csv_is_usage_error(self, capsys, tmp_path, body, message):
         path = tmp_path / "counts.csv"
         path.write_text("setting,n1,n2,n3,duration\n" + body)

@@ -184,6 +184,19 @@ def test_csv_emitter_is_byte_identical_to_per_cell_formatting(columns, block_row
     assert text == "h\n" + per_cell_rows(columns)
 
 
+def test_csv_emitter_full_block_and_remainder():
+    rng = np.random.default_rng(7)
+    rows = 70_000
+    wide = rng.uniform(-99.0, 99.0, rows)
+    ties = np.array([_tie(int(k), int(side)) for k, side in
+                     zip(rng.integers(-10 ** 10, 10 ** 10, rows), rng.integers(-1, 2, rows))])
+    small = rng.standard_normal(rows) * 1e-9
+    n = rng.integers(-2 ** 63, 2 ** 63 - 1, rows, dtype=np.int64)
+    chunks = list(cli._csv("h", [[wide, ties, small, n]]))
+    assert len(chunks) == 1 + 2
+    assert "".join(chunks) == "h\n" + per_cell_rows([wide, ties, small, n])
+
+
 def _around_ties(k: int) -> list[float]:
     """(k + 0.5) / 1e9 and the three doubles on either side of it."""
     x = (k + 0.5) / 1e9
