@@ -306,8 +306,8 @@ def _read_counts_csv(path: str) -> stats.FringeDataset:
 
 
 def _check_counts_duration(duration: float) -> None:
-    """Refuse a positive duration that the counts CSV would print as zero."""
-    if duration > 0 and _f9(duration) == "0.000000000":
+    """Refuse a duration, already checked positive, that the counts CSV would print as zero."""
+    if _f9(duration) == "0.000000000":
         raise SchemaError(f"--duration {duration:g} would print as 0.000000000 in the counts CSV")
 
 
@@ -403,7 +403,6 @@ def _run_scan(args: argparse.Namespace, kind: str) -> int:
         visibility = 1.0 if args.visibility is None else args.visibility
         rate = DEFAULT_RATE if args.rate is None else args.rate
         duration = DEFAULT_DURATION if args.duration is None else args.duration
-        _check_counts_duration(duration)
         seed = _resolve_seed(args)
         if kind == "phase":
             dataset = stats.noisy_fringe(grid, coefficients, visibility, rate, duration, seed)
@@ -411,6 +410,7 @@ def _run_scan(args: argparse.Namespace, kind: str) -> int:
             if visibility != 1.0:
                 raise SchemaError("--visibility models phase fringes; not valid for trans-scan")
             dataset = stats.sample_dataset(dataset, rate, duration, seed)
+        _check_counts_duration(duration)
         header, last = COUNTS_CSV_HEADER, np.full(len(dataset), duration)
     _write(args.out, _csv(header, [[dataset.settings, *dataset.values.T, last]]))
     return 0
@@ -466,12 +466,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
     mods = _parse_modifiers(args)
     if not math.isfinite(args.setting):
         raise SchemaError("--setting must be finite")
-    if args.format == "csv":
-        _check_counts_duration(args.duration)
     dist = run(build_network(), psi, mods)
     seed = _resolve_seed(args)
     counts = stats.sample_counts(dist, args.rate, args.duration, seed)
     if args.format == "csv":
+        _check_counts_duration(args.duration)
         columns = [[args.setting], *([c] for c in counts), [args.duration]]
         _write(args.out, _csv(COUNTS_CSV_HEADER, [columns]))
     else:

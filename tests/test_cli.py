@@ -314,6 +314,11 @@ def test_duration_printing_as_zero_in_counts_csv_is_one_line_usage_error(capsys,
     assert "would print as 0.000000000 in the counts CSV" in usage_error(capsys, *argv)
 
 
+def test_invalid_rate_is_reported_before_a_duration_printing_as_zero(capsys):
+    err = usage_error(capsys, "sample", "--state", "Nf", "--rate", "-1", "--duration", "1e-10", "--format", "csv")
+    assert "rate must be positive" in err
+
+
 def test_tiny_duration_still_samples_to_json(capsys):
     code, out = run_cli(capsys, "sample", "--state", "Nf", "--rate", "1e15", "--duration", "1e-10")
     assert code == 0
@@ -354,16 +359,20 @@ def test_fit_does_not_load_numpy_ma(tmp_path):
     path = tmp_path / "counts.csv"
     path.write_text("setting,n1,n2,n3,duration\n"
                     + "".join(f"{phi},{10 + k},20,30,1.0\n" for k, phi in enumerate((0.0, 1.0, 2.0, 3.0))))
-    code = ("import sys; from ctxscope.cli import main; "
+    # NumPy 1.x imports numpy.ma inside `import numpy`; there is nothing to test (exit 3).
+    code = ("import sys, numpy; 'numpy.ma' in sys.modules and sys.exit(3); "
+            "from ctxscope.cli import main; "
             f"assert main(['fit', '--input', {str(path)!r}, '--model', 'Nf']) == 0; "
             "assert 'numpy.ma' not in sys.modules")
-    subprocess.run(
+    proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
-        check=True,
         timeout=120,
     )
+    if proc.returncode == 3:
+        pytest.skip("this NumPy imports numpy.ma with numpy itself")
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestSweep:
