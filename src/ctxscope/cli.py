@@ -302,7 +302,7 @@ def _read_counts_csv(path: str) -> stats.FringeDataset:
         duration = values[4]
     if not settings:
         raise SchemaError("input has no data rows")
-    return stats.FringeDataset(settings, counts, "counts")
+    return stats.FringeDataset(settings, counts)
 
 
 def _check_counts_duration(duration: float) -> None:
@@ -393,26 +393,30 @@ def _run_scan(args: argparse.Namespace, kind: str) -> int:
     noisy = _noise_requested(args)
     if kind == "phase" and noisy:
         coefficients = interferometer.fringe_coefficients(network, psi, args.target)
-    elif kind == "phase":
-        dataset = interferometer.phase_scan(network, psi, args.target, grid)
     else:
-        dataset = interferometer.transmittance_scan(network, psi, args.target, grid)
+        # trans-scan's theta is the phase of an interferometric attenuator, valid in
+        # [0, 2 pi]: amplitude transmission sin(theta / 2), so 0 blocks the path
+        # and pi leaves it untouched
+        if kind == "transmittance" and (np.any(grid < 0.0) or np.any(grid > 2.0 * math.pi + 1e-12)):
+            raise SchemaError("transmittance settings must lie in [0, 2*pi]")
+        factors = np.exp(1j * grid) if kind == "phase" else np.sin(grid / 2.0)
+        probs = interferometer.propagate(network, psi[None, :], [args.target], factors[:, None])[:, 0]
     if not noisy:
-        header, last = IDEAL_CSV_HEADER, dataset.values.sum(axis=1)
+        header, values, last = IDEAL_CSV_HEADER, probs, probs.sum(axis=1)
     else:
         visibility = 1.0 if args.visibility is None else args.visibility
         rate = DEFAULT_RATE if args.rate is None else args.rate
         duration = DEFAULT_DURATION if args.duration is None else args.duration
         seed = _resolve_seed(args)
         if kind == "phase":
-            dataset = stats.noisy_fringe(grid, coefficients, visibility, rate, duration, seed)
+            values = stats.noisy_fringe(grid, coefficients, visibility, rate, duration, seed).values
         else:
             if visibility != 1.0:
                 raise SchemaError("--visibility models phase fringes; not valid for trans-scan")
-            dataset = stats.sample_dataset(dataset, rate, duration, seed)
+            values = stats.draw_counts(probs, rate, duration, seed)
         _check_counts_duration(duration)
-        header, last = COUNTS_CSV_HEADER, np.full(len(dataset), duration)
-    _write(args.out, _csv(header, [[dataset.settings, *dataset.values.T, last]]))
+        header, last = COUNTS_CSV_HEADER, np.full(len(grid), duration)
+    _write(args.out, _csv(header, [[grid, *values.T, last]]))
     return 0
 
 
@@ -468,14 +472,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise SchemaError("--setting must be finite")
     dist = run(build_network(), psi, mods)
     seed = _resolve_seed(args)
-    counts = stats.sample_counts(dist, args.rate, args.duration, seed)
+    counts = stats.draw_counts(dist, args.rate, args.duration, seed).tolist()
     if args.format == "csv":
         _check_counts_duration(args.duration)
         columns = [[args.setting], *([c] for c in counts), [args.duration]]
         _write(args.out, _csv(COUNTS_CSV_HEADER, [columns]))
     else:
         _write(args.out, [_json_dump({
-            "counts": list(counts),
+            "counts": counts,
             "duration": args.duration,
             "rate": args.rate,
             "seed": seed,
@@ -548,8 +552,14 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
+def _out_path(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("must be a path, or - for stdout")
+    return value
+
+
 def _add_out(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", default="-", help="output path, or - for stdout (default)")
+    sp.add_argument("--out", type=_out_path, default="-", help="output path, or - for stdout (default)")
 
 
 def _add_state(sp: argparse.ArgumentParser) -> None:

@@ -14,6 +14,7 @@ and P1/P2 complete the two middle contexts.
 
 A noncontextual path assignment forces P(f) <= P(D1) + P(D2), so the witness
 P(f) - P(D1) - P(D2) is positive only for genuinely contextual statistics.
+interferometer.evaluate_states computes it from these path vectors.
 
 All canonical path vectors are real; signs follow the convention that the
 first nonzero component is positive. Observable quantities do not depend on
@@ -23,11 +24,9 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping
 
 import numpy as np
-
-from .core import as_state, inner
 
 INPUT_LABELS = ("1", "2", "3")
 INTERIOR_LABELS = ("f", "D1", "D2", "S1", "S2", "P1", "P2")
@@ -42,10 +41,6 @@ CONTEXTS: tuple[tuple[str, str, str], ...] = (
     ("f", "P2", "S2"),
     ("2", "D2", "S2"),
 )
-
-
-class UnknownLabelError(ValueError):
-    """A path label outside the ten defined for this interferometer."""
 
 
 def context_at(position: int) -> tuple[str, str, str]:
@@ -88,51 +83,3 @@ _CANONICAL = _freeze(_COMPONENTS)
 def canonical_paths() -> Mapping[str, np.ndarray]:
     """Read-only map from path label to its state vector in input coordinates."""
     return _CANONICAL
-
-
-def path_vector(label: str) -> np.ndarray:
-    try:
-        return _CANONICAL[label]
-    except KeyError:
-        raise UnknownLabelError(f"unknown path label {label!r}") from None
-
-
-def path_probability(psi: Sequence[complex] | np.ndarray, label: str) -> float:
-    """Probability of finding the photon in the given path."""
-    return abs(inner(path_vector(label), psi)) ** 2
-
-
-def witness_matrix() -> np.ndarray:
-    """Matrix of the witness observable: projector on f minus those on D1, D2."""
-    f = _CANONICAL["f"]
-    d1 = _CANONICAL["D1"]
-    d2 = _CANONICAL["D2"]
-    w = np.outer(f, f.conj()) - np.outer(d1, d1.conj()) - np.outer(d2, d2.conj())
-    return w.real.astype(float)
-
-
-def witness_direct(psi: Sequence[complex] | np.ndarray) -> float:
-    """P(f) - P(D1) - P(D2); positive values certify contextuality."""
-    psi = as_state(psi)
-    return path_probability(psi, "f") - path_probability(psi, "D1") - path_probability(psi, "D2")
-
-
-class MaxWitness(NamedTuple):
-    value: float
-    state: np.ndarray
-
-
-def max_witness() -> MaxWitness:
-    """Largest achievable witness value and the state that attains it.
-
-    The witness observable commutes with the swap of input rails 1 and 2, so
-    its top eigenvector has the form (1, 1, t). Substituting into the
-    eigenvalue problem reduces it to 6 w^2 + 3 w - 1 = 0, whose larger root
-    is (sqrt(33) - 3) / 12, attained at t = (sqrt(33) - 5) / 2.
-    """
-    value = (math.sqrt(33.0) - 3.0) / 12.0
-    t = (math.sqrt(33.0) - 5.0) / 2.0
-    state = np.array([1.0, 1.0, t], dtype=complex)
-    state = state / np.linalg.norm(state)
-    state.setflags(write=False)
-    return MaxWitness(value, state)

@@ -33,11 +33,6 @@ def as_state(values: Sequence[complex] | np.ndarray) -> np.ndarray:
     return arr
 
 
-def norm_sq(state: Sequence[complex] | np.ndarray) -> float:
-    arr = as_state(state)
-    return float(np.real(np.vdot(arr, arr)))
-
-
 def normalize(state: Sequence[complex] | np.ndarray) -> np.ndarray:
     """Unit vector along state, scaled by its largest real or imaginary part
     first so that huge or tiny amplitudes neither overflow nor underflow.
@@ -53,11 +48,6 @@ def normalize(state: Sequence[complex] | np.ndarray) -> np.ndarray:
     parts = parts / scale
     parts = parts / np.linalg.norm(parts)
     return parts[0] + 1j * parts[1]
-
-
-def inner(a: Sequence[complex] | np.ndarray, b: Sequence[complex] | np.ndarray) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    return complex(np.vdot(as_state(a), as_state(b)))
 
 
 @dataclass(frozen=True)
@@ -130,7 +120,8 @@ def haar_random_states(count: int, seed: int) -> np.ndarray:
 def real_grid_blocks(
     resolution: int, block: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The rows of real_amplitude_grid(resolution), in blocks of at most `block`
+    """Angles a, b and states (sin a cos b, sin a sin b, cos a) over the first
+    octant, on a resolution x resolution grid, in blocks of at most `block`
     rows (one empty block when there are none): row i has a = axis[i // resolution]
     and b = axis[i % resolution]."""
     axis = np.linspace(0.0, math.pi / 2.0, resolution)
@@ -141,8 +132,3 @@ def real_grid_blocks(
         a, b = index // resolution, index % resolution
         states = np.column_stack([sin[a] * cos[b], sin[a] * sin[b], cos[a]]).astype(complex)
         yield axis[a], axis[b], states
-
-
-def real_amplitude_grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Angles a, b and states (sin a cos b, sin a sin b, cos a) over the first octant."""
-    return next(real_grid_blocks(resolution, max(resolution * resolution, 1)))

@@ -1,4 +1,4 @@
-"""The five-splitter network, interior-path modifiers, and counterfactual gain.
+"""The five-splitter network, interior-path modifiers, and the one propagation kernel.
 
 Each beam splitter is represented as the basis change between consecutive
 contexts, so the composition of all five stages is exactly the identity on
@@ -14,6 +14,10 @@ rail coordinates read off the cumulative stage product. Several modifiers
 apply in earliest-stage order, which matters because f and D2 are not
 orthogonal. Output probabilities with an absorber present are reported
 without renormalization, so the three ports sum to the survival probability.
+
+`propagate` is that kernel, over a grid of factor rows. `run` (one state and
+modifier set), `evaluate_states` (witness and gain with and without f
+blocked) and `fringe_coefficients` (the exact phase fringe) each call it once.
 """
 from __future__ import annotations
 
@@ -21,13 +25,12 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import TransferOperator, as_state, basis_change
 from .contexts import INTERIOR_LABELS, canonical_paths, context_at
-from .stats import FringeDataset, _scan_settings
 
 NORMALIZATION_ATOL = 1e-9
 
@@ -79,16 +82,6 @@ def phase_shift(target: str, phi: float) -> Modifier:
 def attenuate(target: str, tau: float) -> Modifier:
     """Partial absorber with amplitude transmission tau in [0, 1]."""
     return Modifier(target, "attenuate", float(tau))
-
-
-class OutputDistribution(NamedTuple):
-    p1: float
-    p2: float
-    p3: float
-
-    @property
-    def survival(self) -> float:
-        return self.p1 + self.p2 + self.p3
 
 
 @dataclass(frozen=True)
@@ -163,7 +156,7 @@ def build_network(basis: Mapping[str, np.ndarray] | None = None) -> Network:
     return Network(tuple(stages))
 
 
-def _propagate(
+def propagate(
     network: Network,
     states: np.ndarray,
     targets: Sequence[str],
@@ -193,41 +186,14 @@ def _propagate(
     return np.abs(amps) ** 2
 
 
-def run_many(
-    network: Network,
-    states: np.ndarray,
-    modifiers: Sequence[Modifier] = (),
-) -> np.ndarray:
-    """Propagate a batch of normalized states; returns (n, 3) port probabilities."""
-    mods = list(modifiers)
-    return _propagate(network, states, [m.target for m in mods], [[m.factor for m in mods]])[0]
-
-
 def run(
     network: Network,
     psi: Sequence[complex] | np.ndarray,
     modifiers: Sequence[Modifier] = (),
-) -> OutputDistribution:
-    """Propagate one state through the network with the given modifiers."""
-    probs = run_many(network, as_state(psi)[None, :], modifiers)[0]
-    return OutputDistribution(float(probs[0]), float(probs[1]), float(probs[2]))
-
-
-def counterfactual_gain(
-    network: Network,
-    psi: Sequence[complex] | np.ndarray,
-    blocked: str,
-    port: int,
-) -> float:
-    """Increase of one output port's probability caused by blocking a path.
-
-    Positive gain means more photons arrive at that port with the absorber in
-    place than without it, beyond anything explainable by mere loss.
-    """
-    if port not in (1, 2, 3):
-        raise ValueError(f"port must be 1, 2, or 3, got {port}")
-    free, with_block = _propagate(network, as_state(psi)[None, :], [blocked], [[1.0], [0.0]])[:, 0, port - 1]
-    return float(with_block - free)
+) -> np.ndarray:
+    """Port probabilities, shape (3,), of one state with the given modifiers."""
+    mods = list(modifiers)
+    return propagate(network, as_state(psi)[None, :], [m.target for m in mods], [[m.factor for m in mods]])[0, 0]
 
 
 def witness_from_outputs(free: np.ndarray, blocked: np.ndarray) -> np.ndarray:
@@ -252,7 +218,7 @@ def evaluate_states(network: Network, states: np.ndarray) -> dict[str, np.ndarra
     paths = canonical_paths()
     overlaps = states @ np.array([paths["f"], paths["D1"], paths["D2"]]).conj().T
     pf, pd1, pd2 = (np.abs(overlaps) ** 2).T
-    free, blocked = _propagate(network, states, ["f"], [[1.0], [0.0]])
+    free, blocked = propagate(network, states, ["f"], [[1.0], [0.0]])
     return {
         "free": free,
         "blocked": blocked,
@@ -263,37 +229,6 @@ def evaluate_states(network: Network, states: np.ndarray) -> dict[str, np.ndarra
         "gain": blocked[:, 2] - free[:, 2],
         "witness_outputs": witness_from_outputs(free, blocked),
     }
-
-
-def phase_scan(
-    network: Network,
-    psi: Sequence[complex] | np.ndarray,
-    target: str,
-    grid: Sequence[float],
-) -> FringeDataset:
-    """Output probabilities as the phase applied to one interior path is swept."""
-    settings = _scan_settings(grid, "phase")
-    values = _propagate(network, as_state(psi)[None, :], [target], np.exp(1j * settings)[:, None])
-    return FringeDataset(settings, values[:, 0], "ideal")
-
-
-def transmittance_scan(
-    network: Network,
-    psi: Sequence[complex] | np.ndarray,
-    target: str,
-    theta_grid: Sequence[float],
-) -> FringeDataset:
-    """Sweep a tunable absorber in one interior path.
-
-    theta is the phase of the interferometric attenuator: power transmittance
-    T = sin^2(theta / 2), so theta = 0 blocks the path and theta = pi leaves
-    it untouched. Valid for theta in [0, 2 pi].
-    """
-    settings = _scan_settings(theta_grid, "transmittance")
-    if np.any(settings < 0.0) or np.any(settings > 2.0 * math.pi + 1e-12):
-        raise ValueError("transmittance settings must lie in [0, 2*pi]")
-    values = _propagate(network, as_state(psi)[None, :], [target], np.sin(settings / 2.0)[:, None])
-    return FringeDataset(settings, values[:, 0], "ideal")
 
 
 def fringe_coefficients(
@@ -309,7 +244,7 @@ def fringe_coefficients(
     its c is exactly 0 and not a rounding residue.
     """
     factors = [[1.0], [-1.0], [1j], [-1j]]
-    p0, ppi, plus, minus = _propagate(network, as_state(psi)[None, :], [target], factors)[:, 0]
+    p0, ppi, plus, minus = propagate(network, as_state(psi)[None, :], [target], factors)[:, 0]
     return (p0 + ppi) / 2.0, (p0 - ppi) / 2.0, (plus - minus) / 2.0
 
 
@@ -318,18 +253,14 @@ __all__ = [
     "InvalidModifierTargetError",
     "Modifier",
     "Network",
-    "OutputDistribution",
     "Stage",
     "attenuate",
     "block",
     "build_network",
-    "counterfactual_gain",
     "evaluate_states",
     "fringe_coefficients",
-    "phase_scan",
     "phase_shift",
+    "propagate",
     "run",
-    "run_many",
-    "transmittance_scan",
     "witness_from_outputs",
 ]

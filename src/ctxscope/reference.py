@@ -17,8 +17,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .contexts import max_witness
-
 
 def _state(components: tuple[float, float, float]) -> np.ndarray:
     vec = np.asarray(components, dtype=complex)
@@ -78,6 +76,3 @@ MEASURED: Mapping[str, MeasuredRecord] = MappingProxyType({
         visibilities=(0.98, 0.92, 1.07),
     ),
 })
-
-#: Largest witness value any state can reach, (sqrt(33) - 3) / 12.
-MAX_WITNESS_VALUE = max_witness().value

@@ -26,35 +26,26 @@ class DegenerateDesignError(ValueError):
 
 @dataclass(frozen=True)
 class FringeDataset:
-    """Per-setting port values from a scan.
-
-    mode "ideal" holds probabilities in [0, 1]; mode "counts" holds detected
-    photon counts (integers when produced by the samplers; the fitter also
-    accepts real-valued counts, e.g. exactly scaled probabilities).
-    """
+    """Per-setting photon counts from a scan: integers when drawn by the
+    sampler; the fitter also accepts real-valued counts, e.g. exactly scaled
+    probabilities."""
 
     settings: np.ndarray  # (n,) control parameter, radians
-    values: np.ndarray    # (n, 3) per-port probabilities or counts
-    mode: str             # "ideal" | "counts"
+    values: np.ndarray    # (n, 3) per-port counts
 
     def __post_init__(self) -> None:
         # copies, so that freezing them below leaves the caller's arrays writeable
         settings = np.array(self.settings, dtype=float).reshape(-1)
-        values = np.array(self.values, dtype=float if self.mode == "ideal" else None)
+        values = np.array(self.values)
         if values.shape != (settings.size, 3):
             raise ValueError(f"values must have shape ({settings.size}, 3), got {values.shape}")
         if settings.size == 0:
             raise ValueError("dataset needs at least one setting")
-        if not (np.all(np.isfinite(settings)) and np.all(np.isfinite(np.asarray(values, dtype=float)))):
+        floats = np.asarray(values, dtype=float)
+        if not (np.all(np.isfinite(settings)) and np.all(np.isfinite(floats))):
             raise ValueError("dataset settings and values must be finite")
-        if self.mode == "ideal":
-            if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
-                raise ValueError("ideal-mode values must be probabilities in [0, 1]")
-        elif self.mode == "counts":
-            if np.any(np.asarray(values, dtype=float) < 0):
-                raise ValueError("counts must be non-negative")
-        else:
-            raise ValueError(f"unknown dataset mode: {self.mode!r}")
+        if np.any(floats < 0):
+            raise ValueError("counts must be non-negative")
         settings.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "settings", settings)
@@ -62,15 +53,6 @@ class FringeDataset:
 
     def __len__(self) -> int:
         return int(self.settings.size)
-
-
-def _scan_settings(grid: Sequence[float], what: str) -> np.ndarray:
-    settings = np.asarray(list(grid), dtype=float)
-    if settings.size == 0:
-        raise ValueError(f"{what} grid must be nonempty")
-    if not np.all(np.isfinite(settings)):
-        raise ValueError(f"{what} settings must be finite")
-    return settings
 
 
 class PortFit(NamedTuple):
@@ -81,12 +63,16 @@ class PortFit(NamedTuple):
     stderr: float      # standard error of the visibility estimate
 
 
-def _draw(probs: np.ndarray, rate: float, duration: float, seed: int) -> np.ndarray:
-    """Exact Poisson counts with means rate * duration * probs, from one stream.
+def draw_counts(probs: np.ndarray, rate: float, duration: float, seed: int) -> np.ndarray:
+    """Exact Poisson counts with means rate * duration * probs, as int64 in the
+    shape of probs, from one stream.
 
     The whole array comes from one NumPy generator seeded by seed (PTRS,
     Hoermann 1993), so different seeds give unrelated streams.
     """
+    probs = np.asarray(probs, dtype=float)
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probabilities must be finite")
     if not rate > 0.0:
         raise InvalidRateError(f"rate must be positive, got {rate}")
     if not duration > 0.0:
@@ -101,31 +87,6 @@ def _draw(probs: np.ndarray, rate: float, duration: float, seed: int) -> np.ndar
     except ValueError as exc:  # NumPy refuses means whose counts would not fit in int64
         raise InvalidRateError(f"rate * duration = {budget:g} is too large to count in int64") from exc
     return counts.astype(np.int64, copy=False)
-
-
-def sample_counts(
-    dist: Sequence[float],
-    rate: float,
-    duration: float,
-    seed: int,
-) -> tuple[int, int, int]:
-    """Poisson counts of the three ports for one detection run at the given
-    port probabilities.
-
-    Each port's count is drawn with mean rate * duration * p. Identical
-    (dist, rate, duration, seed) always reproduce identical counts.
-    """
-    probs = np.asarray(tuple(dist), dtype=float).reshape(-1)
-    if probs.size != 3:
-        raise ValueError("distribution must have three port probabilities")
-    return tuple(int(c) for c in _draw(probs, rate, duration, seed))
-
-
-def sample_dataset(ideal: FringeDataset, rate: float, duration: float, seed: int) -> FringeDataset:
-    """Poisson-sample every point of an ideal scan, from one stream per call."""
-    if ideal.mode != "ideal":
-        raise ValueError("sample_dataset needs an ideal-mode dataset")
-    return FringeDataset(ideal.settings, _draw(ideal.values, rate, duration, seed), "counts")
 
 
 def noisy_fringe(
@@ -143,14 +104,18 @@ def noisy_fringe(
     them. The counts at each setting have means rate * duration times
     a + V (b cos(phi) + c sin(phi)), all drawn from one stream seeded by seed.
     """
-    settings = _scan_settings(settings, "phase")
+    settings = np.asarray(list(settings), dtype=float)
+    if settings.size == 0:
+        raise ValueError("phase grid must be nonempty")
+    if not np.all(np.isfinite(settings)):
+        raise ValueError("phase settings must be finite")
     if not 0.0 <= visibility <= 1.0:
         raise VisibilityOutOfRangeError(f"visibility must lie in [0, 1], got {visibility}")
     a, b, c = (np.asarray(v, dtype=float) for v in coefficients)
     # (V b) cos + (V c) sin: with c = 0 (real states) these are bit for bit
     # the means, and so the counts, of the two-term model a + V b cos(phi)
     means = a + visibility * b * np.cos(settings)[:, None] + visibility * c * np.sin(settings)[:, None]
-    return FringeDataset(settings, _draw(means, rate, duration, seed), "counts")
+    return FringeDataset(settings, draw_counts(means, rate, duration, seed))
 
 
 def fit_fringe(data: FringeDataset, amplitudes: Sequence[float]) -> tuple[PortFit, PortFit, PortFit]:
@@ -163,8 +128,6 @@ def fit_fringe(data: FringeDataset, amplitudes: Sequence[float]) -> tuple[PortFi
     sqrt(b^2 + c^2) / amplitudes[i] with its standard error propagated from
     the residual variance; values above 1 are reported as-is.
     """
-    if data.mode != "counts":
-        raise ValueError("fit_fringe needs a counts-mode dataset")
     if len(amplitudes) != 3:
         raise ValueError("model must give a fringe amplitude for each of the three ports")
     phi = data.settings

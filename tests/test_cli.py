@@ -132,6 +132,17 @@ class TestRun:
         assert str(out) in usage_error(capsys, "run", "--state", "Nf", "--out", str(out))
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_out_is_refused_and_creates_nothing(self, capsys, monkeypatch, tmp_path):
+        # '' would name the working directory: a temporary file beside it, then a failed move
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(cli, "evaluate_states", lambda *args: pytest.fail("evaluated the state"))
+        assert usage_error(capsys, "witness", "--state", "Nf", "--out", "") == (
+            "error: argument --out: must be a path, or - for stdout\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["work"]
+        assert list(work.iterdir()) == []
+
 
 class TestWitness:
     def test_balanced_state(self, capsys):
@@ -194,7 +205,15 @@ class TestScans:
 
     @pytest.mark.parametrize("grid", [("--steps", "4"), ("--from", "0.5", "--steps", "9")])
     def test_noisy_phase_scan_runs_on_grids_without_zero_and_pi(self, capsys, monkeypatch, grid):
-        monkeypatch.setattr(interferometer, "phase_scan", lambda *args: pytest.fail("built an ideal scan"))
+        kernel = interferometer.propagate
+
+        def quarter_turns_only(network, states, targets, factors):
+            # fringe_coefficients' four factors, never one row per scan setting
+            if not np.array_equal(factors, [[1.0], [-1.0], [1j], [-1j]]):
+                pytest.fail("propagated the scan grid")
+            return kernel(network, states, targets, factors)
+
+        monkeypatch.setattr(interferometer, "propagate", quarter_turns_only)
         code, out = run_cli(capsys, "phase-scan", "--state", "V0", *grid, "--visibility", "0.9", "--seed", "1")
         lines = out.splitlines()
         assert code == 0
@@ -212,6 +231,11 @@ class TestScans:
         last = lines[-1].split(",")
         assert last[3] == "0.333333333"
         assert last[4] == "1.000000000"
+
+    def test_transmittance_domain_check(self, capsys):
+        for bound in ("--from=-0.1", "--to=6.3"):
+            assert usage_error(capsys, "trans-scan", "--state", "Nf", bound) == (
+                "error: transmittance settings must lie in [0, 2*pi]\n")
 
     def test_trans_scan_rejects_visibility_noise(self, capsys):
         code, _ = run_cli(capsys, "trans-scan", "--state", "Nf", "--visibility", "0.9")

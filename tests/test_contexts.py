@@ -7,22 +7,32 @@ from ctxscope.contexts import (
     CONTEXTS,
     INPUT_LABELS,
     INTERIOR_LABELS,
-    UnknownLabelError,
     canonical_paths,
     context_at,
-    max_witness,
-    path_probability,
-    witness_direct,
-    witness_matrix,
 )
-from ctxscope.core import haar_random_states, inner
+from ctxscope.core import haar_random_states
+from ctxscope.interferometer import evaluate_states
 from ctxscope.reference import NAMED_STATES
 
 NF = NAMED_STATES["Nf"]
 BF = NAMED_STATES["Bf"]
 V0 = NAMED_STATES["V0"]
 
+# The witness observable commutes with the swap of input rails 1 and 2, so its
+# top eigenvector has the form (1, 1, t). Substituting into the eigenvalue
+# problem reduces it to 6 w^2 + 3 w - 1 = 0, whose larger root is
+# (sqrt(33) - 3) / 12, attained at t = (sqrt(33) - 5) / 2.
 MAX_WITNESS_CLOSED_FORM = (math.sqrt(33.0) - 3.0) / 12.0
+MAX_WITNESS_STATE = np.array([1.0, 1.0, (math.sqrt(33.0) - 5.0) / 2.0])
+MAX_WITNESS_STATE /= np.linalg.norm(MAX_WITNESS_STATE)
+
+
+def inner(a: np.ndarray, b: np.ndarray) -> complex:
+    return complex(np.vdot(a, b))
+
+
+def witness(network, states) -> np.ndarray:
+    return evaluate_states(network, np.array(states, dtype=complex))["witness"]
 
 
 def sign_fixed(v: np.ndarray) -> np.ndarray:
@@ -118,53 +128,47 @@ class TestCanonicalPaths:
 
 
 class TestPathProbability:
-    def test_examples(self):
-        assert path_probability(NF, "f") == pytest.approx(1 / 9, abs=1e-15)
-        assert path_probability(NF, "D1") == pytest.approx(0.0, abs=1e-15)
-        assert path_probability(V0, "f") == pytest.approx(1 / 3, abs=1e-15)
-
-    def test_unknown_label(self):
-        with pytest.raises(UnknownLabelError):
-            path_probability(NF, "Q7")
+    def test_examples(self, network):
+        nf, v0 = (evaluate_states(network, psi[None, :]) for psi in (NF, V0))
+        assert nf["pf"][0] == pytest.approx(1 / 9, abs=1e-15)
+        assert nf["pd1"][0] == pytest.approx(0.0, abs=1e-15)
+        assert v0["pf"][0] == pytest.approx(1 / 3, abs=1e-15)
 
 
 class TestWitness:
-    def test_frozen_values(self):
-        assert witness_direct(NF) == pytest.approx(1 / 9, abs=1e-12)
-        assert witness_direct(BF) == pytest.approx(-2 / 51, abs=1e-12)
-        assert witness_direct(V0) == pytest.approx(2 / 9, abs=1e-12)
+    def test_frozen_values(self, network):
+        assert witness(network, [NF, BF, V0]) == pytest.approx([1 / 9, -2 / 51, 2 / 9], abs=1e-12)
 
-    def test_single_rail_value(self):
+    def test_single_rail_value(self, network):
         # P(f) = 1/3, P(D1) = 0, P(D2) = 1/2 for rail 1
-        assert witness_direct(NAMED_STATES["basis1"]) == pytest.approx(-1 / 6, abs=1e-12)
+        assert witness(network, [NAMED_STATES["basis1"]])[0] == pytest.approx(-1 / 6, abs=1e-12)
 
-    def test_global_phase_invariance(self):
+    def test_global_phase_invariance(self, network):
         states = haar_random_states(50, 902)
-        for psi in states:
-            for theta in (0.3, 1.2, 2.8):
-                rotated = np.exp(1j * theta) * psi
-                assert witness_direct(rotated) == pytest.approx(witness_direct(psi), abs=1e-12)
+        for theta in (0.3, 1.2, 2.8):
+            rotated = witness(network, np.exp(1j * theta) * states)
+            assert rotated == pytest.approx(witness(network, states), abs=1e-12)
 
-    def test_matrix_form_agrees(self):
-        w = witness_matrix()
+    def test_matrix_form_agrees(self, network, witness_matrix):
         states = haar_random_states(200, 13)
-        for psi in states:
-            quad = float(np.real(psi.conj() @ w @ psi))
-            assert quad == pytest.approx(witness_direct(psi), abs=1e-12)
+        quad = np.real(np.einsum("ni,ij,nj->n", states.conj(), witness_matrix, states))
+        assert quad == pytest.approx(witness(network, states), abs=1e-12)
 
 
 class TestMaxWitness:
-    def test_closed_form_value(self):
-        assert max_witness().value == pytest.approx(MAX_WITNESS_CLOSED_FORM, abs=1e-12)
+    def test_closed_form_value(self, witness_matrix):
+        w = MAX_WITNESS_CLOSED_FORM
+        assert 6.0 * w ** 2 + 3.0 * w - 1.0 == pytest.approx(0.0, abs=1e-12)
+        assert witness_matrix @ MAX_WITNESS_STATE == pytest.approx(w * MAX_WITNESS_STATE, abs=1e-12)
 
-    def test_against_eigen_oracle(self):
-        vals, vecs = np.linalg.eigh(witness_matrix())
-        assert max_witness().value == pytest.approx(float(vals[-1]), abs=1e-9)
+    def test_against_eigen_oracle(self, witness_matrix):
+        vals, vecs = np.linalg.eigh(witness_matrix)
+        assert MAX_WITNESS_CLOSED_FORM == pytest.approx(float(vals[-1]), abs=1e-9)
         top = vecs[:, -1]
-        overlap = abs(np.vdot(top, max_witness().state))
+        overlap = abs(np.vdot(top, MAX_WITNESS_STATE))
         assert overlap == pytest.approx(1.0, abs=1e-9)
 
-    def test_against_dense_grid_search(self):
+    def test_against_dense_grid_search(self, witness_matrix):
         n = 601
         alphas = np.linspace(0.0, math.pi / 2.0, n)
         betas = np.linspace(0.0, math.pi / 2.0, n)
@@ -172,22 +176,17 @@ class TestMaxWitness:
         states = np.stack([
             np.sin(ga) * np.cos(gb), np.sin(ga) * np.sin(gb), np.cos(ga)
         ], axis=-1).reshape(-1, 3)
-        w = witness_matrix()
-        values = np.einsum("ni,ij,nj->n", states, w, states)
+        values = np.einsum("ni,ij,nj->n", states, witness_matrix, states)
         grid_max = float(values.max())
-        assert grid_max <= max_witness().value + 1e-9
-        assert max_witness().value - grid_max <= 1e-3
+        assert grid_max <= MAX_WITNESS_CLOSED_FORM + 1e-9
+        assert MAX_WITNESS_CLOSED_FORM - grid_max <= 1e-3
 
-    def test_self_consistency(self):
-        mw = max_witness()
-        assert witness_direct(mw.state) == pytest.approx(mw.value, abs=1e-12)
+    def test_self_consistency(self, network):
+        assert witness(network, [MAX_WITNESS_STATE])[0] == pytest.approx(MAX_WITNESS_CLOSED_FORM, abs=1e-12)
 
-    def test_named_states_stay_below_maximum(self):
-        assert witness_direct(V0) < max_witness().value
-        assert witness_direct(NF) < max_witness().value
+    def test_named_states_stay_below_maximum(self, network):
+        assert np.all(witness(network, [V0, NF]) < MAX_WITNESS_CLOSED_FORM)
 
-    def test_haar_states_never_exceed_maximum(self):
+    def test_haar_states_never_exceed_maximum(self, network):
         states = haar_random_states(10_000, 31415)
-        w = witness_matrix()
-        values = np.real(np.einsum("ni,ij,nj->n", states.conj(), w, states))
-        assert float(values.max()) <= max_witness().value + 1e-9
+        assert float(witness(network, states).max()) <= MAX_WITNESS_CLOSED_FORM + 1e-9

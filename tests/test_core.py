@@ -11,10 +11,7 @@ from ctxscope.core import (
     basis_change,
     haar_random_states,
     haar_state_blocks,
-    inner,
-    norm_sq,
     normalize,
-    real_amplitude_grid,
     real_grid_blocks,
 )
 
@@ -35,6 +32,20 @@ def random_unitary(seed: int) -> np.ndarray:
 finite_parts = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=6, max_size=6
 )
+
+
+def inner(a, b) -> complex:
+    """Overlap of two states coerced by as_state, conjugate-linear in a."""
+    return complex(np.vdot(as_state(a), as_state(b)))
+
+
+def norm_sq(state) -> float:
+    return float(np.linalg.norm(as_state(state)) ** 2)
+
+
+def real_amplitude_grid(resolution: int):
+    """The whole grid of real_grid_blocks as one block."""
+    return next(real_grid_blocks(resolution, max(resolution * resolution, 1)))
 
 
 def vec(parts):

@@ -3,20 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from ctxscope.contexts import INTERIOR_LABELS, canonical_paths, path_probability, witness_direct
-from ctxscope.core import haar_random_states, inner
+from ctxscope.contexts import INTERIOR_LABELS, canonical_paths
+from ctxscope.core import haar_random_states
 from ctxscope.interferometer import (
     DuplicateModifierError,
     InvalidModifierTargetError,
     attenuate,
     block,
-    counterfactual_gain,
+    evaluate_states,
     fringe_coefficients,
-    phase_scan,
     phase_shift,
+    propagate,
     run,
-    run_many,
-    transmittance_scan,
     witness_from_outputs,
 )
 from ctxscope.reference import FRINGE_MODELS, NAMED_STATES
@@ -26,21 +24,37 @@ BF = NAMED_STATES["Bf"]
 V0 = NAMED_STATES["V0"]
 
 
+def path_probability(psi: np.ndarray, label: str) -> float:
+    return abs(np.vdot(canonical_paths()[label], psi)) ** 2
+
+
+def run_many(network, states: np.ndarray, modifiers=()) -> np.ndarray:
+    """(n, 3) port probabilities of a batch of states under one modifier set."""
+    return propagate(network, states, [m.target for m in modifiers], [[m.factor for m in modifiers]])[0]
+
+
+def scan(network, psi: np.ndarray, target: str, factors) -> np.ndarray:
+    """(n_settings, 3) port probabilities of one state over a factor column."""
+    return propagate(network, psi[None, :], [target], np.asarray(factors)[:, None])[:, 0]
+
+
 def blocked_oracle(psi: np.ndarray, label: str) -> np.ndarray:
     """Independent prediction: project out the blocked path, then take
     output magnitudes squared (the unmodified network is the identity)."""
     vec = canonical_paths()[label]
-    projected = psi - inner(vec, psi) * vec
+    projected = psi - np.vdot(vec, psi) * vec
     return np.abs(projected) ** 2
 
 
-def stage_product_oracle(network, states: np.ndarray, modifiers) -> np.ndarray:
+def modifier_factors(modifiers) -> dict[str, complex]:
+    return {mod.target: {"block": 0.0, "phase": np.exp(1j * mod.value), "attenuate": mod.value}[mod.action]
+            for mod in modifiers}
+
+
+def stage_product_oracle(network, states: np.ndarray, factors: dict[str, complex]) -> np.ndarray:
     """Independent prediction: multiply through the stage matrices one by one,
     scaling a modified path's slot at the first stage whose basis holds it."""
-    factors = {}
-    for mod in modifiers:
-        factors[mod.target] = {"block": 0.0, "phase": np.exp(1j * mod.value),
-                               "attenuate": mod.value}[mod.action]
+    factors = dict(factors)
     amps = np.array(states, dtype=complex)
     for stage in network.stages:
         amps = amps @ stage.transfer.matrix.T
@@ -132,13 +146,13 @@ class TestRun:
         for psi in haar_random_states(20, 42):
             for mods in ([phase_shift("f", 1.3)],
                          [phase_shift("S1", 0.4), phase_shift("P2", 2.0)]):
-                assert run(network, psi, mods).survival == pytest.approx(1.0, abs=1e-12)
+                assert run(network, psi, mods).sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("label", INTERIOR_LABELS)
     def test_blocking_removes_exactly_the_path_probability(self, network, label):
         for psi in haar_random_states(10, 77):
             dist = run(network, psi, [block(label)])
-            assert dist.survival == pytest.approx(1.0 - path_probability(psi, label), abs=1e-12)
+            assert dist.sum() == pytest.approx(1.0 - path_probability(psi, label), abs=1e-12)
             assert list(dist) == pytest.approx(blocked_oracle(psi, label), abs=1e-12)
 
     def test_attenuator_interpolates_block_and_identity(self, network):
@@ -189,8 +203,8 @@ class TestKernelAgainstStageProduct:
         for _ in range(200):
             labels = rng.permutation(INTERIOR_LABELS)[: rng.integers(1, 8)]
             mods = random_modifiers(rng, labels)
-            worst = max(worst, float(np.max(np.abs(
-                run_many(network, states, mods) - stage_product_oracle(network, states, mods)))))
+            expected = stage_product_oracle(network, states, modifier_factors(mods))
+            worst = max(worst, float(np.max(np.abs(run_many(network, states, mods) - expected))))
         assert worst <= 1e-12
 
     @pytest.mark.parametrize("extra", [(), ("S1",), ("P1", "P2", "S2"), tuple(INTERIOR_LABELS[3:])])
@@ -201,26 +215,37 @@ class TestKernelAgainstStageProduct:
         for _ in range(20):
             labels = rng.permutation(("D2", "f") + extra)
             mods = random_modifiers(rng, labels)
-            expected = stage_product_oracle(network, states, mods)
+            expected = stage_product_oracle(network, states, modifier_factors(mods))
             assert float(np.max(np.abs(run_many(network, states, mods) - expected))) <= 1e-12
+
+    @pytest.mark.parametrize("targets", [("D2", "f"), ("f", "D2", "S1"), ("P2", "D2", "S2", "f")])
+    def test_factor_grid_row_by_row(self, network, targets):
+        # one kernel call over many factor rows, each row checked on its own;
+        # D2 (stage 4) is listed before f (stage 2) in two of the target lists
+        rng = np.random.default_rng(len(targets))
+        states = haar_random_states(200, 6)
+        rows = np.exp(1j * rng.uniform(-math.pi, math.pi, (40, len(targets)))) * rng.uniform(0.0, 1.0, (40, 1))
+        rows[:4] = [[0.0] * len(targets), [1.0] * len(targets), [-1.0] * len(targets), [1j] * len(targets)]
+        got = propagate(network, states, list(targets), rows)
+        assert got.shape == (len(rows), len(states), 3)
+        for row, probs in zip(rows, got):
+            expected = stage_product_oracle(network, states, dict(zip(targets, row)))
+            assert float(np.max(np.abs(probs - expected))) <= 1e-12
 
     def test_kernel_paths_are_the_canonical_paths_up_to_phase(self, network):
         for label, vec in network.paths.items():
-            assert abs(inner(vec, canonical_paths()[label])) == pytest.approx(1.0, abs=1e-12)
+            assert abs(np.vdot(vec, canonical_paths()[label])) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCounterfactualGain:
     def test_frozen_values(self, network):
-        assert counterfactual_gain(network, NF, "f", 3) == pytest.approx(7 / 27, abs=1e-12)
-        assert counterfactual_gain(network, BF, "f", 3) == pytest.approx(19 / 153, abs=1e-12)
-        assert counterfactual_gain(network, V0, "f", 3) == pytest.approx(1 / 3, abs=1e-12)
+        gain = evaluate_states(network, np.array([NF, BF, V0]))["gain"]
+        assert gain == pytest.approx([7 / 27, 19 / 153, 1 / 3], abs=1e-12)
 
     def test_gain_can_be_negative(self, network):
-        assert counterfactual_gain(network, NF, "f", 1) == pytest.approx(4 / 27 - 1 / 3, abs=1e-12)
-
-    def test_invalid_port(self, network):
-        with pytest.raises(ValueError):
-            counterfactual_gain(network, NF, "f", 4)
+        metrics = evaluate_states(network, NF[None, :])
+        port1 = metrics["blocked"][0, 0] - metrics["free"][0, 0]
+        assert port1 == pytest.approx(4 / 27 - 1 / 3, abs=1e-12)
 
 
 class TestWitnessFromOutputs:
@@ -234,16 +259,15 @@ class TestWitnessFromOutputs:
         blocked = run(network, psi, [block("f")])
         assert witness_from_outputs(free, blocked) == pytest.approx(expected, abs=1e-12)
 
-    def test_identity_with_interior_witness_over_random_states(self, network):
+    def test_identity_with_interior_witness_over_random_states(self, network, witness_matrix):
         states = haar_random_states(10_000, 2718)
         free = run_many(network, states)
         blocked = run_many(network, states, [block("f")])
         from_outputs = (blocked[:, 2] - free[:, 2]) - 0.5 * (blocked[:, 0] + blocked[:, 1])
-        direct = np.array([witness_direct(psi) for psi in states[:200]])
+        direct = np.array([path_probability(psi, "f") - path_probability(psi, "D1") - path_probability(psi, "D2")
+                           for psi in states[:200]])
         assert from_outputs[:200] == pytest.approx(direct, abs=1e-12)
-        from ctxscope.contexts import witness_matrix
-
-        all_direct = np.real(np.einsum("ni,ij,nj->n", states.conj(), witness_matrix(), states))
+        all_direct = np.real(np.einsum("ni,ij,nj->n", states.conj(), witness_matrix, states))
         assert float(np.max(np.abs(all_direct - from_outputs))) < 1e-12
 
     def test_gain_dominates_witness(self, network):
@@ -257,59 +281,47 @@ class TestWitnessFromOutputs:
         assert np.all(gain >= witness - 1e-12)
 
     def test_gain_without_violation_exists(self, network):
-        assert witness_direct(BF) < 0
-        assert counterfactual_gain(network, BF, "f", 3) > 0
+        metrics = evaluate_states(network, BF[None, :])
+        assert metrics["witness"][0] < 0
+        assert metrics["gain"][0] > 0
 
 
 class TestScans:
     def test_phase_fringe_follows_closed_form(self, network):
         grid = np.linspace(0.0, 2.0 * math.pi, 13)
-        data = phase_scan(network, NF, "f", grid)
+        values = scan(network, NF, "f", np.exp(1j * grid))
         expected_p3 = (17.0 - 8.0 * np.cos(grid)) / 27.0
         expected_p1 = (5.0 + 4.0 * np.cos(grid)) / 27.0
-        assert data.values[:, 2] == pytest.approx(expected_p3, abs=1e-12)
-        assert data.values[:, 0] == pytest.approx(expected_p1, abs=1e-12)
-        assert data.values.sum(axis=1) == pytest.approx(np.ones(13), abs=1e-12)
+        assert values[:, 2] == pytest.approx(expected_p3, abs=1e-12)
+        assert values[:, 0] == pytest.approx(expected_p1, abs=1e-12)
+        assert values.sum(axis=1) == pytest.approx(np.ones(13), abs=1e-12)
 
     def test_phase_fringe_spot_values(self, network):
-        data = phase_scan(network, NF, "f", [math.pi, math.pi / 2.0])
-        assert data.values[0, 2] == pytest.approx(25 / 27, abs=1e-12)
-        assert data.values[1, 0] == pytest.approx(5 / 27, abs=1e-12)
+        values = scan(network, NF, "f", np.exp(1j * np.array([math.pi, math.pi / 2.0])))
+        assert values[0, 2] == pytest.approx(25 / 27, abs=1e-12)
+        assert values[1, 0] == pytest.approx(5 / 27, abs=1e-12)
 
     def test_near_maximal_state_fringe(self, network):
-        data = phase_scan(network, V0, "f", [0.0])
-        assert data.values[0, 2] == pytest.approx(1 / 9, abs=1e-12)
-
-    def test_phase_scan_requires_nonempty_grid(self, network):
-        with pytest.raises(ValueError):
-            phase_scan(network, NF, "f", [])
+        values = scan(network, V0, "f", [1.0])
+        assert values[0, 2] == pytest.approx(1 / 9, abs=1e-12)
 
     def test_transmittance_endpoints(self, network):
-        data = transmittance_scan(network, NF, "f", [0.0, math.pi])
-        assert data.values[0] == pytest.approx([4 / 27, 4 / 27, 16 / 27], abs=1e-12)
-        assert data.values[1] == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-12)
+        values = scan(network, NF, "f", np.sin(np.array([0.0, math.pi]) / 2.0))
+        assert values[0] == pytest.approx([4 / 27, 4 / 27, 16 / 27], abs=1e-12)
+        assert values[1] == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-12)
 
     def test_transmittance_survival_formula(self, network):
         thetas = np.linspace(0.0, math.pi, 9)
-        data = transmittance_scan(network, NF, "f", thetas)
+        values = scan(network, NF, "f", np.sin(thetas / 2.0))
         power = np.sin(thetas / 2.0) ** 2
         expected = 1.0 - (1.0 - power) * path_probability(NF, "f")
-        assert data.values.sum(axis=1) == pytest.approx(expected, abs=1e-12)
-        assert data.values.sum(axis=1)[4] == pytest.approx(17 / 18, abs=1e-12)
+        assert values.sum(axis=1) == pytest.approx(expected, abs=1e-12)
+        assert values.sum(axis=1)[4] == pytest.approx(17 / 18, abs=1e-12)
 
-    def test_transmittance_domain_check(self, network):
-        with pytest.raises(ValueError):
-            transmittance_scan(network, NF, "f", [-0.1])
-
-    @pytest.mark.parametrize("scan", [phase_scan, transmittance_scan])
-    def test_rejects_non_finite_settings(self, network, scan):
-        with pytest.raises(ValueError, match="finite"):
-            scan(network, NF, "f", [0.5, math.nan])
-
-    @pytest.mark.parametrize("scan", [phase_scan, transmittance_scan])
-    def test_rejects_input_rail_target(self, network, scan):
+    @pytest.mark.parametrize("factor", [np.exp(0.5j), np.sin(0.25)], ids=["phase_scan", "transmittance_scan"])
+    def test_rejects_input_rail_target(self, network, factor):
         with pytest.raises(InvalidModifierTargetError):
-            scan(network, NF, "1", [0.5])
+            scan(network, NF, "1", [factor])
 
 
 class TestFringeCoefficients:
@@ -341,4 +353,4 @@ class TestFringeCoefficients:
             for target in INTERIOR_LABELS:
                 a, b, c = fringe_coefficients(network, psi, target)
                 curve = a + b * np.cos(grid)[:, None] + c * np.sin(grid)[:, None]
-                assert float(np.max(np.abs(curve - phase_scan(network, psi, target, grid).values))) <= 1e-12
+                assert float(np.max(np.abs(curve - scan(network, psi, target, np.exp(1j * grid))))) <= 1e-12

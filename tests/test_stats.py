@@ -6,7 +6,7 @@ import pytest
 from ctxscope import stats
 from ctxscope.contexts import INTERIOR_LABELS
 from ctxscope.core import haar_random_states, normalize
-from ctxscope.interferometer import fringe_coefficients, phase_scan
+from ctxscope.interferometer import fringe_coefficients, propagate
 from ctxscope.reference import NAMED_STATES
 from ctxscope.stats import (
     DegenerateDesignError,
@@ -14,13 +14,18 @@ from ctxscope.stats import (
     InvalidDurationError,
     InvalidRateError,
     VisibilityOutOfRangeError,
+    draw_counts,
     fit_fringe,
     noisy_fringe,
-    sample_counts,
-    sample_dataset,
 )
 
 NF = NAMED_STATES["Nf"]
+
+
+def phase_scan(network, psi, target, grid) -> FringeDataset:
+    """An ideal phase scan: port probabilities over grid, held as real-valued counts."""
+    grid = np.asarray(grid, dtype=float)
+    return FringeDataset(grid, propagate(network, psi[None, :], [target], np.exp(1j * grid)[:, None])[:, 0])
 
 
 @pytest.fixture(scope="module")
@@ -42,22 +47,22 @@ def nf_model(nf_coefficients):
 
 class TestSampleCounts:
     def test_deterministic_per_seed(self):
-        a = sample_counts((0.2, 0.3, 0.5), 1000.0, 100.0, 123)
-        b = sample_counts((0.2, 0.3, 0.5), 1000.0, 100.0, 123)
-        assert a == b
+        a = draw_counts(np.array([0.2, 0.3, 0.5]), 1000.0, 100.0, 123)
+        b = draw_counts(np.array([0.2, 0.3, 0.5]), 1000.0, 100.0, 123)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = sample_counts((0.2, 0.3, 0.5), 1000.0, 100.0, 123)
-        b = sample_counts((0.2, 0.3, 0.5), 1000.0, 100.0, 124)
-        assert a != b
+        a = draw_counts(np.array([0.2, 0.3, 0.5]), 1000.0, 100.0, 123)
+        b = draw_counts(np.array([0.2, 0.3, 0.5]), 1000.0, 100.0, 124)
+        assert not np.array_equal(a, b)
 
     def test_zero_probability_ports_count_zero(self):
-        counts = sample_counts((1.0, 0.0, 0.0), 100.0, 1.0, 9)
+        counts = draw_counts(np.array([1.0, 0.0, 0.0]), 100.0, 1.0, 9)
         assert counts[1] == 0
         assert counts[2] == 0
 
     def test_counts_near_expected_means(self):
-        counts = sample_counts((1 / 3, 1 / 3, 1 / 3), 1000.0, 100.0, 7)
+        counts = draw_counts(np.full(3, 1 / 3), 1000.0, 100.0, 7)
         mu = 1000.0 * 100.0 / 3.0
         for count in counts:
             assert abs(count - mu) < 5.0 * math.sqrt(mu)
@@ -65,8 +70,7 @@ class TestSampleCounts:
     @pytest.mark.parametrize("mu,seed", [(5.0, 9000), (29.9, 9001), (30.0, 9002), (100.0, 5000)])
     def test_sampler_moments(self, mu, seed):
         n = 100_000
-        ideal = FringeDataset(np.zeros(n), np.tile([1.0, 0.0, 0.0], (n, 1)), "ideal")
-        draws = sample_dataset(ideal, mu, 1.0, seed).values[:, 0]
+        draws = draw_counts(np.tile([1.0, 0.0, 0.0], (n, 1)), mu, 1.0, seed)[:, 0]
         assert abs(draws.mean() - mu) < 5.0 * math.sqrt(mu / n)
         assert abs(draws.var(ddof=1) - mu) < 0.1 * mu
         # chi-square against the exact pmf; both tails fold into the end bins
@@ -84,27 +88,23 @@ class TestSampleCounts:
 
     def test_invalid_rate_and_duration(self):
         with pytest.raises(InvalidRateError):
-            sample_counts((1.0, 0.0, 0.0), 0.0, 1.0, 1)
+            draw_counts(np.array([1.0, 0.0, 0.0]), 0.0, 1.0, 1)
         with pytest.raises(InvalidDurationError):
-            sample_counts((1.0, 0.0, 0.0), 1.0, -2.0, 1)
+            draw_counts(np.array([1.0, 0.0, 0.0]), 1.0, -2.0, 1)
 
     @pytest.mark.parametrize("rate, duration", [(math.inf, 1.0), (1.0, math.inf), (1e308, 10.0)])
     def test_infinite_photon_budget(self, rate, duration):
         with pytest.raises(InvalidRateError, match="must be finite"):
-            sample_counts((1.0, 0.0, 0.0), rate, duration, 1)
+            draw_counts(np.array([1.0, 0.0, 0.0]), rate, duration, 1)
 
 
 class TestSampleDataset:
     def test_deterministic_and_integer(self, nf_fringe):
-        a = sample_dataset(nf_fringe, 1000.0, 100.0, 55)
-        b = sample_dataset(nf_fringe, 1000.0, 100.0, 55)
-        assert np.array_equal(a.values, b.values)
-        assert a.values.dtype == np.int64
-
-    def test_requires_ideal_mode(self, nf_fringe):
-        counts = sample_dataset(nf_fringe, 1000.0, 100.0, 55)
-        with pytest.raises(ValueError):
-            sample_dataset(counts, 1000.0, 100.0, 55)
+        a = draw_counts(nf_fringe.values, 1000.0, 100.0, 55)
+        b = draw_counts(nf_fringe.values, 1000.0, 100.0, 55)
+        assert np.array_equal(a, b)
+        assert a.dtype == np.int64
+        assert a.shape == nf_fringe.values.shape
 
 
 class TestNoisyFringe:
@@ -140,7 +140,7 @@ class TestNoisyFringe:
         assert not np.array_equal(seven[1:], eight[:-1])
 
     def test_rejects_empty_and_non_finite_grids(self, monkeypatch, nf_coefficients):
-        monkeypatch.setattr(stats, "_draw", lambda *args: pytest.fail("drew counts"))
+        monkeypatch.setattr(stats, "draw_counts", lambda *args: pytest.fail("drew counts"))
         for grid, message in (([], "nonempty"), ([0.5, math.nan], "finite"), ([math.inf], "finite")):
             with pytest.raises(ValueError, match=message):
                 noisy_fringe(grid, nf_coefficients, 1.0, 1000.0, 100.0, 1)
@@ -148,7 +148,7 @@ class TestNoisyFringe:
     def test_full_visibility_means_equal_the_ideal_scan(self, network, monkeypatch):
         # any grid (no 0 or pi here), complex states and every interior target
         drawn = []
-        monkeypatch.setattr(stats, "_draw", lambda probs, *args: drawn.append(probs) or np.zeros(probs.shape))
+        monkeypatch.setattr(stats, "draw_counts", lambda probs, *args: drawn.append(probs) or np.zeros(probs.shape))
         grid = np.concatenate([np.linspace(0.3, 5.9, 17), [-40.0, 1e3]])
         for psi in haar_random_states(25, 31):
             for target in INTERIOR_LABELS:
@@ -159,7 +159,7 @@ class TestNoisyFringe:
 
 class TestFitFringe:
     def test_exact_counts_recover_unit_visibility(self, nf_fringe, nf_model):
-        exact = FringeDataset(nf_fringe.settings, nf_fringe.values * 1e6, "counts")
+        exact = FringeDataset(nf_fringe.settings, nf_fringe.values * 1e6)
         fit = fit_fringe(exact, nf_model)
         for port in fit:
             assert port.visibility == pytest.approx(1.0, abs=1e-9)
@@ -168,7 +168,7 @@ class TestFitFringe:
     def test_exact_degraded_curve_recovers_true_visibility(self, nf_fringe, nf_coefficients, nf_model):
         offs, amps, _ = nf_coefficients
         curve = offs[None, :] + 0.7 * amps[None, :] * np.cos(nf_fringe.settings)[:, None]
-        exact = FringeDataset(nf_fringe.settings, curve * 1e6, "counts")
+        exact = FringeDataset(nf_fringe.settings, curve * 1e6)
         fit = fit_fringe(exact, nf_model)
         for port in fit:
             assert port.visibility == pytest.approx(0.7, abs=1e-9)
@@ -176,7 +176,7 @@ class TestFitFringe:
     def test_scale_invariance(self, nf_fringe, nf_coefficients, nf_model):
         noisy = noisy_fringe(nf_fringe.settings, nf_coefficients, 1.0, 1000.0, 100.0, 4)
         base = fit_fringe(noisy, nf_model)
-        scaled = FringeDataset(noisy.settings, noisy.values.astype(float) * 137.0, "counts")
+        scaled = FringeDataset(noisy.settings, noisy.values.astype(float) * 137.0)
         rescaled = fit_fringe(scaled, nf_model)
         for a, b in zip(base, rescaled):
             assert b.visibility == pytest.approx(a.visibility, abs=1e-9)
@@ -214,7 +214,7 @@ class TestFitFringe:
     def test_three_settings_fit_exactly_with_zero_stderr(self, network, nf_model):
         grid = [0.0, math.pi / 2.0, math.pi]
         ideal = phase_scan(network, NF, "f", grid)
-        exact = FringeDataset(ideal.settings, ideal.values * 1e6, "counts")
+        exact = FringeDataset(ideal.settings, ideal.values * 1e6)
         fit = fit_fringe(exact, nf_model)
         for port in fit:
             assert port.visibility == pytest.approx(1.0, abs=1e-9)
@@ -224,7 +224,6 @@ class TestFitFringe:
         data = FringeDataset(
             np.array([0.0, 0.0, math.pi]),
             np.array([[10, 10, 10]] * 3, dtype=np.int64),
-            "counts",
         )
         with pytest.raises(DegenerateDesignError):
             fit_fringe(data, nf_model)
@@ -234,7 +233,6 @@ class TestFitFringe:
         data = FringeDataset(
             np.array([0.0, math.pi, 2.0 * math.pi]),
             np.array([[10, 10, 10]] * 3, dtype=np.int64),
-            "counts",
         )
         with pytest.raises(DegenerateDesignError):
             fit_fringe(data, nf_model)
@@ -243,59 +241,46 @@ class TestFitFringe:
         data = FringeDataset(
             np.array([0.0, 1.0, 2.0, 3.0]),
             np.zeros((4, 3), dtype=np.int64),
-            "counts",
         )
         with pytest.raises(DegenerateDesignError):
             fit_fringe(data, nf_model)
 
     def test_overflowing_totals_are_degenerate(self, nf_model):
-        data = FringeDataset(np.arange(4.0), np.full((4, 3), 1e308), "counts")
+        data = FringeDataset(np.arange(4.0), np.full((4, 3), 1e308))
         with pytest.raises(DegenerateDesignError, match="finite total"):
             fit_fringe(data, nf_model)
 
-    def test_requires_counts_mode(self, nf_fringe, nf_model):
-        with pytest.raises(ValueError):
-            fit_fringe(nf_fringe, nf_model)
-
 
 class TestFringeDataset:
-    def test_ideal_values_must_be_probabilities(self):
-        with pytest.raises(ValueError):
-            FringeDataset(np.array([0.0]), np.array([[0.2, 0.3, 1.4]]), "ideal")
-
     def test_counts_must_be_non_negative(self):
         with pytest.raises(ValueError):
-            FringeDataset(np.array([0.0]), np.array([[1, -2, 3]]), "counts")
+            FringeDataset(np.array([0.0]), np.array([[1, -2, 3]]))
 
-    @pytest.mark.parametrize("settings, values, mode", [
-        ([0.0], [[math.nan, 0.0, 0.0]], "ideal"),
-        ([math.nan], [[0.2, 0.3, 0.4]], "ideal"),
-        ([0.0], [[1.0, math.inf, 3.0]], "counts"),
-        ([-math.inf], [[1, 2, 3]], "counts"),
+    @pytest.mark.parametrize("settings, values", [
+        ([0.0], [[math.nan, 0.0, 0.0]]),
+        ([math.nan], [[0.2, 0.3, 0.4]]),
+        ([0.0], [[1.0, math.inf, 3.0]]),
+        ([-math.inf], [[1, 2, 3]]),
     ])
-    def test_non_finite_settings_and_values_are_rejected(self, settings, values, mode):
+    def test_non_finite_settings_and_values_are_rejected(self, settings, values):
         with pytest.raises(ValueError, match="must be finite") as excinfo:
-            FringeDataset(np.array(settings), values, mode)
+            FringeDataset(np.array(settings), values)
         assert excinfo.type is ValueError
 
     def test_nan_probability_is_not_reported_as_a_rate_error(self):
         with pytest.raises(ValueError, match="must be finite") as excinfo:
-            sample_dataset(FringeDataset(np.zeros(1), [[math.nan, 0, 0]], "ideal"), 1.0, 1.0, 0)
+            draw_counts(np.array([[math.nan, 0.0, 0.0]]), 1.0, 1.0, 0)
         assert excinfo.type is ValueError
 
-    @pytest.mark.parametrize("mode, values", [
+    @pytest.mark.parametrize("kind, values", [
         ("counts", np.array([[1, 2, 3], [4, 5, 6]])),
-        ("ideal", np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])),
+        ("ideal", np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])),  # noiseless real-valued counts
     ])
-    def test_caller_arrays_stay_writeable_and_apart(self, mode, values):
+    def test_caller_arrays_stay_writeable_and_apart(self, kind, values):
         settings = np.array([0.0, 1.0])
-        data = FringeDataset(settings, values, mode)
+        data = FringeDataset(settings, values)
         assert settings.flags.writeable and values.flags.writeable
         kept = data.values.copy()
         settings[0], values[0, 0] = 9.0, 0
         assert data.settings[0] == 0.0
         assert np.array_equal(data.values, kept)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            FringeDataset(np.array([0.0]), np.array([[0.1, 0.2, 0.3]]), "weird")
