@@ -37,7 +37,7 @@ DEFAULT_RATE = 1000.0
 DEFAULT_DURATION = 100.0
 DEFAULT_STEPS = 25
 CSV_BLOCK_ROWS = 65_536  # rows per chunk from _csv and per block of sweep states
-# Most rows one sweep or scan may produce: about 12 s at the ~0.75 us per
+# Most rows one sweep or scan may produce: about 8 s at the ~0.5 us per
 # sweep row measured on a 2-CPU VM (set as about a minute when a row took
 # ~3.3 us). Larger --resolution**2, --samples or --steps exit 2 before
 # anything is allocated.
@@ -73,10 +73,11 @@ def _digit_rows(out: np.ndarray, n: np.ndarray) -> None:
         n = q
 
 
-def _ascii_rows(block: list[np.ndarray]) -> str:
-    """The rows of a block of snapped float and integer columns, as "%.9f" and
-    "%d" print them cell by cell; every float must be below 2**53 / 1e9 in
-    magnitude, so that |x| * 1e9 rounds to an exact int64.
+def _ascii_rows(block: list[np.ndarray], sizes: list[np.ndarray | None]) -> bytes:
+    """The rows of a block of float and integer columns, as _f9 and "%d" print
+    them cell by cell. sizes[i] is |block[i]| for a float column, every value
+    below 2**53 / 1e9 so that |x| * 1e9 rounds to an exact int64, and None for
+    an integer column; the float arrays are overwritten.
 
     Each output column is one byte row of a uint8 buffer, transposed at the
     end. A field is a sign byte if its column holds a negative value, as many
@@ -88,28 +89,31 @@ def _ascii_rows(block: list[np.ndarray]) -> str:
     monotonic and every half-integer below 2**52 is a double, so the product
     cannot cross one without landing on it (from 2**52 to 2**53, y is an
     integer that already rounds half to even). Those cells take n from
-    "%.9f" one by one. A negative float keeps its sign even when it rounds to
-    zero, as "%.9f" does."""
+    "%.9f" one by one. A cell with |x| < 1e-12 has n = 0 and no sign, which
+    is _f9's snap to zero; any other negative float keeps its sign even when
+    it rounds to zero, as "%.9f" does."""
     rows = len(block[0])
     # An odd number of 64-byte lines per byte row: with a stride of exactly
     # 64 KiB every byte of an output row maps to the same cache sets.
     stride = ((rows + 63) // 64 | 1) * 64
-    buf = np.empty((sum(19 if c.dtype.kind == "f" else 22 for c in block), stride), dtype=np.uint8)[:, :rows]
+    buf = np.empty((sum(19 if a is not None else 22 for a in sizes), stride), dtype=np.uint8)[:, :rows]
     pos = 0
-    for c in block:
+    for c, y in zip(block, sizes):
         frac = None
-        if c.dtype.kind == "f":
-            y = np.abs(c) * 1e9
+        if y is not None:
+            y *= 1e9
             n = np.rint(y)
-            tie = np.abs(y - n) == 0.5
+            y -= n
+            tie = np.abs(y, out=y) == 0.5
             n = n.astype(np.int64)
             for i in np.flatnonzero(tie):
                 n[i] = int(("%.9f" % abs(c[i])).replace(".", ""))
             whole = n // 10 ** 9
             whole, frac = whole.astype(np.uint32), (n - whole * 10 ** 9).astype(np.uint32)
+            negative = c <= -1e-12
         else:
             whole = np.abs(c).astype(np.uint64)
-        negative = c < 0
+            negative = c < 0
         if negative.any():
             buf[pos] = np.where(negative, ord("-"), 0)
             pos += 1
@@ -125,19 +129,19 @@ def _ascii_rows(block: list[np.ndarray]) -> str:
         buf[pos] = ord(",")
         pos += 1
     buf[pos - 1] = ord("\n")
-    return buf[:pos].T.tobytes().replace(b"\0", b"").decode("ascii")
+    return buf[:pos].T.tobytes().replace(b"\0", b"")
 
 
-def _csv(header: str, blocks: Iterable[Sequence[Sequence[float]]]) -> Iterator[str]:
+def _csv(header: str, blocks: Iterable[Sequence[Sequence[float]]]) -> Iterator[bytes]:
     """The header, then the rows of each block of columns, at most CSV_BLOCK_ROWS
-    per chunk. Float columns print as _f9 does (|x| < 1e-12 snapped to 0, then
-    "%.9f"), integer columns as "%d".
+    per chunk, as ASCII bytes. Float columns print as _f9 does (|x| < 1e-12
+    snapped to 0, then "%.9f"), integer columns as "%d".
 
-    A chunk is formatted as a whole by _ascii_rows. A chunk with a float of
-    magnitude 2**53 / 1e9 or more (or not finite), or a column that is neither
-    float nor integer, is formatted cell by cell with "%" instead; the bytes
-    are the same either way."""
-    yield header + "\n"
+    A chunk is formatted as a whole by _ascii_rows, from one |x| pass per float
+    column. A chunk with a float of magnitude 2**53 / 1e9 or more (or not
+    finite), or a column that is neither float nor integer, is formatted cell
+    by cell with "%" instead; the bytes are the same either way."""
+    yield (header + "\n").encode()
     for columns in blocks:
         columns = [np.asarray(c) for c in columns]
         floating = [c.dtype.kind == "f" for c in columns]
@@ -145,28 +149,42 @@ def _csv(header: str, blocks: Iterable[Sequence[Sequence[float]]]) -> Iterator[s
         numeric = all(c.dtype.kind in "fiu" for c in columns)
         for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
             block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
-            block = [np.where(np.abs(c) < 1e-12, 0.0, c) if f else c for c, f in zip(block, floating)]
-            if numeric and all(np.all(np.abs(c) < 2.0 ** 53 / 1e9) for c, f in zip(block, floating) if f):
-                yield _ascii_rows(block)
+            sizes = [np.abs(c) if f else None for c, f in zip(block, floating)]
+            if numeric and all(np.all(a < 2.0 ** 53 / 1e9) for a in sizes if a is not None):
+                yield _ascii_rows(block, sizes)
             else:
+                block = [c if a is None else np.where(a < 1e-12, 0.0, c) for c, a in zip(block, sizes)]
                 values = itertools.chain.from_iterable(zip(*(c.tolist() for c in block)))
-                yield (row * len(block[0])) % tuple(values)
+                yield ((row * len(block[0])) % tuple(values)).encode()
 
 
-def _write(out: str, chunks: Iterable[str]) -> None:
-    """The one sink; chunks are written as they are produced.
+def _text(lines: Iterable[str]) -> bytes:
+    """Lines joined with LF and a final LF, UTF-8 encoded."""
+    return ("\n".join(lines) + "\n").encode()
 
-    A file is written under a temporary name in its own directory and moved
-    over `out` only after the last chunk, so a call that fails part way
-    leaves `out` as it was. A device or pipe (such as /dev/null) is written
-    in place, since there is nothing to replace. Callers validate their
-    input before the first chunk, because stdout cannot be taken back.
+
+def _write(out: str, chunks: Iterable[bytes]) -> None:
+    """The one sink: a binary one, writing chunks as they are produced.
+
+    Stdout ("-") takes the bytes on its binary buffer after any pending text
+    is flushed; a replacement stdout without one (such as io.StringIO) gets
+    them decoded as UTF-8. A file is written under a temporary name in its
+    own directory and moved over `out` only after the last chunk, so a call
+    that fails part way leaves `out` as it was. A device or pipe (such as
+    /dev/null) is written in place, since there is nothing to replace.
+    Callers validate their input before the first chunk, because stdout
+    cannot be taken back.
     """
     if out == "-":
-        sys.stdout.writelines(chunks)
+        sink = getattr(sys.stdout, "buffer", None)
+        if sink is None:
+            sys.stdout.writelines(chunk.decode() for chunk in chunks)
+            return
+        sys.stdout.flush()
+        sink.writelines(chunks)
         return
     if os.path.exists(out) and not os.path.isfile(out):
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        with open(out, "wb") as fh:
             fh.writelines(chunks)
         return
     target = os.path.realpath(out)
@@ -177,7 +195,7 @@ def _write(out: str, chunks: Iterable[str]) -> None:
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, out) from None
     try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with open(fd, "wb") as fh:
             fh.writelines(chunks)
         if os.path.exists(target):
             shutil.copymode(target, tmp)
@@ -195,8 +213,8 @@ def _check_rows(flag: str, value: int, minimum: int, rows: int) -> None:
         raise SchemaError(f"{flag} {value} asks for {rows} rows; at most {MAX_ROWS} are allowed")
 
 
-def _json_dump(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _json_dump(obj: object) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -321,10 +339,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     failures = [r for r in results if not r.passed]
     if failures:
         lines.append(f"first failure: {failures[0].name}")
-        _write(args.out, ["\n".join(lines) + "\n"])
+        _write(args.out, [_text(lines)])
         return 1
     lines.append("all checks passed")
-    _write(args.out, ["\n".join(lines) + "\n"])
+    _write(args.out, [_text(lines)])
     return 0
 
 
@@ -375,7 +393,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
             "blocked output: " + "  ".join(_f9(v) for v in metrics["blocked"])
             + f"  (survival {_f9(blocked['survival'])})",
         ]
-        _write(args.out, ["\n".join(lines) + "\n"])
+        _write(args.out, [_text(lines)])
     else:
         _write(args.out, [_json_dump(payload)])
     return 0
@@ -428,7 +446,7 @@ def cmd_trans_scan(args: argparse.Namespace) -> int:
     return _run_scan(args, "transmittance")
 
 
-def _sweep_csv(lead: tuple[str, ...], blocks: Iterable[tuple[list, np.ndarray]]) -> Iterator[str]:
+def _sweep_csv(lead: tuple[str, ...], blocks: Iterable[tuple[list, np.ndarray]]) -> Iterator[bytes]:
     """Sweep CSV from (lead columns, states) blocks, evaluated one block at a
     time; the trailer names the first row with the largest witness."""
     best, where = -math.inf, ""
@@ -446,7 +464,7 @@ def _sweep_csv(lead: tuple[str, ...], blocks: Iterable[tuple[list, np.ndarray]])
             yield [*columns, *(metrics[k] for k in SWEEP_METRICS)]
 
     yield from _csv(",".join(lead + SWEEP_METRICS), rows())
-    yield f"# max_witness={_f9(best)} {where}\n"
+    yield f"# max_witness={_f9(best)} {where}\n".encode()
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -548,7 +566,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         f"max |delta|: probabilities {dev_probs:.9f}, gains {dev_gains:.9f}, "
         f"witnesses {dev_witness:.9f}"
     )
-    _write(args.out, ["\n".join(lines) + "\n"])
+    _write(args.out, [_text(lines)])
     return 0
 
 

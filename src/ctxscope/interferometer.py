@@ -164,26 +164,44 @@ def propagate(
 ) -> np.ndarray:
     """Port probabilities, shape (n_settings, n_states, 3), for a modifier grid.
 
-    Row s of the (n_settings, len(targets)) factors holds one amplitude
+    Row s of the (n_settings, len(targets)) factors holds one finite amplitude
     factor per target path. Each target applies the rank-1 update
     amps += (m - 1) <v|amps> v to every state, in earliest-stage order.
+
+    The amplitudes are held as (n_settings, 3, n_states), states on the long
+    axis, and the returned probabilities are a transposed view of that array.
+    Each overlap <v|amps> is still taken from rows laid out as (n_states, 3),
+    so every element goes through the same floating-point operations as an
+    update of a repeated (n_settings, n_states, 3) array would.
     """
-    amps = np.asarray(states, dtype=complex)
-    if amps.ndim != 2 or amps.shape[1] != 3:
-        raise ValueError(f"states must have shape (n, 3), got {amps.shape}")
-    if np.max(np.abs((np.abs(amps) ** 2).sum(axis=1) - 1.0)) > NORMALIZATION_ATOL:
+    psi = np.ascontiguousarray(states, dtype=complex)
+    if psi.ndim != 2 or psi.shape[1] != 3:
+        raise ValueError(f"states must have shape (n, 3), got {psi.shape}")
+    parts = psi.view(float)
+    deviation = np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0)
+    if not np.max(deviation, initial=0.0) <= NORMALIZATION_ATOL:
         raise ValueError("input states must be normalized")
     for j, target in enumerate(targets):
         _check_target(target)
         if target in targets[:j]:
             raise DuplicateModifierError(f"multiple modifiers on path {target!r}")
     factors = np.asarray(factors, dtype=complex)
-    amps = np.repeat(amps[None], factors.shape[0], axis=0)
+    if factors.ndim != 2 or factors.shape[1] != len(targets):
+        raise ValueError(f"factors must have shape (n_settings, {len(targets)}), got {factors.shape}")
+    if not np.isfinite(factors).all():
+        raise ValueError("modifier factors must be finite")
+    amps = np.broadcast_to(psi.T, (len(factors), 3, len(psi)))
     order = list(network.paths)
-    for j in sorted(range(len(targets)), key=lambda j: order.index(targets[j])):
+    for k, j in enumerate(sorted(range(len(targets)), key=lambda j: order.index(targets[j]))):
         v = network.paths[targets[j]]
-        amps += ((factors[:, j] - 1.0)[:, None] * (amps @ v.conj()))[..., None] * v
-    return np.abs(amps) ** 2
+        # before the first update, every setting's rows are the input states
+        rows = psi if k == 0 else np.ascontiguousarray(amps.transpose(0, 2, 1))
+        update = ((factors[:, j] - 1.0)[:, None] * (rows @ v.conj()))[:, None, :] * v[:, None]
+        update += amps
+        amps = update
+    probs = np.abs(amps)
+    np.square(probs, out=probs)
+    return probs.transpose(0, 2, 1)
 
 
 def run(

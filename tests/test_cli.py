@@ -511,6 +511,22 @@ class TestSweepStreaming:
         assert main(["sweep", "--resolution", "3", "--out", os.devnull]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--complex", "--samples", "70000", "--seed", "2"),
+    ("phase-scan", "--state", "V0", "--steps", "9"),
+    ("witness", "--state", "Bf", "--format", "text"),
+], ids=lambda argv: argv[0])
+def test_stdout_without_a_binary_buffer_gets_the_same_text(capsys, monkeypatch, argv):
+    # io.StringIO has no .buffer to take bytes, as when main() runs under
+    # contextlib.redirect_stdout; the sink decodes the chunks for it instead
+    _, expected = run_cli(capsys, *argv)
+    replacement = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", replacement)
+    assert main(list(argv)) == 0
+    assert replacement.getvalue() == expected
+    assert len(expected) > 100
+
+
 @pytest.mark.parametrize(
     "argv",
     [

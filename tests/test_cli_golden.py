@@ -133,7 +133,7 @@ def test_csv_emitter_matches_per_cell_f9(monkeypatch):
     chunks = list(cli._csv("x,y,n", [[x, x[::-1], n]]))
     rows = [",".join([cli._f9(a), cli._f9(b), str(int(c))]) + "\n" for a, b, c in zip(x, x[::-1], n)]
     assert len(chunks) == 1 + 3
-    assert "".join(chunks) == "x,y,n\n" + "".join(rows)
+    assert b"".join(chunks) == ("x,y,n\n" + "".join(rows)).encode()
 
 
 # Cells where nine-decimal rounding is hard to get right: negatives that round
@@ -180,8 +180,8 @@ def tables(draw):
 @given(tables(), st.integers(1, 5))
 def test_csv_emitter_is_byte_identical_to_per_cell_formatting(columns, block_rows):
     with mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
-        text = "".join(cli._csv("h", [columns]))
-    assert text == "h\n" + per_cell_rows(columns)
+        data = b"".join(cli._csv("h", [columns]))
+    assert data == ("h\n" + per_cell_rows(columns)).encode()
 
 
 def test_csv_emitter_full_block_and_remainder():
@@ -194,7 +194,7 @@ def test_csv_emitter_full_block_and_remainder():
     n = rng.integers(-2 ** 63, 2 ** 63 - 1, rows, dtype=np.int64)
     chunks = list(cli._csv("h", [[wide, ties, small, n]]))
     assert len(chunks) == 1 + 2
-    assert "".join(chunks) == "h\n" + per_cell_rows([wide, ties, small, n])
+    assert b"".join(chunks) == ("h\n" + per_cell_rows([wide, ties, small, n])).encode()
 
 
 def _around_ties(k: int) -> list[float]:
@@ -206,9 +206,9 @@ def _around_ties(k: int) -> list[float]:
 def test_csv_emitter_hard_cells():
     x = np.array(HARD_CELLS + [-v for v in HARD_CELLS])
     n = np.array([0, 1, -1, 2 ** 63 - 1, -2 ** 63, 10 ** 18, 99, 100, 999, 1000], dtype=np.int64)
-    text = "".join(cli._csv("x,n", [[x, n]]))
-    assert text == "x,n\n" + per_cell_rows([x, n])
-    assert text.splitlines()[1:3] == ["-0.000000000,0", "-0.000000001,1"]
+    data = b"".join(cli._csv("x,n", [[x, n]]))
+    assert data == ("x,n\n" + per_cell_rows([x, n])).encode()
+    assert data.splitlines()[1:3] == [b"-0.000000000,0", b"-0.000000001,1"]
     # From 2**49 / 1e9 up, |x| * 1e9 can round to exactly a half-integer (a
     # tie for rint) while x itself lies off it; up to 2**53 / 1e9 the block
     # formatter must still print those cells and their neighbours as "%.9f" does.
@@ -217,5 +217,5 @@ def test_csv_emitter_hard_cells():
     assert np.all((2 ** 49 / 1e9 <= big) & (big < EXACT_LIMIT))
     assert np.count_nonzero(big * 1e9 % 1.0 == 0.5) >= 4
     big = np.concatenate([big, -big])
-    text = "".join(cli._csv("x", [[big]]))
-    assert text == "x\n" + per_cell_rows([big])
+    data = b"".join(cli._csv("x", [[big]]))
+    assert data == ("x\n" + per_cell_rows([big])).encode()

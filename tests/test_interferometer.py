@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctxscope.contexts import INTERIOR_LABELS, canonical_paths
-from ctxscope.core import haar_random_states
+from ctxscope.core import haar_random_states, real_grid_blocks
 from ctxscope.interferometer import (
     DuplicateModifierError,
     InvalidModifierTargetError,
@@ -235,6 +235,64 @@ class TestKernelAgainstStageProduct:
     def test_kernel_paths_are_the_canonical_paths_up_to_phase(self, network):
         for label, vec in network.paths.items():
             assert abs(np.vdot(vec, canonical_paths()[label])) == pytest.approx(1.0, abs=1e-12)
+
+
+def repeated_update(network, states: np.ndarray, targets, factors: np.ndarray) -> np.ndarray:
+    """The kernel written the plain way: a (settings, n, 3) array repeated from
+    the states, amps += (m - 1) <v|amps> v per target in earliest-stage order."""
+    amps = np.repeat(np.asarray(states, dtype=complex)[None], len(factors), axis=0)
+    order = list(network.paths)
+    for j in sorted(range(len(targets)), key=lambda j: order.index(targets[j])):
+        v = network.paths[targets[j]]
+        amps += ((factors[:, j] - 1.0)[:, None] * (amps @ v.conj()))[..., None] * v
+    return np.abs(amps) ** 2
+
+
+class TestKernelMatchesRepeatedUpdate:
+    def test_bit_for_bit_over_random_grids(self, network):
+        rng = np.random.default_rng(1313)
+        for trial in range(240):
+            targets = [str(t) for t in rng.permutation(INTERIOR_LABELS)[: rng.integers(1, 4)]]
+            settings = int(rng.integers(1, 6))
+            columns = []
+            for _ in targets:
+                action = rng.integers(3)
+                if action == 0:
+                    columns.append(np.zeros(settings))
+                elif action == 1:
+                    columns.append(np.exp(1j * rng.uniform(-math.pi, math.pi, settings)))
+                else:
+                    columns.append(rng.uniform(0.0, 1.0, settings))
+            factors = np.column_stack(columns).astype(complex)
+            if trial % 2:
+                states = haar_random_states(int(rng.integers(1, 400)), trial)
+            else:
+                states = next(real_grid_blocks(int(rng.integers(2, 20)), 10 ** 6))[2]
+            got = propagate(network, states, targets, factors)
+            assert np.array_equal(got, repeated_update(network, states, targets, factors)), (trial, targets)
+
+
+class TestKernelInputs:
+    def test_nan_state_is_refused(self, network):
+        with pytest.raises(ValueError, match="input states must be normalized"):
+            propagate(network, np.array([NF, [math.nan, 0.0, 0.0]]), ["f"], [[0.0]])
+
+    def test_no_states_give_an_empty_result(self, network):
+        probs = propagate(network, np.empty((0, 3)), ["f"], [[1.0], [0.0]])
+        assert probs.shape == (2, 0, 3) and probs.dtype == float
+        metrics = evaluate_states(network, haar_random_states(0, 1))
+        assert all(len(values) == 0 for values in metrics.values())
+
+    @pytest.mark.parametrize("factors", [[0.0], [[0.0, 1.0]], [[]], np.zeros((2, 1, 1))],
+                             ids=["1-D", "two columns", "no column", "3-D"])
+    def test_factor_grid_of_the_wrong_shape_is_refused(self, network, factors):
+        with pytest.raises(ValueError, match=r"factors must have shape \(n_settings, 1\)"):
+            propagate(network, NF[None, :], ["f"], factors)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_factor_is_refused(self, network, value):
+        with pytest.raises(ValueError, match="modifier factors must be finite"):
+            propagate(network, NF[None, :], ["f", "D2"], [[1.0, 0.5], [value, 1.0]])
 
 
 class TestCounterfactualGain:
