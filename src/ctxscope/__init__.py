@@ -23,8 +23,6 @@ from .core import (
     normalize,
 )
 from .interferometer import (
-    DuplicateModifierError,
-    InvalidModifierTargetError,
     Modifier,
     Network,
     Stage,
@@ -41,11 +39,7 @@ from .interferometer import (
 from .reference import FRINGE_MODELS, MEASURED, NAMED_STATES
 from .stats import (
     DegenerateDesignError,
-    FringeDataset,
-    InvalidDurationError,
-    InvalidRateError,
     PortFit,
-    VisibilityOutOfRangeError,
     draw_counts,
     fit_fringe,
     noisy_fringe,

@@ -286,7 +286,7 @@ def _parse_modifiers(args: argparse.Namespace) -> list[interferometer.Modifier]:
     return mods
 
 
-def _read_counts_csv(path: str) -> stats.FringeDataset:
+def _read_counts_csv(path: str) -> tuple[list[float], list[list[float]]]:
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -320,7 +320,7 @@ def _read_counts_csv(path: str) -> stats.FringeDataset:
         duration = values[4]
     if not settings:
         raise SchemaError("input has no data rows")
-    return stats.FringeDataset(settings, counts)
+    return settings, counts
 
 
 def _check_counts_duration(duration: float) -> None:
@@ -329,8 +329,19 @@ def _check_counts_duration(duration: float) -> None:
         raise SchemaError(f"--duration {duration:g} would print as 0.000000000 in the counts CSV")
 
 
-def _noise_requested(args: argparse.Namespace) -> bool:
-    return any(getattr(args, flag) is not None for flag in ("visibility", "rate", "duration"))
+def _scan_noise(args: argparse.Namespace, kind: str) -> tuple[float, float, float, int]:
+    """A noisy scan's visibility, rate, duration and seed, each checked before
+    the scan propagates or draws anything."""
+    seed = _resolve_seed(args)
+    visibility = 1.0 if args.visibility is None else args.visibility
+    if kind == "transmittance" and visibility != 1.0:
+        raise SchemaError("--visibility models phase fringes; not valid for trans-scan")
+    stats._check_visibility(visibility)
+    rate = DEFAULT_RATE if args.rate is None else args.rate
+    duration = DEFAULT_DURATION if args.duration is None else args.duration
+    stats._photon_budget(rate, duration)
+    _check_counts_duration(duration)
+    return visibility, rate, duration, seed
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -402,38 +413,32 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def _run_scan(args: argparse.Namespace, kind: str) -> int:
     _check_rows("--steps", args.steps, 1, args.steps)
     psi = _parse_state(args.state)
-    network = build_network()
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise SchemaError("--from and --to must be finite")
     if not math.isfinite(args.stop - args.start):
         raise SchemaError("--to minus --from must be finite")
     grid = np.linspace(args.start, args.stop, args.steps)
-    noisy = _noise_requested(args)
+    # trans-scan's theta is the phase of an interferometric attenuator, valid in
+    # [0, 2 pi]: amplitude transmission sin(theta / 2), so 0 blocks the path
+    # and pi leaves it untouched
+    if kind == "transmittance" and (np.any(grid < 0.0) or np.any(grid > 2.0 * math.pi + 1e-12)):
+        raise SchemaError("transmittance settings must lie in [0, 2*pi]")
+    noisy = any(getattr(args, flag) is not None for flag in ("visibility", "rate", "duration"))
+    if noisy:
+        visibility, rate, duration, seed = _scan_noise(args, kind)
+    network = build_network()
     if kind == "phase" and noisy:
         coefficients = interferometer.fringe_coefficients(network, psi, args.target)
+        values = stats.noisy_fringe(grid, coefficients, visibility, rate, duration, seed)
     else:
-        # trans-scan's theta is the phase of an interferometric attenuator, valid in
-        # [0, 2 pi]: amplitude transmission sin(theta / 2), so 0 blocks the path
-        # and pi leaves it untouched
-        if kind == "transmittance" and (np.any(grid < 0.0) or np.any(grid > 2.0 * math.pi + 1e-12)):
-            raise SchemaError("transmittance settings must lie in [0, 2*pi]")
         factors = np.exp(1j * grid) if kind == "phase" else np.sin(grid / 2.0)
-        probs = interferometer.propagate(network, psi[None, :], [args.target], factors[:, None])[:, 0]
-    if not noisy:
-        header, values, last = IDEAL_CSV_HEADER, probs, probs.sum(axis=1)
-    else:
-        visibility = 1.0 if args.visibility is None else args.visibility
-        rate = DEFAULT_RATE if args.rate is None else args.rate
-        duration = DEFAULT_DURATION if args.duration is None else args.duration
-        seed = _resolve_seed(args)
-        if kind == "phase":
-            values = stats.noisy_fringe(grid, coefficients, visibility, rate, duration, seed).values
-        else:
-            if visibility != 1.0:
-                raise SchemaError("--visibility models phase fringes; not valid for trans-scan")
-            values = stats.draw_counts(probs, rate, duration, seed)
-        _check_counts_duration(duration)
+        values = interferometer.propagate(network, psi[None, :], [args.target], factors[:, None])[:, 0]
+        if noisy:
+            values = stats.draw_counts(values, rate, duration, seed)
+    if noisy:
         header, last = COUNTS_CSV_HEADER, np.full(len(grid), duration)
+    else:
+        header, last = IDEAL_CSV_HEADER, values.sum(axis=1)
     _write(args.out, _csv(header, [[grid, *values.T, last]]))
     return 0
 
@@ -507,16 +512,16 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    dataset = _read_counts_csv(args.input)
+    settings, counts = _read_counts_csv(args.input)
     _, b, c = interferometer.fringe_coefficients(build_network(), NAMED_STATES[args.model])
-    ports = stats.fit_fringe(dataset, np.hypot(b, c))
+    ports = stats.fit_fringe(settings, counts, np.hypot(b, c))
     _write(args.out, [_json_dump({
         "model": args.model,
         "ports": [
             {"a": p.a, "b": p.b, "c": p.c, "stderr": p.stderr, "visibility": p.visibility}
             for p in ports
         ],
-        "settings": int(dataset.settings.size),
+        "settings": len(settings),
     })])
     return 0
 
@@ -703,10 +708,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except stats.DegenerateDesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SchemaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

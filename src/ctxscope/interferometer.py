@@ -35,17 +35,9 @@ from .contexts import INTERIOR_LABELS, canonical_paths, context_at
 NORMALIZATION_ATOL = 1e-9
 
 
-class InvalidModifierTargetError(ValueError):
-    """Modifier aimed at an input/output rail or an unknown label."""
-
-
-class DuplicateModifierError(ValueError):
-    """Two modifiers landed on the same path."""
-
-
 def _check_target(target: str) -> None:
     if target not in INTERIOR_LABELS:
-        raise InvalidModifierTargetError(f"modifier target must be an interior path, got {target!r}")
+        raise ValueError(f"modifier target must be an interior path, got {target!r}")
 
 
 @dataclass(frozen=True)
@@ -184,7 +176,7 @@ def propagate(
     for j, target in enumerate(targets):
         _check_target(target)
         if target in targets[:j]:
-            raise DuplicateModifierError(f"multiple modifiers on path {target!r}")
+            raise ValueError(f"multiple modifiers on path {target!r}")
     factors = np.asarray(factors, dtype=complex)
     if factors.ndim != 2 or factors.shape[1] != len(targets):
         raise ValueError(f"factors must have shape (n_settings, {len(targets)}), got {factors.shape}")
@@ -267,8 +259,6 @@ def fringe_coefficients(
 
 
 __all__ = [
-    "DuplicateModifierError",
-    "InvalidModifierTargetError",
     "Modifier",
     "Network",
     "Stage",

@@ -72,27 +72,20 @@ def check_reflectivities(network: interferometer.Network) -> CheckResult:
     return CheckResult("stage reflectivities", dev <= 1e-12, f"({listing})")
 
 
-def check_output_identity(
-    network: interferometer.Network,
-    count: int = IDENTITY_SUITE_STATES,
-    seed: int = IDENTITY_SUITE_SEED,
-) -> CheckResult:
+def check_output_identity(network: interferometer.Network) -> CheckResult:
     """Interior witness (canonical-path overlaps) equals the output-side
     witness (outputs propagated through `network`) for random states."""
-    metrics = interferometer.evaluate_states(network, haar_random_states(count, seed))
+    states = haar_random_states(IDENTITY_SUITE_STATES, IDENTITY_SUITE_SEED)
+    metrics = interferometer.evaluate_states(network, states)
     worst = float(np.max(np.abs(metrics["witness"] - metrics["witness_outputs"])))
     return CheckResult(
         "output-side witness identity",
         worst <= 1e-12,
-        f"max |direct - from outputs| = {worst:.3e} over {count} random states",
+        f"max |direct - from outputs| = {worst:.3e} over {IDENTITY_SUITE_STATES} random states",
     )
 
 
-def run_all_checks(
-    basis: Mapping[str, np.ndarray] | None = None,
-    identity_states: int = IDENTITY_SUITE_STATES,
-    seed: int = IDENTITY_SUITE_SEED,
-) -> list[CheckResult]:
+def run_all_checks(basis: Mapping[str, np.ndarray] | None = None) -> list[CheckResult]:
     paths = canonical_paths() if basis is None else basis
     results = [
         check_context_orthonormality(paths),
@@ -108,5 +101,5 @@ def run_all_checks(
         return results
     results.append(check_telescoping(network))
     results.append(check_reflectivities(network))
-    results.append(check_output_identity(network, identity_states, seed))
+    results.append(check_output_identity(network))
     return results

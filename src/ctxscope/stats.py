@@ -1,58 +1,16 @@
-"""Poisson photon-counting simulation and cosine-fringe visibility fitting."""
+"""Poisson photon-counting simulation and cosine-fringe visibility fitting, on
+plain arrays: the samplers return int64 counts, and fit_fringe checks the
+settings and (n, 3) counts it is given."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 
-class InvalidRateError(ValueError):
-    pass
-
-
-class InvalidDurationError(ValueError):
-    pass
-
-
-class VisibilityOutOfRangeError(ValueError):
-    pass
-
-
 class DegenerateDesignError(ValueError):
     """Too few usable settings to fit offset, cosine, and sine terms."""
-
-
-@dataclass(frozen=True)
-class FringeDataset:
-    """Per-setting photon counts from a scan: integers when drawn by the
-    sampler; the fitter also accepts real-valued counts, e.g. exactly scaled
-    probabilities."""
-
-    settings: np.ndarray  # (n,) control parameter, radians
-    values: np.ndarray    # (n, 3) per-port counts
-
-    def __post_init__(self) -> None:
-        # copies, so that freezing them below leaves the caller's arrays writeable
-        settings = np.array(self.settings, dtype=float).reshape(-1)
-        values = np.array(self.values)
-        if values.shape != (settings.size, 3):
-            raise ValueError(f"values must have shape ({settings.size}, 3), got {values.shape}")
-        if settings.size == 0:
-            raise ValueError("dataset needs at least one setting")
-        floats = np.asarray(values, dtype=float)
-        if not (np.all(np.isfinite(settings)) and np.all(np.isfinite(floats))):
-            raise ValueError("dataset settings and values must be finite")
-        if np.any(floats < 0):
-            raise ValueError("counts must be non-negative")
-        settings.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "settings", settings)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return int(self.settings.size)
 
 
 class PortFit(NamedTuple):
@@ -61,6 +19,26 @@ class PortFit(NamedTuple):
     c: float           # fitted sine coefficient
     visibility: float  # sqrt(b^2 + c^2) / model fringe amplitude
     stderr: float      # standard error of the visibility estimate
+
+
+def _check_visibility(visibility: float) -> None:
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
+
+
+def _photon_budget(rate: float, duration: float) -> float:
+    """rate * duration, refused unless both are positive and the product is
+    finite and nonzero."""
+    if not rate > 0.0:
+        raise ValueError(f"rate must be positive, got {rate}")
+    if not duration > 0.0:
+        raise ValueError(f"duration must be positive, got {duration}")
+    budget = rate * duration
+    if not math.isfinite(budget):
+        raise ValueError(f"rate * duration must be finite, got {rate} * {duration}")
+    if budget == 0.0:
+        raise ValueError(f"rate * duration underflows to 0, got {rate} * {duration}")
+    return budget
 
 
 def draw_counts(probs: np.ndarray, rate: float, duration: float, seed: int) -> np.ndarray:
@@ -73,69 +51,77 @@ def draw_counts(probs: np.ndarray, rate: float, duration: float, seed: int) -> n
     probs = np.asarray(probs, dtype=float)
     if not np.all(np.isfinite(probs)):
         raise ValueError("probabilities must be finite")
-    if not rate > 0.0:
-        raise InvalidRateError(f"rate must be positive, got {rate}")
-    if not duration > 0.0:
-        raise InvalidDurationError(f"duration must be positive, got {duration}")
-    budget = rate * duration
-    if not math.isfinite(budget):
-        raise InvalidRateError(f"rate * duration must be finite, got {rate} * {duration}")
-    if budget == 0.0:
-        raise InvalidRateError(f"rate * duration underflows to 0, got {rate} * {duration}")
+    budget = _photon_budget(rate, duration)
     try:
         counts = np.random.default_rng(seed).poisson(budget * np.clip(probs, 0.0, 1.0))
     except ValueError as exc:  # NumPy refuses means whose counts would not fit in int64
-        raise InvalidRateError(f"rate * duration = {budget:g} is too large to count in int64") from exc
+        raise ValueError(f"rate * duration = {budget:g} is too large to count in int64") from exc
     return counts.astype(np.int64, copy=False)
 
 
 def noisy_fringe(
-    settings: Sequence[float],
+    settings: Sequence[float] | np.ndarray,
     coefficients: tuple[np.ndarray, np.ndarray, np.ndarray],
     visibility: float,
     rate: float,
     duration: float,
     seed: int,
-) -> FringeDataset:
-    """Poisson counts of a phase fringe degraded to visibility V.
+) -> np.ndarray:
+    """Poisson counts, int64 of shape (n, 3), of a phase fringe degraded to
+    visibility V at the n settings.
 
     coefficients holds each port's (a, b, c) of the ideal curve
     a + b cos(phi) + c sin(phi), as interferometer.fringe_coefficients gives
     them. The counts at each setting have means rate * duration times
     a + V (b cos(phi) + c sin(phi)), all drawn from one stream seeded by seed.
     """
-    settings = np.asarray(list(settings), dtype=float)
+    settings = np.asarray(settings, dtype=float)
+    if settings.ndim != 1:
+        raise ValueError(f"phase grid must be one-dimensional, got shape {settings.shape}")
     if settings.size == 0:
         raise ValueError("phase grid must be nonempty")
     if not np.all(np.isfinite(settings)):
         raise ValueError("phase settings must be finite")
-    if not 0.0 <= visibility <= 1.0:
-        raise VisibilityOutOfRangeError(f"visibility must lie in [0, 1], got {visibility}")
+    _check_visibility(visibility)
     a, b, c = (np.asarray(v, dtype=float) for v in coefficients)
     # (V b) cos + (V c) sin: with c = 0 (real states) these are bit for bit
     # the means, and so the counts, of the two-term model a + V b cos(phi)
     means = a + visibility * b * np.cos(settings)[:, None] + visibility * c * np.sin(settings)[:, None]
-    return FringeDataset(settings, draw_counts(means, rate, duration, seed))
+    return draw_counts(means, rate, duration, seed)
 
 
-def fit_fringe(data: FringeDataset, amplitudes: Sequence[float]) -> tuple[PortFit, PortFit, PortFit]:
+def fit_fringe(
+    settings: Sequence[float] | np.ndarray,
+    counts: np.ndarray,
+    amplitudes: Sequence[float],
+) -> tuple[PortFit, PortFit, PortFit]:
     """Least-squares fringe fit of normalized counts on {1, cos, sin}, one
     PortFit per output port.
 
-    Counts are normalized per setting by the total across the three ports,
-    which removes rate drift and any overall scale. amplitudes holds each
-    port's model fringe amplitude |b + i c|. The visibility for port i is
+    settings holds the n control parameters in radians and counts the (n, 3)
+    per-port counts at them: finite and non-negative, integers when drawn by
+    the sampler or real-valued, e.g. exactly scaled probabilities. Counts are
+    normalized per setting by the total across the three ports, which removes
+    rate drift and any overall scale. amplitudes holds each port's model
+    fringe amplitude |b + i c|. The visibility for port i is
     sqrt(b^2 + c^2) / amplitudes[i] with its standard error propagated from
     the residual variance; values above 1 are reported as-is.
     """
+    phi = np.asarray(settings, dtype=float)
+    counts = np.asarray(counts, dtype=float)
+    if phi.ndim != 1 or counts.shape != (phi.size, 3):
+        raise ValueError(f"settings of shape (n,) need counts of shape (n, 3), "
+                         f"got {phi.shape} and {counts.shape}")
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(counts))):
+        raise ValueError("settings and counts must be finite")
+    if np.any(counts < 0):
+        raise ValueError("counts must be non-negative")
     if len(amplitudes) != 3:
         raise ValueError("model must give a fringe amplitude for each of the three ports")
-    phi = data.settings
     n = phi.size
     # not np.unique, which imports numpy.ma in NumPy 2; -0.0 and 0.0 count as one setting
     if np.count_nonzero(np.diff(np.sort(phi))) + 1 < 3:
         raise DegenerateDesignError("need at least 3 distinct settings")
-    counts = np.asarray(data.values, dtype=float)
     with np.errstate(over="ignore"):
         totals = counts.sum(axis=1)
     if np.any(totals <= 0.0):

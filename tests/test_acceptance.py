@@ -26,7 +26,7 @@ from ctxscope.interferometer import (
     witness_from_outputs,
 )
 from ctxscope.reference import MEASURED, NAMED_STATES
-from ctxscope.stats import FringeDataset, fit_fringe, noisy_fringe
+from ctxscope.stats import fit_fringe, noisy_fringe
 
 MAX_WITNESS = (math.sqrt(33.0) - 3.0) / 12.0
 
@@ -210,15 +210,14 @@ def test_c08_statistical_layer(network):
     grid = np.linspace(0.0, 2.0 * math.pi, 25)
     hits = total = 0
     for trial in range(500):
-        data = noisy_fringe(grid, coefficients, true_v, 1000.0, 100.0, 100_000 + 40 * trial)
-        for port in fit_fringe(data, model):
+        counts = noisy_fringe(grid, coefficients, true_v, 1000.0, 100.0, 100_000 + 40 * trial)
+        for port in fit_fringe(grid, counts, model):
             total += 1
             if abs(port.visibility - true_v) <= 3.0 * port.stderr:
                 hits += 1
     coverage = hits / total
-    exact = FringeDataset(grid, (np.asarray(offs)[None, :]
-                                 + true_v * np.asarray(amps)[None, :] * np.cos(grid)[:, None]) * 1e6)
-    noiseless_dev = max(abs(p.visibility - true_v) for p in fit_fringe(exact, model))
+    exact = (np.asarray(offs)[None, :] + true_v * np.asarray(amps)[None, :] * np.cos(grid)[:, None]) * 1e6
+    noiseless_dev = max(abs(p.visibility - true_v) for p in fit_fringe(grid, exact, model))
     ok = coverage >= 0.99 and noiseless_dev < 1e-6
     report("8", ok, f"coverage {hits}/{total} = {coverage:.4f} (>= 0.99), "
                     f"noiseless recovery dev {noiseless_dev:.2e} (< 1e-6)")

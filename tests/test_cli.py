@@ -343,6 +343,38 @@ def test_invalid_rate_is_reported_before_a_duration_printing_as_zero(capsys):
     assert "rate must be positive" in err
 
 
+NOISE_FLAG_ERRORS = [
+    (("trans-scan", "--visibility", "0.5"), None, "--visibility models phase fringes; not valid for trans-scan"),
+    (("phase-scan", "--visibility", "1.2"), None, "visibility must lie in [0, 1], got 1.2"),
+    (("trans-scan", "--rate", "-1"), None, "rate must be positive, got -1.0"),
+    (("phase-scan", "--rate", "-1"), None, "rate must be positive, got -1.0"),
+    (("phase-scan", "--duration", "0"), None, "duration must be positive, got 0.0"),
+    (("trans-scan", "--rate", "1e200", "--duration", "1e200"), None,
+     "rate * duration must be finite, got 1e+200 * 1e+200"),
+    (("phase-scan", "--rate", "5e-324", "--duration", "0.5"), None,
+     "rate * duration underflows to 0, got 5e-324 * 0.5"),
+    (("trans-scan", "--duration", "1e-11"), None, "--duration 1e-11 would print as 0.000000000 in the counts CSV"),
+    (("phase-scan", "--duration", "1e-11"), None, "--duration 1e-11 would print as 0.000000000 in the counts CSV"),
+    (("trans-scan", "--rate", "1000"), "x", "CTXSCOPE_SEED must be an integer, got 'x'"),
+    (("phase-scan", "--rate", "1000", "--seed", "-1"), None, "seed must fit in an unsigned 64-bit integer, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, seed_env, message", NOISE_FLAG_ERRORS,
+    ids=[" ".join(argv) + (f" CTXSCOPE_SEED={env}" if env else "") for argv, env, _ in NOISE_FLAG_ERRORS],
+)
+def test_bad_noise_flags_are_refused_before_the_scan_runs(capsys, monkeypatch, argv, seed_env, message):
+    def ran(*args, **kwargs):
+        raise AssertionError("the scan ran before its noise flags were checked")
+
+    monkeypatch.setattr(interferometer, "propagate", ran)
+    monkeypatch.setattr(interferometer, "fringe_coefficients", ran)
+    if seed_env is not None:
+        monkeypatch.setenv("CTXSCOPE_SEED", seed_env)
+    assert usage_error(capsys, argv[0], "--state", "Nf", "--steps", "7", *argv[1:]) == f"error: {message}\n"
+
+
 def test_tiny_duration_still_samples_to_json(capsys):
     code, out = run_cli(capsys, "sample", "--state", "Nf", "--rate", "1e15", "--duration", "1e-10")
     assert code == 0
@@ -666,7 +698,7 @@ class TestFit:
         path = tmp_path / "scan.csv"
         assert main(["phase-scan", "--state", "Nf", "--steps", "7", "--rate", "50", "--out", str(path)]) == 0
         nan_port = stats.PortFit(math.nan, 0.0, 0.0, math.nan, math.inf)
-        monkeypatch.setattr(stats, "fit_fringe", lambda data, model: (nan_port,) * 3)
+        monkeypatch.setattr(stats, "fit_fringe", lambda *args: (nan_port,) * 3)
         usage_error(capsys, "fit", "--input", str(path), "--model", "Nf")
 
     @pytest.mark.parametrize("body, message", [

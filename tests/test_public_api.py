@@ -13,14 +13,12 @@ PUBLIC = {
     "NonOrthonormalBasisError", "TransferOperator", "as_state", "basis_change", "haar_random_states",
     "normalize",
     # interferometer
-    "DuplicateModifierError", "InvalidModifierTargetError", "Modifier", "Network", "Stage", "attenuate",
-    "block", "build_network", "evaluate_states", "fringe_coefficients", "phase_shift", "propagate", "run",
-    "witness_from_outputs",
+    "Modifier", "Network", "Stage", "attenuate", "block", "build_network", "evaluate_states",
+    "fringe_coefficients", "phase_shift", "propagate", "run", "witness_from_outputs",
     # reference
     "FRINGE_MODELS", "MEASURED", "NAMED_STATES",
     # stats
-    "DegenerateDesignError", "FringeDataset", "InvalidDurationError", "InvalidRateError", "PortFit",
-    "VisibilityOutOfRangeError", "draw_counts", "fit_fringe", "noisy_fringe",
+    "DegenerateDesignError", "PortFit", "draw_counts", "fit_fringe", "noisy_fringe",
 }
 
 

@@ -5,7 +5,7 @@ from ctxscope.selfcheck import run_all_checks
 
 
 def test_fresh_build_passes_all_checks():
-    results = run_all_checks(identity_states=2000)
+    results = run_all_checks()
     assert all(r.passed for r in results)
     names = [r.name for r in results]
     assert names == [
@@ -18,7 +18,7 @@ def test_fresh_build_passes_all_checks():
 
 
 def test_identity_suite_reports_max_deviation():
-    results = run_all_checks(identity_states=2000)
+    results = run_all_checks()
     identity = next(r for r in results if r.name == "output-side witness identity")
     reported = float(identity.detail.split("=")[1].split("over")[0])
     assert reported < 1e-12

@@ -8,30 +8,22 @@ from ctxscope.contexts import INTERIOR_LABELS
 from ctxscope.core import haar_random_states, normalize
 from ctxscope.interferometer import fringe_coefficients, propagate
 from ctxscope.reference import NAMED_STATES
-from ctxscope.stats import (
-    DegenerateDesignError,
-    FringeDataset,
-    InvalidDurationError,
-    InvalidRateError,
-    VisibilityOutOfRangeError,
-    draw_counts,
-    fit_fringe,
-    noisy_fringe,
-)
+from ctxscope.stats import DegenerateDesignError, draw_counts, fit_fringe, noisy_fringe
 
 NF = NAMED_STATES["Nf"]
 
 
-def phase_scan(network, psi, target, grid) -> FringeDataset:
-    """An ideal phase scan: port probabilities over grid, held as real-valued counts."""
+def phase_scan(network, psi, target, grid) -> np.ndarray:
+    """An ideal phase scan: the (n, 3) port probabilities over grid, usable as real-valued counts."""
     grid = np.asarray(grid, dtype=float)
-    return FringeDataset(grid, propagate(network, psi[None, :], [target], np.exp(1j * grid)[:, None])[:, 0])
+    return propagate(network, psi[None, :], [target], np.exp(1j * grid)[:, None])[:, 0]
 
 
 @pytest.fixture(scope="module")
 def nf_fringe(network):
+    """(settings, ideal port probabilities) of a 13-step phase scan of Nf."""
     grid = np.linspace(0.0, 2.0 * math.pi, 13)
-    return phase_scan(network, NF, "f", grid)
+    return grid, phase_scan(network, NF, "f", grid)
 
 
 @pytest.fixture(scope="module")
@@ -87,40 +79,43 @@ class TestSampleCounts:
         assert chi2 < dof + 5.0 * math.sqrt(2.0 * dof), (chi2, dof)
 
     def test_invalid_rate_and_duration(self):
-        with pytest.raises(InvalidRateError):
+        with pytest.raises(ValueError, match=r"rate must be positive, got 0\.0"):
             draw_counts(np.array([1.0, 0.0, 0.0]), 0.0, 1.0, 1)
-        with pytest.raises(InvalidDurationError):
+        with pytest.raises(ValueError, match=r"duration must be positive, got -2\.0"):
             draw_counts(np.array([1.0, 0.0, 0.0]), 1.0, -2.0, 1)
 
     @pytest.mark.parametrize("rate, duration", [(math.inf, 1.0), (1.0, math.inf), (1e308, 10.0)])
     def test_infinite_photon_budget(self, rate, duration):
-        with pytest.raises(InvalidRateError, match="must be finite"):
+        with pytest.raises(ValueError, match=r"rate \* duration must be finite"):
             draw_counts(np.array([1.0, 0.0, 0.0]), rate, duration, 1)
 
 
 class TestSampleDataset:
     def test_deterministic_and_integer(self, nf_fringe):
-        a = draw_counts(nf_fringe.values, 1000.0, 100.0, 55)
-        b = draw_counts(nf_fringe.values, 1000.0, 100.0, 55)
+        _, ideal = nf_fringe
+        a = draw_counts(ideal, 1000.0, 100.0, 55)
+        b = draw_counts(ideal, 1000.0, 100.0, 55)
         assert np.array_equal(a, b)
         assert a.dtype == np.int64
-        assert a.shape == nf_fringe.values.shape
+        assert a.shape == ideal.shape
 
 
 class TestNoisyFringe:
     def test_full_visibility_tracks_ideal_curve(self, nf_fringe, nf_coefficients):
+        settings, ideal = nf_fringe
         rate, duration = 10_000.0, 100.0
-        noisy = noisy_fringe(nf_fringe.settings, nf_coefficients, 1.0, rate, duration, 11)
+        noisy = noisy_fringe(settings, nf_coefficients, 1.0, rate, duration, 11)
+        assert noisy.dtype == np.int64 and noisy.shape == (settings.size, 3)
         scale = rate * duration
-        sigma = np.sqrt(np.maximum(nf_fringe.values * scale, 1.0)) / scale
-        dev = np.abs(noisy.values / scale - nf_fringe.values)
+        sigma = np.sqrt(np.maximum(ideal * scale, 1.0)) / scale
+        dev = np.abs(noisy / scale - ideal)
         assert float(np.max(dev / sigma)) < 5.0
 
     def test_zero_visibility_is_flat(self, nf_fringe, nf_coefficients):
-        noisy = noisy_fringe(nf_fringe.settings, nf_coefficients, 0.0, 1000.0, 100.0, 3)
+        noisy = noisy_fringe(nf_fringe[0], nf_coefficients, 0.0, 1000.0, 100.0, 3)
         means = np.array([5 / 27, 5 / 27, 17 / 27]) * 1e5
         for port in range(3):
-            column = noisy.values[:, port].astype(float)
+            column = noisy[:, port].astype(float)
             sigma = math.sqrt(means[port])
             assert np.all(np.abs(column - means[port]) < 5.0 * sigma)
 
@@ -128,20 +123,21 @@ class TestNoisyFringe:
         grid = np.linspace(0.0, 2.0 * math.pi, 9)
         noisy = noisy_fringe(grid, nf_coefficients, 1.0, 1000.0, 100.0, 21)
         expected = (17.0 - 8.0 * np.cos(grid)) / 27.0 * 1e5
-        assert np.all(np.abs(noisy.values[:, 2] - expected) < 5.0 * np.sqrt(expected))
+        assert np.all(np.abs(noisy[:, 2] - expected) < 5.0 * np.sqrt(expected))
 
     def test_visibility_out_of_range(self, nf_fringe, nf_coefficients):
-        with pytest.raises(VisibilityOutOfRangeError):
-            noisy_fringe(nf_fringe.settings, nf_coefficients, 1.2, 1000.0, 100.0, 1)
+        with pytest.raises(ValueError, match=r"visibility must lie in \[0, 1\], got 1\.2"):
+            noisy_fringe(nf_fringe[0], nf_coefficients, 1.2, 1000.0, 100.0, 1)
 
     def test_adjacent_seeds_do_not_overlap(self, nf_fringe, nf_coefficients):
-        seven = noisy_fringe(nf_fringe.settings, nf_coefficients, 0.0, 1000.0, 100.0, 7).values
-        eight = noisy_fringe(nf_fringe.settings, nf_coefficients, 0.0, 1000.0, 100.0, 8).values
+        seven = noisy_fringe(nf_fringe[0], nf_coefficients, 0.0, 1000.0, 100.0, 7)
+        eight = noisy_fringe(nf_fringe[0], nf_coefficients, 0.0, 1000.0, 100.0, 8)
         assert not np.array_equal(seven[1:], eight[:-1])
 
     def test_rejects_empty_and_non_finite_grids(self, monkeypatch, nf_coefficients):
         monkeypatch.setattr(stats, "draw_counts", lambda *args: pytest.fail("drew counts"))
-        for grid, message in (([], "nonempty"), ([0.5, math.nan], "finite"), ([math.inf], "finite")):
+        for grid, message in (([], "nonempty"), (0.5, "one-dimensional"), ([[0.5], [1.0]], "one-dimensional"),
+                              ([0.5, math.nan], "finite"), ([math.inf], "finite")):
             with pytest.raises(ValueError, match=message):
                 noisy_fringe(grid, nf_coefficients, 1.0, 1000.0, 100.0, 1)
 
@@ -153,51 +149,54 @@ class TestNoisyFringe:
         for psi in haar_random_states(25, 31):
             for target in INTERIOR_LABELS:
                 noisy_fringe(grid, fringe_coefficients(network, psi, target), 1.0, 7.0, 3.0, 5)
-                ideal = phase_scan(network, psi, target, grid).values
+                ideal = phase_scan(network, psi, target, grid)
                 assert float(np.max(np.abs(drawn.pop() - ideal))) <= 1e-12
 
 
 class TestFitFringe:
     def test_exact_counts_recover_unit_visibility(self, nf_fringe, nf_model):
-        exact = FringeDataset(nf_fringe.settings, nf_fringe.values * 1e6)
-        fit = fit_fringe(exact, nf_model)
+        settings, ideal = nf_fringe
+        fit = fit_fringe(settings, ideal * 1e6, nf_model)
         for port in fit:
             assert port.visibility == pytest.approx(1.0, abs=1e-9)
             assert port.c == pytest.approx(0.0, abs=1e-9)
 
     def test_exact_degraded_curve_recovers_true_visibility(self, nf_fringe, nf_coefficients, nf_model):
+        settings, _ = nf_fringe
         offs, amps, _ = nf_coefficients
-        curve = offs[None, :] + 0.7 * amps[None, :] * np.cos(nf_fringe.settings)[:, None]
-        exact = FringeDataset(nf_fringe.settings, curve * 1e6)
-        fit = fit_fringe(exact, nf_model)
+        curve = offs[None, :] + 0.7 * amps[None, :] * np.cos(settings)[:, None]
+        fit = fit_fringe(settings, curve * 1e6, nf_model)
         for port in fit:
             assert port.visibility == pytest.approx(0.7, abs=1e-9)
 
     def test_scale_invariance(self, nf_fringe, nf_coefficients, nf_model):
-        noisy = noisy_fringe(nf_fringe.settings, nf_coefficients, 1.0, 1000.0, 100.0, 4)
-        base = fit_fringe(noisy, nf_model)
-        scaled = FringeDataset(noisy.settings, noisy.values.astype(float) * 137.0)
-        rescaled = fit_fringe(scaled, nf_model)
+        settings, _ = nf_fringe
+        noisy = noisy_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, 4)
+        base = fit_fringe(settings, noisy, nf_model)
+        rescaled = fit_fringe(settings, noisy.astype(float) * 137.0, nf_model)
         for a, b in zip(base, rescaled):
             assert b.visibility == pytest.approx(a.visibility, abs=1e-9)
 
     def test_noisy_recovery_within_three_percent(self, nf_fringe, nf_coefficients, nf_model):
+        settings, _ = nf_fringe
         for seed in (1, 2, 3, 4, 5):
-            data = noisy_fringe(nf_fringe.settings, nf_coefficients, 1.0, 1000.0, 100.0, seed)
-            fit = fit_fringe(data, nf_model)
+            counts = noisy_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, seed)
+            fit = fit_fringe(settings, counts, nf_model)
             for port in fit:
                 assert 0.97 <= port.visibility <= 1.03
 
     def test_sine_term_absorbs_no_signal(self, nf_fringe, nf_coefficients, nf_model):
         # the models carry no phase offset, so c must stay at noise level
-        data = noisy_fringe(nf_fringe.settings, nf_coefficients, 1.0, 1000.0, 100.0, 8)
-        fit = fit_fringe(data, nf_model)
+        settings, _ = nf_fringe
+        counts = noisy_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, 8)
+        fit = fit_fringe(settings, counts, nf_model)
         for port in fit:
             assert abs(port.c) < 5.0 * port.stderr + 1e-6
 
     def test_visibility_above_one_is_not_clamped(self, nf_fringe, nf_coefficients, nf_model):
-        data = noisy_fringe(nf_fringe.settings, nf_coefficients, 1.0, 1000.0, 100.0, 1)
-        fit = fit_fringe(data, nf_model)
+        settings, _ = nf_fringe
+        counts = noisy_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, 1)
+        fit = fit_fringe(settings, counts, nf_model)
         assert any(port.visibility > 1.0 for port in fit)
 
     def test_complex_state_recovers_injected_visibility(self, network):
@@ -207,54 +206,42 @@ class TestFitFringe:
         amplitudes = np.hypot(coefficients[1], coefficients[2])
         grid = np.linspace(0.0, 2.0 * math.pi, 25)
         for seed in (1, 2, 3, 4, 5):
-            fit = fit_fringe(noisy_fringe(grid, coefficients, 0.8, 1000.0, 100.0, seed), amplitudes)
+            fit = fit_fringe(grid, noisy_fringe(grid, coefficients, 0.8, 1000.0, 100.0, seed), amplitudes)
             for port in fit:
                 assert abs(port.visibility - 0.8) < 5.0 * port.stderr
 
     def test_three_settings_fit_exactly_with_zero_stderr(self, network, nf_model):
         grid = [0.0, math.pi / 2.0, math.pi]
-        ideal = phase_scan(network, NF, "f", grid)
-        exact = FringeDataset(ideal.settings, ideal.values * 1e6)
-        fit = fit_fringe(exact, nf_model)
+        fit = fit_fringe(grid, phase_scan(network, NF, "f", grid) * 1e6, nf_model)
         for port in fit:
             assert port.visibility == pytest.approx(1.0, abs=1e-9)
             assert port.stderr == 0.0
 
     def test_too_few_distinct_settings(self, nf_model):
-        data = FringeDataset(
-            np.array([0.0, 0.0, math.pi]),
-            np.array([[10, 10, 10]] * 3, dtype=np.int64),
-        )
         with pytest.raises(DegenerateDesignError):
-            fit_fringe(data, nf_model)
+            fit_fringe(np.array([0.0, 0.0, math.pi]), np.array([[10, 10, 10]] * 3, dtype=np.int64), nf_model)
 
     def test_aliased_settings_are_degenerate(self, nf_model):
         # distinct floats that collapse onto the same (cos, sin) pairs
-        data = FringeDataset(
-            np.array([0.0, math.pi, 2.0 * math.pi]),
-            np.array([[10, 10, 10]] * 3, dtype=np.int64),
-        )
         with pytest.raises(DegenerateDesignError):
-            fit_fringe(data, nf_model)
+            fit_fringe(np.array([0.0, math.pi, 2.0 * math.pi]), np.array([[10, 10, 10]] * 3, dtype=np.int64),
+                       nf_model)
 
     def test_zero_total_counts_rejected(self, nf_model):
-        data = FringeDataset(
-            np.array([0.0, 1.0, 2.0, 3.0]),
-            np.zeros((4, 3), dtype=np.int64),
-        )
         with pytest.raises(DegenerateDesignError):
-            fit_fringe(data, nf_model)
+            fit_fringe(np.array([0.0, 1.0, 2.0, 3.0]), np.zeros((4, 3), dtype=np.int64), nf_model)
 
     def test_overflowing_totals_are_degenerate(self, nf_model):
-        data = FringeDataset(np.arange(4.0), np.full((4, 3), 1e308))
         with pytest.raises(DegenerateDesignError, match="finite total"):
-            fit_fringe(data, nf_model)
+            fit_fringe(np.arange(4.0), np.full((4, 3), 1e308), nf_model)
 
 
 class TestFringeDataset:
-    def test_counts_must_be_non_negative(self):
-        with pytest.raises(ValueError):
-            FringeDataset(np.array([0.0]), np.array([[1, -2, 3]]))
+    """The settings and counts that fit_fringe accepts, and the probabilities draw_counts accepts."""
+
+    def test_counts_must_be_non_negative(self, nf_model):
+        with pytest.raises(ValueError, match="counts must be non-negative"):
+            fit_fringe(np.array([0.0]), np.array([[1, -2, 3]]), nf_model)
 
     @pytest.mark.parametrize("settings, values", [
         ([0.0], [[math.nan, 0.0, 0.0]]),
@@ -262,10 +249,26 @@ class TestFringeDataset:
         ([0.0], [[1.0, math.inf, 3.0]]),
         ([-math.inf], [[1, 2, 3]]),
     ])
-    def test_non_finite_settings_and_values_are_rejected(self, settings, values):
+    def test_non_finite_settings_and_values_are_rejected(self, settings, values, nf_model):
         with pytest.raises(ValueError, match="must be finite") as excinfo:
-            FringeDataset(np.array(settings), values)
+            fit_fringe(np.array(settings), values, nf_model)
         assert excinfo.type is ValueError
+
+    @pytest.mark.parametrize("settings, values", [
+        (np.arange(4.0), np.ones((4, 2))),
+        (np.arange(4.0), np.ones((3, 3))),
+        (np.arange(4.0), np.ones(12)),
+        (np.arange(4.0).reshape(4, 1), np.ones((4, 3))),
+        (0.0, np.ones((1, 3))),
+    ], ids=["two ports", "too few rows", "flat counts", "2-D settings", "scalar setting"])
+    def test_wrong_shapes_are_rejected(self, settings, values, nf_model):
+        with pytest.raises(ValueError, match=r"need counts of shape \(n, 3\)") as excinfo:
+            fit_fringe(settings, values, nf_model)
+        assert excinfo.type is ValueError
+
+    def test_empty_dataset_is_degenerate(self, nf_model):
+        with pytest.raises(DegenerateDesignError, match="need at least 3 distinct settings"):
+            fit_fringe(np.zeros(0), np.zeros((0, 3)), nf_model)
 
     def test_nan_probability_is_not_reported_as_a_rate_error(self):
         with pytest.raises(ValueError, match="must be finite") as excinfo:
@@ -273,14 +276,14 @@ class TestFringeDataset:
         assert excinfo.type is ValueError
 
     @pytest.mark.parametrize("kind, values", [
-        ("counts", np.array([[1, 2, 3], [4, 5, 6]])),
-        ("ideal", np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])),  # noiseless real-valued counts
+        ("counts", np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9], [3, 2, 1]])),
+        ("ideal", np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [0.2, 0.2, 0.2], [0.1, 0.3, 0.2]])),
     ])
-    def test_caller_arrays_stay_writeable_and_apart(self, kind, values):
-        settings = np.array([0.0, 1.0])
-        data = FringeDataset(settings, values)
+    def test_caller_arrays_stay_writeable_and_apart(self, kind, values, nf_model):
+        # fitting reads its inputs: it neither freezes nor rescales the caller's arrays
+        settings = np.array([0.0, 1.0, 2.0, 3.0])
+        kept_settings, kept_values = settings.copy(), values.copy()
+        fit_fringe(settings, values, nf_model)
         assert settings.flags.writeable and values.flags.writeable
-        kept = data.values.copy()
-        settings[0], values[0, 0] = 9.0, 0
-        assert data.settings[0] == 0.0
-        assert np.array_equal(data.values, kept)
+        assert np.array_equal(settings, kept_settings)
+        assert np.array_equal(values, kept_values)
