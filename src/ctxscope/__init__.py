@@ -42,7 +42,7 @@ from .stats import (
     PortFit,
     draw_counts,
     fit_fringe,
-    noisy_fringe,
+    fringe,
 )
 
 __version__ = "0.1.0"

@@ -45,16 +45,12 @@ MAX_ROWS = 16_000_000
 SWEEP_METRICS = ("witness", "gain", "pf", "pd1", "pd2")
 
 
-class SchemaError(ValueError):
-    """Malformed flag value or input file."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors reach main as SchemaError, so
+    """An argument parser whose usage errors reach main as ValueError, so
     that they print as one `error:` line like every other usage error."""
 
     def error(self, message: str) -> NoReturn:
-        raise SchemaError(message)
+        raise ValueError(message)
 
 
 def _f9(x: float) -> str:
@@ -139,18 +135,17 @@ def _csv(header: str, blocks: Iterable[Sequence[Sequence[float]]]) -> Iterator[b
 
     A chunk is formatted as a whole by _ascii_rows, from one |x| pass per float
     column. A chunk with a float of magnitude 2**53 / 1e9 or more (or not
-    finite), or a column that is neither float nor integer, is formatted cell
-    by cell with "%" instead; the bytes are the same either way."""
+    finite) is formatted cell by cell with "%" instead; the bytes are the same
+    either way."""
     yield (header + "\n").encode()
     for columns in blocks:
         columns = [np.asarray(c) for c in columns]
         floating = [c.dtype.kind == "f" for c in columns]
         row = ",".join("%.9f" if f else "%d" for f in floating) + "\n"
-        numeric = all(c.dtype.kind in "fiu" for c in columns)
         for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
             block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
             sizes = [np.abs(c) if f else None for c, f in zip(block, floating)]
-            if numeric and all(np.all(a < 2.0 ** 53 / 1e9) for a in sizes if a is not None):
+            if all(np.all(a < 2.0 ** 53 / 1e9) for a in sizes if a is not None):
                 yield _ascii_rows(block, sizes)
             else:
                 block = [c if a is None else np.where(a < 1e-12, 0.0, c) for c, a in zip(block, sizes)]
@@ -208,9 +203,9 @@ def _write(out: str, chunks: Iterable[bytes]) -> None:
 def _check_rows(flag: str, value: int, minimum: int, rows: int) -> None:
     """Refuse a size flag below `minimum` or one that asks for more than MAX_ROWS rows."""
     if value < minimum:
-        raise SchemaError(f"{flag} must be at least {minimum}")
+        raise ValueError(f"{flag} must be at least {minimum}")
     if rows > MAX_ROWS:
-        raise SchemaError(f"{flag} {value} asks for {rows} rows; at most {MAX_ROWS} are allowed")
+        raise ValueError(f"{flag} {value} asks for {rows} rows; at most {MAX_ROWS} are allowed")
 
 
 def _json_dump(obj: object) -> bytes:
@@ -228,9 +223,9 @@ def _resolve_seed(args: argparse.Namespace) -> int:
             try:
                 seed = int(raw)
             except ValueError:
-                raise SchemaError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
+                raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
     if not 0 <= seed < 2 ** 64:
-        raise SchemaError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
     return seed
 
 
@@ -243,19 +238,19 @@ def _parse_state(spec: str) -> np.ndarray:
         return NAMED_STATES[name]
     parts = spec.split(",")
     if len(parts) != 6:
-        raise SchemaError(
+        raise ValueError(
             f"state must be one of {sorted(NAMED_STATES)} or six comma-separated "
             f"re,im amplitude parts, got {spec!r}"
         )
     try:
         values = [float(p) for p in parts]
     except ValueError:
-        raise SchemaError(f"state amplitudes must be numeric, got {spec!r}") from None
+        raise ValueError(f"state amplitudes must be numeric, got {spec!r}") from None
     vec = np.array([complex(values[0], values[1]),
                     complex(values[2], values[3]),
                     complex(values[4], values[5])])
     if not np.any(vec):
-        raise SchemaError("state amplitudes must not all be zero")
+        raise ValueError("state amplitudes must not all be zero")
     return normalize(vec)
 
 
@@ -266,11 +261,11 @@ def _state_parts(psi: np.ndarray) -> list[float]:
 def _split_pair(spec: str, flag: str) -> tuple[str, float]:
     label, sep, raw = spec.partition(":")
     if not sep:
-        raise SchemaError(f"{flag} needs the form LABEL:VALUE, got {spec!r}")
+        raise ValueError(f"{flag} needs the form LABEL:VALUE, got {spec!r}")
     try:
         return label, float(raw)
     except ValueError:
-        raise SchemaError(f"{flag} value must be numeric, got {spec!r}") from None
+        raise ValueError(f"{flag} value must be numeric, got {spec!r}") from None
 
 
 def _parse_modifiers(args: argparse.Namespace) -> list[interferometer.Modifier]:
@@ -294,39 +289,39 @@ def _read_counts_csv(path: str) -> tuple[list[float], list[list[float]]]:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as exc:
-        raise SchemaError(f"cannot read {path!r}: {exc}") from None
+        raise ValueError(f"cannot read {path!r}: {exc}") from None
     reader = csv.reader(io.StringIO(text))
     rows = [(reader.line_num, row) for row in reader if row]
     if not rows or [cell.strip() for cell in rows[0][1]] != COUNTS_CSV_HEADER.split(","):
-        raise SchemaError(f"input must start with header {COUNTS_CSV_HEADER!r}")
+        raise ValueError(f"input must start with header {COUNTS_CSV_HEADER!r}")
     settings, counts, duration = [], [], None
     for lineno, row in rows[1:]:
         if len(row) != 5:
-            raise SchemaError(f"line {lineno}: expected 5 fields, got {len(row)}")
+            raise ValueError(f"line {lineno}: expected 5 fields, got {len(row)}")
         try:
             values = [float(cell) for cell in row]
         except ValueError:
-            raise SchemaError(f"line {lineno}: non-numeric field in {row}") from None
+            raise ValueError(f"line {lineno}: non-numeric field in {row}") from None
         if not all(map(math.isfinite, values)):
-            raise SchemaError(f"line {lineno}: non-finite field in {row}")
+            raise ValueError(f"line {lineno}: non-finite field in {row}")
         if any(v < 0 for v in values[1:4]):
-            raise SchemaError(f"line {lineno}: counts must be non-negative")
+            raise ValueError(f"line {lineno}: counts must be non-negative")
         if not values[4] > 0:
-            raise SchemaError(f"line {lineno}: duration must be positive")
+            raise ValueError(f"line {lineno}: duration must be positive")
         if duration is not None and values[4] != duration:
-            raise SchemaError(f"line {lineno}: duration {values[4]:g} differs from the first row's {duration:g}")
+            raise ValueError(f"line {lineno}: duration {values[4]:g} differs from the first row's {duration:g}")
         settings.append(values[0])
         counts.append(values[1:4])
         duration = values[4]
     if not settings:
-        raise SchemaError("input has no data rows")
+        raise ValueError("input has no data rows")
     return settings, counts
 
 
 def _check_counts_duration(duration: float) -> None:
     """Refuse a duration, already checked positive, that the counts CSV would print as zero."""
     if _f9(duration) == "0.000000000":
-        raise SchemaError(f"--duration {duration:g} would print as 0.000000000 in the counts CSV")
+        raise ValueError(f"--duration {duration:g} would print as 0.000000000 in the counts CSV")
 
 
 def _scan_noise(args: argparse.Namespace, kind: str) -> tuple[float, float, float, int]:
@@ -335,7 +330,7 @@ def _scan_noise(args: argparse.Namespace, kind: str) -> tuple[float, float, floa
     seed = _resolve_seed(args)
     visibility = 1.0 if args.visibility is None else args.visibility
     if kind == "transmittance" and visibility != 1.0:
-        raise SchemaError("--visibility models phase fringes; not valid for trans-scan")
+        raise ValueError("--visibility models phase fringes; not valid for trans-scan")
     stats._check_visibility(visibility)
     rate = DEFAULT_RATE if args.rate is None else args.rate
     duration = DEFAULT_DURATION if args.duration is None else args.duration
@@ -413,29 +408,32 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def _run_scan(args: argparse.Namespace, kind: str) -> int:
     _check_rows("--steps", args.steps, 1, args.steps)
     psi = _parse_state(args.state)
+    interferometer._check_target(args.target)
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
-        raise SchemaError("--from and --to must be finite")
+        raise ValueError("--from and --to must be finite")
     if not math.isfinite(args.stop - args.start):
-        raise SchemaError("--to minus --from must be finite")
-    grid = np.linspace(args.start, args.stop, args.steps)
+        raise ValueError("--to minus --from must be finite")
+    # the top index times the step may round past the largest double; linspace
+    # then overwrites that last setting with --to, so every setting is finite
+    with np.errstate(over="ignore"):
+        grid = np.linspace(args.start, args.stop, args.steps)
     # trans-scan's theta is the phase of an interferometric attenuator, valid in
     # [0, 2 pi]: amplitude transmission sin(theta / 2), so 0 blocks the path
     # and pi leaves it untouched
     if kind == "transmittance" and (np.any(grid < 0.0) or np.any(grid > 2.0 * math.pi + 1e-12)):
-        raise SchemaError("transmittance settings must lie in [0, 2*pi]")
+        raise ValueError("transmittance settings must lie in [0, 2*pi]")
     noisy = any(getattr(args, flag) is not None for flag in ("visibility", "rate", "duration"))
     if noisy:
         visibility, rate, duration, seed = _scan_noise(args, kind)
     network = build_network()
-    if kind == "phase" and noisy:
+    if kind == "phase":
         coefficients = interferometer.fringe_coefficients(network, psi, args.target)
-        values = stats.noisy_fringe(grid, coefficients, visibility, rate, duration, seed)
+        values = stats.fringe(grid, coefficients, visibility if noisy else 1.0)
     else:
-        factors = np.exp(1j * grid) if kind == "phase" else np.sin(grid / 2.0)
-        values = interferometer.propagate(network, psi[None, :], [args.target], factors[:, None])[:, 0]
-        if noisy:
-            values = stats.draw_counts(values, rate, duration, seed)
+        factors = np.sin(grid / 2.0)[:, None]
+        values = interferometer.propagate(network, psi[None, :], [args.target], factors)[:, 0]
     if noisy:
+        values = stats.draw_counts(values, rate, duration, seed)
         header, last = COUNTS_CSV_HEADER, np.full(len(grid), duration)
     else:
         header, last = IDEAL_CSV_HEADER, values.sum(axis=1)
@@ -492,7 +490,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     psi = _parse_state(args.state)
     mods = _parse_modifiers(args)
     if not math.isfinite(args.setting):
-        raise SchemaError("--setting must be finite")
+        raise ValueError("--setting must be finite")
     dist = run(build_network(), psi, mods)
     seed = _resolve_seed(args)
     counts = stats.draw_counts(dist, args.rate, args.duration, seed).tolist()

@@ -1,6 +1,6 @@
-"""Poisson photon-counting simulation and cosine-fringe visibility fitting, on
-plain arrays: the samplers return int64 counts, and fit_fringe checks the
-settings and (n, 3) counts it is given."""
+"""Phase fringes, Poisson photon counting and cosine-fringe visibility
+fitting, on plain arrays: fringe gives float probabilities, draw_counts int64
+counts, and fit_fringe checks the settings and (n, 3) counts it is given."""
 from __future__ import annotations
 
 import math
@@ -59,21 +59,18 @@ def draw_counts(probs: np.ndarray, rate: float, duration: float, seed: int) -> n
     return counts.astype(np.int64, copy=False)
 
 
-def noisy_fringe(
+def fringe(
     settings: Sequence[float] | np.ndarray,
     coefficients: tuple[np.ndarray, np.ndarray, np.ndarray],
     visibility: float,
-    rate: float,
-    duration: float,
-    seed: int,
 ) -> np.ndarray:
-    """Poisson counts, int64 of shape (n, 3), of a phase fringe degraded to
+    """Port probabilities, float of shape (n, 3), of a phase fringe degraded to
     visibility V at the n settings.
 
     coefficients holds each port's (a, b, c) of the ideal curve
     a + b cos(phi) + c sin(phi), as interferometer.fringe_coefficients gives
-    them. The counts at each setting have means rate * duration times
-    a + V (b cos(phi) + c sin(phi)), all drawn from one stream seeded by seed.
+    them. The probability at each setting is a + V (b cos(phi) + c sin(phi));
+    V = 1 gives the ideal scan, and draw_counts turns either into counts.
     """
     settings = np.asarray(settings, dtype=float)
     if settings.ndim != 1:
@@ -85,9 +82,8 @@ def noisy_fringe(
     _check_visibility(visibility)
     a, b, c = (np.asarray(v, dtype=float) for v in coefficients)
     # (V b) cos + (V c) sin: with c = 0 (real states) these are bit for bit
-    # the means, and so the counts, of the two-term model a + V b cos(phi)
-    means = a + visibility * b * np.cos(settings)[:, None] + visibility * c * np.sin(settings)[:, None]
-    return draw_counts(means, rate, duration, seed)
+    # the two-term model a + V b cos(phi), and V = 1 leaves b and c unscaled
+    return a + visibility * b * np.cos(settings)[:, None] + visibility * c * np.sin(settings)[:, None]
 
 
 def fit_fringe(

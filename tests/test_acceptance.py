@@ -26,7 +26,7 @@ from ctxscope.interferometer import (
     witness_from_outputs,
 )
 from ctxscope.reference import MEASURED, NAMED_STATES
-from ctxscope.stats import fit_fringe, noisy_fringe
+from ctxscope.stats import draw_counts, fit_fringe, fringe
 
 MAX_WITNESS = (math.sqrt(33.0) - 3.0) / 12.0
 
@@ -208,9 +208,10 @@ def test_c08_statistical_layer(network):
     coefficients = offs, amps, sines = fringe_coefficients(network, NAMED_STATES["Bf"])
     model = np.hypot(amps, sines)
     grid = np.linspace(0.0, 2.0 * math.pi, 25)
+    probs = fringe(grid, coefficients, true_v)
     hits = total = 0
     for trial in range(500):
-        counts = noisy_fringe(grid, coefficients, true_v, 1000.0, 100.0, 100_000 + 40 * trial)
+        counts = draw_counts(probs, 1000.0, 100.0, 100_000 + 40 * trial)
         for port in fit_fringe(grid, counts, model):
             total += 1
             if abs(port.visibility - true_v) <= 3.0 * port.stderr:

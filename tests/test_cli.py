@@ -16,6 +16,7 @@ from ctxscope.reference import MEASURED
 from ctxscope.selfcheck import CheckResult
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+COMPLEX_STATE = "0.3,0.1,-0.7,0.2,0.5,-0.4"
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -203,22 +204,60 @@ class TestScans:
         mu = 1e5 / 3
         assert all(abs(c - mu) < 5 * math.sqrt(mu) for c in counts)
 
-    @pytest.mark.parametrize("grid", [("--steps", "4"), ("--from", "0.5", "--steps", "9")])
-    def test_noisy_phase_scan_runs_on_grids_without_zero_and_pi(self, capsys, monkeypatch, grid):
+    @pytest.fixture
+    def quarter_turns_only(self, monkeypatch):
+        """Fail any propagate call other than fringe_coefficients' four factors."""
         kernel = interferometer.propagate
 
-        def quarter_turns_only(network, states, targets, factors):
-            # fringe_coefficients' four factors, never one row per scan setting
+        def spy(network, states, targets, factors):
             if not np.array_equal(factors, [[1.0], [-1.0], [1j], [-1j]]):
                 pytest.fail("propagated the scan grid")
             return kernel(network, states, targets, factors)
 
-        monkeypatch.setattr(interferometer, "propagate", quarter_turns_only)
+        monkeypatch.setattr(interferometer, "propagate", spy)
+
+    @pytest.mark.parametrize("grid", [("--steps", "4"), ("--from", "0.5", "--steps", "9")])
+    def test_noisy_phase_scan_runs_on_grids_without_zero_and_pi(self, capsys, quarter_turns_only, grid):
         code, out = run_cli(capsys, "phase-scan", "--state", "V0", *grid, "--visibility", "0.9", "--seed", "1")
         lines = out.splitlines()
         assert code == 0
         assert lines[0] == "setting,n1,n2,n3,duration"
         assert len(lines) == 1 + int(grid[-1])
+
+    @pytest.mark.parametrize("noise", [(), ("--rate", "50", "--seed", "2")], ids=["ideal", "rate"])
+    def test_no_phase_scan_propagates_its_grid(self, capsys, quarter_turns_only, noise):
+        code, out = run_cli(capsys, "phase-scan", "--state", COMPLEX_STATE, "--target", "D2", "--steps", "31", *noise)
+        assert code == 0
+        assert len(out.splitlines()) == 32
+
+    @pytest.mark.parametrize("command, state", [("phase-scan", COMPLEX_STATE), ("trans-scan", COMPLEX_STATE),
+                                                ("phase-scan", "V0"), ("trans-scan", "Bf")],
+                             ids=["phase-scan complex", "trans-scan complex", "phase-scan V0", "trans-scan Bf"])
+    def test_sampled_scan_draws_from_the_ideal_table(self, capsys, monkeypatch, command, state):
+        tables, drawn = [], []
+        csv, draw = cli._csv, stats.draw_counts
+
+        def keep_table(header, blocks):
+            tables.append(blocks[0])
+            return csv(header, blocks)
+
+        def keep_probs(probs, *args):
+            drawn.append(probs)
+            return draw(probs, *args)
+
+        monkeypatch.setattr(cli, "_csv", keep_table)
+        monkeypatch.setattr(stats, "draw_counts", keep_probs)
+        grid = ("--state", state, "--target", "S1", "--from", "0.1", "--to", "3.1", "--steps", "301")
+        assert run_cli(capsys, command, *grid)[0] == 0
+        assert run_cli(capsys, command, *grid, "--rate", "100", "--seed", "4")[0] == 0
+        ideal = np.column_stack(tables[0][1:4])
+        assert len(drawn) == 1 and np.array_equal(drawn[0], ideal)
+
+    def test_span_up_to_the_largest_double_scans_without_a_warning(self, capsys):
+        # RuntimeWarnings are errors under pytest, so an overflow warning fails this call
+        code, out = run_cli(capsys, "phase-scan", "--state", "Bf", "--to=1.7976931348623157e+308", "--steps", "25")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("179769313486231570814527423731704356798070567525844996598917")
 
     def test_trans_scan_starts_at_blocked_distribution(self, capsys):
         code, out = run_cli(capsys, "trans-scan", "--state", "Nf", "--steps", "5")
@@ -254,6 +293,12 @@ class TestScans:
     @pytest.mark.parametrize("command", ["phase-scan", "trans-scan"])
     def test_input_rail_target_is_usage_error(self, capsys, command):
         assert run_cli(capsys, command, "--state", "Nf", "--target", "1", "--steps", "3")[0] == 2
+
+    @pytest.mark.parametrize("command", ["phase-scan", "trans-scan"])
+    def test_bad_target_is_refused_before_the_grid_is_built(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli.np, "linspace", lambda *args: pytest.fail("built the grid"))
+        assert usage_error(capsys, command, "--state", "Nf", "--target", "1", "--steps", "3") == (
+            "error: modifier target must be an interior path, got '1'\n")
 
 
 @pytest.mark.parametrize(

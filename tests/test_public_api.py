@@ -18,7 +18,7 @@ PUBLIC = {
     # reference
     "FRINGE_MODELS", "MEASURED", "NAMED_STATES",
     # stats
-    "DegenerateDesignError", "PortFit", "draw_counts", "fit_fringe", "noisy_fringe",
+    "DegenerateDesignError", "PortFit", "draw_counts", "fit_fringe", "fringe",
 }
 
 

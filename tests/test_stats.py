@@ -8,7 +8,7 @@ from ctxscope.contexts import INTERIOR_LABELS
 from ctxscope.core import haar_random_states, normalize
 from ctxscope.interferometer import fringe_coefficients, propagate
 from ctxscope.reference import NAMED_STATES
-from ctxscope.stats import DegenerateDesignError, draw_counts, fit_fringe, noisy_fringe
+from ctxscope.stats import DegenerateDesignError, draw_counts, fit_fringe, fringe
 
 NF = NAMED_STATES["Nf"]
 
@@ -17,6 +17,11 @@ def phase_scan(network, psi, target, grid) -> np.ndarray:
     """An ideal phase scan: the (n, 3) port probabilities over grid, usable as real-valued counts."""
     grid = np.asarray(grid, dtype=float)
     return propagate(network, psi[None, :], [target], np.exp(1j * grid)[:, None])[:, 0]
+
+
+def sampled_fringe(settings, coefficients, visibility, rate, duration, seed) -> np.ndarray:
+    """Counts of a phase fringe degraded to visibility, drawn as a noisy phase-scan draws them."""
+    return draw_counts(fringe(settings, coefficients, visibility), rate, duration, seed)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +109,7 @@ class TestNoisyFringe:
     def test_full_visibility_tracks_ideal_curve(self, nf_fringe, nf_coefficients):
         settings, ideal = nf_fringe
         rate, duration = 10_000.0, 100.0
-        noisy = noisy_fringe(settings, nf_coefficients, 1.0, rate, duration, 11)
+        noisy = sampled_fringe(settings, nf_coefficients, 1.0, rate, duration, 11)
         assert noisy.dtype == np.int64 and noisy.shape == (settings.size, 3)
         scale = rate * duration
         sigma = np.sqrt(np.maximum(ideal * scale, 1.0)) / scale
@@ -112,7 +117,7 @@ class TestNoisyFringe:
         assert float(np.max(dev / sigma)) < 5.0
 
     def test_zero_visibility_is_flat(self, nf_fringe, nf_coefficients):
-        noisy = noisy_fringe(nf_fringe[0], nf_coefficients, 0.0, 1000.0, 100.0, 3)
+        noisy = sampled_fringe(nf_fringe[0], nf_coefficients, 0.0, 1000.0, 100.0, 3)
         means = np.array([5 / 27, 5 / 27, 17 / 27]) * 1e5
         for port in range(3):
             column = noisy[:, port].astype(float)
@@ -121,36 +126,38 @@ class TestNoisyFringe:
 
     def test_port3_means_follow_fringe_model(self, nf_coefficients):
         grid = np.linspace(0.0, 2.0 * math.pi, 9)
-        noisy = noisy_fringe(grid, nf_coefficients, 1.0, 1000.0, 100.0, 21)
+        noisy = sampled_fringe(grid, nf_coefficients, 1.0, 1000.0, 100.0, 21)
         expected = (17.0 - 8.0 * np.cos(grid)) / 27.0 * 1e5
         assert np.all(np.abs(noisy[:, 2] - expected) < 5.0 * np.sqrt(expected))
 
     def test_visibility_out_of_range(self, nf_fringe, nf_coefficients):
         with pytest.raises(ValueError, match=r"visibility must lie in \[0, 1\], got 1\.2"):
-            noisy_fringe(nf_fringe[0], nf_coefficients, 1.2, 1000.0, 100.0, 1)
+            fringe(nf_fringe[0], nf_coefficients, 1.2)
 
     def test_adjacent_seeds_do_not_overlap(self, nf_fringe, nf_coefficients):
-        seven = noisy_fringe(nf_fringe[0], nf_coefficients, 0.0, 1000.0, 100.0, 7)
-        eight = noisy_fringe(nf_fringe[0], nf_coefficients, 0.0, 1000.0, 100.0, 8)
+        seven = sampled_fringe(nf_fringe[0], nf_coefficients, 0.0, 1000.0, 100.0, 7)
+        eight = sampled_fringe(nf_fringe[0], nf_coefficients, 0.0, 1000.0, 100.0, 8)
         assert not np.array_equal(seven[1:], eight[:-1])
 
-    def test_rejects_empty_and_non_finite_grids(self, monkeypatch, nf_coefficients):
-        monkeypatch.setattr(stats, "draw_counts", lambda *args: pytest.fail("drew counts"))
+    def test_rejects_empty_and_non_finite_grids(self, nf_coefficients):
         for grid, message in (([], "nonempty"), (0.5, "one-dimensional"), ([[0.5], [1.0]], "one-dimensional"),
                               ([0.5, math.nan], "finite"), ([math.inf], "finite")):
             with pytest.raises(ValueError, match=message):
-                noisy_fringe(grid, nf_coefficients, 1.0, 1000.0, 100.0, 1)
+                fringe(grid, nf_coefficients, 1.0)
 
-    def test_full_visibility_means_equal_the_ideal_scan(self, network, monkeypatch):
+    def test_probabilities_are_floats_and_nothing_is_drawn(self, monkeypatch, nf_fringe, nf_coefficients):
+        monkeypatch.setattr(stats, "draw_counts", lambda *args: pytest.fail("drew counts"))
+        probs = fringe(nf_fringe[0], nf_coefficients, 0.5)
+        assert probs.dtype == np.float64 and probs.shape == (nf_fringe[0].size, 3)
+
+    def test_full_visibility_means_equal_the_ideal_scan(self, network):
         # any grid (no 0 or pi here), complex states and every interior target
-        drawn = []
-        monkeypatch.setattr(stats, "draw_counts", lambda probs, *args: drawn.append(probs) or np.zeros(probs.shape))
         grid = np.concatenate([np.linspace(0.3, 5.9, 17), [-40.0, 1e3]])
         for psi in haar_random_states(25, 31):
             for target in INTERIOR_LABELS:
-                noisy_fringe(grid, fringe_coefficients(network, psi, target), 1.0, 7.0, 3.0, 5)
+                probs = fringe(grid, fringe_coefficients(network, psi, target), 1.0)
                 ideal = phase_scan(network, psi, target, grid)
-                assert float(np.max(np.abs(drawn.pop() - ideal))) <= 1e-12
+                assert float(np.max(np.abs(probs - ideal))) <= 1e-12
 
 
 class TestFitFringe:
@@ -171,7 +178,7 @@ class TestFitFringe:
 
     def test_scale_invariance(self, nf_fringe, nf_coefficients, nf_model):
         settings, _ = nf_fringe
-        noisy = noisy_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, 4)
+        noisy = sampled_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, 4)
         base = fit_fringe(settings, noisy, nf_model)
         rescaled = fit_fringe(settings, noisy.astype(float) * 137.0, nf_model)
         for a, b in zip(base, rescaled):
@@ -180,7 +187,7 @@ class TestFitFringe:
     def test_noisy_recovery_within_three_percent(self, nf_fringe, nf_coefficients, nf_model):
         settings, _ = nf_fringe
         for seed in (1, 2, 3, 4, 5):
-            counts = noisy_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, seed)
+            counts = sampled_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, seed)
             fit = fit_fringe(settings, counts, nf_model)
             for port in fit:
                 assert 0.97 <= port.visibility <= 1.03
@@ -188,14 +195,14 @@ class TestFitFringe:
     def test_sine_term_absorbs_no_signal(self, nf_fringe, nf_coefficients, nf_model):
         # the models carry no phase offset, so c must stay at noise level
         settings, _ = nf_fringe
-        counts = noisy_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, 8)
+        counts = sampled_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, 8)
         fit = fit_fringe(settings, counts, nf_model)
         for port in fit:
             assert abs(port.c) < 5.0 * port.stderr + 1e-6
 
     def test_visibility_above_one_is_not_clamped(self, nf_fringe, nf_coefficients, nf_model):
         settings, _ = nf_fringe
-        counts = noisy_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, 1)
+        counts = sampled_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, 1)
         fit = fit_fringe(settings, counts, nf_model)
         assert any(port.visibility > 1.0 for port in fit)
 
@@ -206,7 +213,7 @@ class TestFitFringe:
         amplitudes = np.hypot(coefficients[1], coefficients[2])
         grid = np.linspace(0.0, 2.0 * math.pi, 25)
         for seed in (1, 2, 3, 4, 5):
-            fit = fit_fringe(grid, noisy_fringe(grid, coefficients, 0.8, 1000.0, 100.0, seed), amplitudes)
+            fit = fit_fringe(grid, sampled_fringe(grid, coefficients, 0.8, 1000.0, 100.0, seed), amplitudes)
             for port in fit:
                 assert abs(port.visibility - 0.8) < 5.0 * port.stderr
 
