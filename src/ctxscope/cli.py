@@ -11,8 +11,6 @@ alphabetically ordered keys.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import math
@@ -213,17 +211,13 @@ def _json_dump(obj: object) -> bytes:
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    else:
-        raw = os.environ.get(ENV_SEED)
-        if raw is None:
-            seed = 0
-        else:
-            try:
-                seed = int(raw)
-            except ValueError:
-                raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        raw = os.environ.get(ENV_SEED, "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
     return seed
@@ -281,7 +275,29 @@ def _parse_modifiers(args: argparse.Namespace) -> list[interferometer.Modifier]:
     return mods
 
 
-def _read_counts_csv(path: str) -> tuple[list[float], list[list[float]]]:
+def _cells(rows: Iterable[str]) -> Iterator[float]:
+    """float() of each comma-separated cell of the rows in turn, up to the first one it refuses."""
+    for row in rows:
+        for cell in row.split(","):
+            try:
+                yield float(cell)
+            except ValueError:
+                return
+
+
+# What each data row of a counts CSV keeps, in the order a row is checked.
+COUNTS_ROW_RULES = ("expected 5 fields, got {fields}", "non-numeric field in {row}", "non-finite field in {row}",
+                    "counts must be non-negative", "duration must be positive",
+                    "duration {0:g} differs from the first row's {1:g}")
+
+
+def _read_counts_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The float settings, shape (n,), and counts, shape (n, 3), of a counts CSV.
+
+    Lines end where str.splitlines ends them (LF, CRLF and CR among others),
+    and blank ones are skipped. The first is COUNTS_CSV_HEADER, cells stripped;
+    each later one holds five unquoted cells that float() reads and keeps
+    COUNTS_ROW_RULES. The error names the first line that breaks a rule."""
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -290,32 +306,29 @@ def _read_counts_csv(path: str) -> tuple[list[float], list[list[float]]]:
                 text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from None
-    reader = csv.reader(io.StringIO(text))
-    rows = [(reader.line_num, row) for row in reader if row]
-    if not rows or [cell.strip() for cell in rows[0][1]] != COUNTS_CSV_HEADER.split(","):
+    lines = text.splitlines()
+    header, *rows = [line for line in lines if line] or [""]
+    if [cell.strip() for cell in header.split(",")] != COUNTS_CSV_HEADER.split(","):
         raise ValueError(f"input must start with header {COUNTS_CSV_HEADER!r}")
-    settings, counts, duration = [], [], None
-    for lineno, row in rows[1:]:
-        if len(row) != 5:
-            raise ValueError(f"line {lineno}: expected 5 fields, got {len(row)}")
-        try:
-            values = [float(cell) for cell in row]
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric field in {row}") from None
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"line {lineno}: non-finite field in {row}")
-        if any(v < 0 for v in values[1:4]):
-            raise ValueError(f"line {lineno}: counts must be non-negative")
-        if not values[4] > 0:
-            raise ValueError(f"line {lineno}: duration must be positive")
-        if duration is not None and values[4] != duration:
-            raise ValueError(f"line {lineno}: duration {values[4]:g} differs from the first row's {duration:g}")
-        settings.append(values[0])
-        counts.append(values[1:4])
-        duration = values[4]
-    if not settings:
+    if not rows:
         raise ValueError("input has no data rows")
-    return settings, counts
+    # the rows before `end` have five fields, and those before `numeric` five numbers
+    end = next((i for i, row in enumerate(rows) if row.count(",") != 4), len(rows))
+    values = np.fromiter(_cells(rows[:end]), float)
+    table = values[:len(values) // 5 * 5].reshape(-1, 5)
+    numeric, duration = len(table), table[:, 4]
+    broken = np.argwhere(np.column_stack([~np.isfinite(table).all(axis=1), (table[:, 1:4] < 0).any(axis=1),
+                                          ~(duration > 0), duration != duration[:1]]))
+    if len(broken):
+        i, rule = broken[0] + (0, 2)
+    elif numeric < len(rows):
+        i, rule = numeric, 0 if numeric == end else 1
+    else:
+        return table[:, 0], table[:, 1:4]
+    row = rows[i].split(",")
+    message = COUNTS_ROW_RULES[rule].format(*duration[[i, 0]] if i < numeric else (), fields=len(row), row=row)
+    number = [k for k, line in enumerate(lines, 1) if line][i + 1]
+    raise ValueError(f"line {number}: {message}")
 
 
 def _check_counts_duration(duration: float) -> None:
@@ -324,12 +337,12 @@ def _check_counts_duration(duration: float) -> None:
         raise ValueError(f"--duration {duration:g} would print as 0.000000000 in the counts CSV")
 
 
-def _scan_noise(args: argparse.Namespace, kind: str) -> tuple[float, float, float, int]:
+def _scan_noise(args: argparse.Namespace) -> tuple[float, float, float, int]:
     """A noisy scan's visibility, rate, duration and seed, each checked before
-    the scan propagates or draws anything."""
+    the scan builds its grid."""
     seed = _resolve_seed(args)
     visibility = 1.0 if args.visibility is None else args.visibility
-    if kind == "transmittance" and visibility != 1.0:
+    if args.kind == "transmittance" and visibility != 1.0:
         raise ValueError("--visibility models phase fringes; not valid for trans-scan")
     stats._check_visibility(visibility)
     rate = DEFAULT_RATE if args.rate is None else args.rate
@@ -343,13 +356,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     results = run_all_checks()
     lines = [f"{'ok' if r.passed else 'FAIL'}  {r.name}: {r.detail}" for r in results]
     failures = [r for r in results if not r.passed]
-    if failures:
-        lines.append(f"first failure: {failures[0].name}")
-        _write(args.out, [_text(lines)])
-        return 1
-    lines.append("all checks passed")
+    lines.append(f"first failure: {failures[0].name}" if failures else "all checks passed")
     _write(args.out, [_text(lines)])
-    return 0
+    return 1 if failures else 0
 
 
 def _distribution(probs: Sequence[float]) -> dict[str, float]:
@@ -405,7 +414,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_scan(args: argparse.Namespace, kind: str) -> int:
+def _run_scan(args: argparse.Namespace) -> int:
     _check_rows("--steps", args.steps, 1, args.steps)
     psi = _parse_state(args.state)
     interferometer._check_target(args.target)
@@ -413,20 +422,21 @@ def _run_scan(args: argparse.Namespace, kind: str) -> int:
         raise ValueError("--from and --to must be finite")
     if not math.isfinite(args.stop - args.start):
         raise ValueError("--to minus --from must be finite")
+    # trans-scan's theta is the phase of an interferometric attenuator, valid in
+    # [0, 2 pi]: amplitude transmission sin(theta / 2), so 0 blocks the path and
+    # pi leaves it untouched. The grid lies between its ends; one step is --from.
+    ends = (args.start, args.stop if args.steps > 1 else args.start)
+    if args.kind == "transmittance" and (min(ends) < 0.0 or max(ends) > 2.0 * math.pi + 1e-12):
+        raise ValueError("transmittance settings must lie in [0, 2*pi]")
+    noisy = any(getattr(args, flag) is not None for flag in ("visibility", "rate", "duration"))
+    if noisy:
+        visibility, rate, duration, seed = _scan_noise(args)
     # the top index times the step may round past the largest double; linspace
     # then overwrites that last setting with --to, so every setting is finite
     with np.errstate(over="ignore"):
         grid = np.linspace(args.start, args.stop, args.steps)
-    # trans-scan's theta is the phase of an interferometric attenuator, valid in
-    # [0, 2 pi]: amplitude transmission sin(theta / 2), so 0 blocks the path
-    # and pi leaves it untouched
-    if kind == "transmittance" and (np.any(grid < 0.0) or np.any(grid > 2.0 * math.pi + 1e-12)):
-        raise ValueError("transmittance settings must lie in [0, 2*pi]")
-    noisy = any(getattr(args, flag) is not None for flag in ("visibility", "rate", "duration"))
-    if noisy:
-        visibility, rate, duration, seed = _scan_noise(args, kind)
     network = build_network()
-    if kind == "phase":
+    if args.kind == "phase":
         coefficients = interferometer.fringe_coefficients(network, psi, args.target)
         values = stats.fringe(grid, coefficients, visibility if noisy else 1.0)
     else:
@@ -439,14 +449,6 @@ def _run_scan(args: argparse.Namespace, kind: str) -> int:
         header, last = IDEAL_CSV_HEADER, values.sum(axis=1)
     _write(args.out, _csv(header, [[grid, *values.T, last]]))
     return 0
-
-
-def cmd_phase_scan(args: argparse.Namespace) -> int:
-    return _run_scan(args, "phase")
-
-
-def cmd_trans_scan(args: argparse.Namespace) -> int:
-    return _run_scan(args, "transmittance")
 
 
 def _sweep_csv(lead: tuple[str, ...], blocks: Iterable[tuple[list, np.ndarray]]) -> Iterator[bytes]:
@@ -515,10 +517,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     ports = stats.fit_fringe(settings, counts, np.hypot(b, c))
     _write(args.out, [_json_dump({
         "model": args.model,
-        "ports": [
-            {"a": p.a, "b": p.b, "c": p.c, "stderr": p.stderr, "visibility": p.visibility}
-            for p in ports
-        ],
+        "ports": [p._asdict() for p in ports],
         "settings": len(settings),
     })])
     return 0
@@ -651,14 +650,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scan_grid(sp, 2.0 * math.pi)
     _add_seed(sp)
     _add_out(sp)
-    sp.set_defaults(func=cmd_phase_scan)
+    sp.set_defaults(func=_run_scan, kind="phase")
 
     sp = sub.add_parser("trans-scan", help="sweep a tunable absorber in an interior path")
     _add_state(sp)
     _add_scan_grid(sp, math.pi)
     _add_seed(sp)
     _add_out(sp)
-    sp.set_defaults(func=cmd_trans_scan)
+    sp.set_defaults(func=_run_scan, kind="transmittance")
 
     sp = sub.add_parser("sweep", help="map witness and gain over the real state octant")
     sp.add_argument("--resolution", type=int, default=101,

@@ -276,6 +276,21 @@ class TestScans:
             assert usage_error(capsys, "trans-scan", "--state", "Nf", bound) == (
                 "error: transmittance settings must lie in [0, 2*pi]\n")
 
+    @pytest.mark.parametrize("start, stop", [
+        (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi + 1e-12), (0.0, 2.0 * math.pi + 2e-12), (-0.0, 1.0),
+        (-0.0, -0.0), (-1e-300, 1.0), (2.0 * math.pi, 0.0), (2.0 * math.pi + 1e-12, -0.0),
+        (2.0 * math.pi + 2e-12, 0.0), (1.0, -1e-300), (3.0, 3.0), (7.0, 7.0),
+    ])
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_transmittance_domain_is_checked_on_the_grid_ends(self, capsys, start, stop, steps):
+        """The check on --from and --to refuses exactly the spans whose grid leaves [0, 2 pi]."""
+        grid = np.linspace(start, stop, steps)
+        outside = bool(np.any(grid < 0.0) or np.any(grid > 2.0 * math.pi + 1e-12))
+        code = main(["trans-scan", "--state", "Nf", f"--from={start!r}", f"--to={stop!r}", f"--steps={steps}"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == ((2, "error: transmittance settings must lie in [0, 2*pi]\n")
+                                        if outside else (0, ""))
+
     def test_trans_scan_rejects_visibility_noise(self, capsys):
         code, _ = run_cli(capsys, "trans-scan", "--state", "Nf", "--visibility", "0.9")
         assert code == 2
@@ -415,6 +430,7 @@ def test_bad_noise_flags_are_refused_before_the_scan_runs(capsys, monkeypatch, a
 
     monkeypatch.setattr(interferometer, "propagate", ran)
     monkeypatch.setattr(interferometer, "fringe_coefficients", ran)
+    monkeypatch.setattr(cli.np, "linspace", ran)
     if seed_env is not None:
         monkeypatch.setenv("CTXSCOPE_SEED", seed_env)
     assert usage_error(capsys, argv[0], "--state", "Nf", "--steps", "7", *argv[1:]) == f"error: {message}\n"
@@ -767,6 +783,57 @@ class TestFit:
         code, from_stdin = run_cli(capsys, "fit", "--input", "-", "--model", "Nf")
         assert code == 0
         assert from_stdin == from_file
+
+    def test_cells_read_as_python_float_reads_them(self, tmp_path):
+        cells = ["1_000", "\u0661\u0662", " 7 ", "\uff13.5", "9" * 30, "0.25e1", "+0", "-0.0"]
+        rows = [f"{k},{a},{b},{c},2" for k, (a, b, c) in enumerate(zip(cells, cells[1:], cells[2:]))]
+        path = tmp_path / "counts.csv"
+        path.write_text("setting,n1,n2,n3,duration\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        settings, counts = cli._read_counts_csv(str(path))
+        assert settings.dtype == counts.dtype == np.float64
+        assert settings.tolist() == [float(k) for k in range(len(rows))]
+        assert counts.tolist() == [[float(a), float(b), float(c)] for a, b, c in zip(cells, cells[1:], cells[2:])]
+
+    @pytest.mark.parametrize("cell", ["+nan", "infinity", "-Infinity", "1e309", "NaN"])
+    def test_non_finite_spellings_read_as_numbers(self, capsys, tmp_path, cell):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"setting,n1,n2,n3,duration\n0,1,2,3,1\n1,4,{cell},6,1\n")
+        assert usage_error(capsys, "fit", "--input", str(path), "--model", "Nf") == (
+            f"error: line 3: non-finite field in ['1', '4', '{cell}', '6', '1']\n")
+
+    def test_quotes_are_not_read_as_csv_quoting(self, capsys, tmp_path):
+        # the one input whose reading changed when the csv module left: a
+        # quoted cell is a cell that float() refuses, not the number inside
+        path = tmp_path / "counts.csv"
+        path.write_text('setting,n1,n2,n3,duration\n0,1,2,3,1\n1,"4",5,6,1\n')
+        assert usage_error(capsys, "fit", "--input", str(path), "--model", "Nf") == (
+            "error: line 3: non-numeric field in ['1', '\"4\"', '5', '6', '1']\n")
+        path.write_text('"setting",n1,n2,n3,duration\n0,1,2,3,1\n')
+        assert usage_error(capsys, "fit", "--input", str(path), "--model", "Nf") == (
+            "error: input must start with header 'setting,n1,n2,n3,duration'\n")
+
+    def test_first_broken_rule_is_named(self, capsys, tmp_path):
+        # each line breaks one rule; the earliest line wins over the earlier rule
+        broken = ["0.5,1,2,3", "0.5,1,x,3,1", "0.5,1,nan,3,1", "0.5,1,2,-3,1", "0.5,1,2,3,0", "0.5,1,2,3,0.5"]
+        messages = ["expected 5 fields, got 4", "non-numeric field in ['0.5', '1', 'x', '3', '1']",
+                    "non-finite field in ['0.5', '1', 'nan', '3', '1']", "counts must be non-negative",
+                    "duration must be positive", "duration 0.5 differs from the first row's 1"]
+        path = tmp_path / "counts.csv"
+        for first in range(len(broken)):
+            body = ["0,1,2,3,1", "", *broken[first:], *broken[:first]]
+            path.write_text("setting,n1,n2,n3,duration\n" + "\n".join(body) + "\n")
+            assert usage_error(capsys, "fit", "--input", str(path), "--model", "Nf") == (
+                f"error: line 4: {messages[first]}\n")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+    def test_reads_crlf_and_cr_lines_from_stdin(self, capsys, tmp_path, monkeypatch, end):
+        # stdin is read without newline translation, so its line ends reach the reader
+        path = tmp_path / "scan.csv"
+        assert main(["phase-scan", "--state", "Nf", "--steps", "7", "--seed", "2", "--rate", "50",
+                     "--out", str(path)]) == 0
+        _, from_file = run_cli(capsys, "fit", "--input", str(path), "--model", "Nf")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text().replace("\n", end)))
+        assert run_cli(capsys, "fit", "--input", "-", "--model", "Nf") == (0, from_file)
 
     def test_overflowing_row_totals_exit_3(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"

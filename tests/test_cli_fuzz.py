@@ -12,8 +12,13 @@ RuntimeWarning, which pyproject.toml turns into an error.
 
 Size flags stay small (--steps <= 50, --resolution <= 20, --samples <= 50)
 or exceed cli.MAX_ROWS, which is refused before anything is allocated.
+
+`fit` also runs every counts CSV through csv_module_reader, the reader it
+had before one array pass replaced it, and must give the same exit code,
+stdout and stderr.
 """
 import contextlib
+import csv
 import io
 import json
 import math
@@ -21,6 +26,7 @@ import re
 import sys
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctxscope import cli
@@ -173,3 +179,104 @@ def test_every_command_gives_schema_output_or_one_error_line(argv):
 def test_fit_gives_schema_output_or_one_error_line(text, model):
     argv = ["fit", "--input", "-", f"--model={model}"]
     assert_outcome(argv, *call(argv, text))
+
+
+def csv_module_reader(path: str) -> tuple[list[float], list[list[float]]]:
+    """The counts reader `fit` had before one array pass replaced it: the csv
+    module over the whole text, then float() cell by cell. Kept as the
+    reference that the array pass must agree with."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc}") from None
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, row) for row in reader if row]
+    if not rows or [cell.strip() for cell in rows[0][1]] != cli.COUNTS_CSV_HEADER.split(","):
+        raise ValueError(f"input must start with header {cli.COUNTS_CSV_HEADER!r}")
+    settings, counts, duration = [], [], None
+    for lineno, row in rows[1:]:
+        if len(row) != 5:
+            raise ValueError(f"line {lineno}: expected 5 fields, got {len(row)}")
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric field in {row}") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"line {lineno}: non-finite field in {row}")
+        if any(v < 0 for v in values[1:4]):
+            raise ValueError(f"line {lineno}: counts must be non-negative")
+        if not values[4] > 0:
+            raise ValueError(f"line {lineno}: duration must be positive")
+        if duration is not None and values[4] != duration:
+            raise ValueError(f"line {lineno}: duration {values[4]:g} differs from the first row's {duration:g}")
+        settings.append(values[0])
+        counts.append(values[1:4])
+        duration = values[4]
+    if not settings:
+        raise ValueError("input has no data rows")
+    return settings, counts
+
+
+# Left out of the differential CSVs: the quote, which only the csv module
+# honours; the line breaks that only str.splitlines knows; and NUL, which the
+# csv module of Python 3.10 refuses. Surrogates cannot be written as UTF-8.
+NOT_COMPARED = '"\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+ODD_CELLS = ["", " ", "\t", " 7 ", "\u3000 8", "1_000", "\u0661\u0662", "\u0663.\u0665", "\uff17", "+nan", "infinity",
+             "-Infinity", "9" * 30, "1e309", "0x10", "two", "1e", "--1"]
+CELLS = st.one_of(NUMBERS, st.integers(0, 10 ** 6).map(str), st.sampled_from(ODD_CELLS),
+                  st.text(st.characters(exclude_characters=NOT_COMPARED + "\n\r", exclude_categories=("Cs",)),
+                          max_size=6))
+
+
+def _replace_cell(row: list[str], index: int, cell: str) -> str:
+    return ",".join(row[:index] + [cell] + row[index + 1:])
+
+
+@st.composite
+def ragged_csv(draw) -> str:
+    """Five-cell rows of one duration, with up to three lines inserted that are
+    blank, whitespace-only, ragged, or a row with one cell replaced; each line
+    ends with LF, CRLF or CR."""
+    duration = draw(st.sampled_from(["1.0", "100.000000000", "2", " 5 "]))
+    good = st.tuples(floats(-10.0, 10.0), *[st.integers(0, 10 ** 6).map(str)] * 3, st.just(duration)).map(list)
+    defect = st.one_of(
+        st.sampled_from(["", " ", "\t", " \t "]),
+        st.lists(CELLS, min_size=1, max_size=7).map(",".join),
+        st.builds(_replace_cell, good, st.integers(0, 4), CELLS),
+        st.builds(_replace_cell, good, st.sampled_from([1, 2, 3]), st.sampled_from(["-1", "-0.5", "-0", "inf"])),
+        st.builds(_replace_cell, good, st.just(4), st.sampled_from(["0", "-1", "0.5", "7", "1e-300", "nan"])),
+    )
+    lines = [",".join(row) for row in draw(st.lists(good, max_size=12))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(defect))
+    header = draw(st.sampled_from([cli.COUNTS_CSV_HEADER] * 8 + [" setting , n1,n2 ,n3,duration\t", "setting,n1,n2",
+                                                                  "setting,n1,n2,n3,duration,"]))
+    text = "".join(line + draw(LINE_ENDS) for line in [header, *lines])
+    return text[:-1] if text.endswith("\n") and draw(st.booleans()) else text
+
+
+# the fuzz gate's counts CSVs, one in four, with their line ends varied
+FIT_CSVS = st.one_of(*[ragged_csv()] * 3,
+                     counts_csv().flatmap(lambda text: LINE_ENDS.map(lambda end: text.replace("\n", end))))
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fit") / "counts.csv"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(FIT_CSVS, st.sampled_from(["Nf", "Bf", "V0"]))
+def test_fit_reads_every_csv_as_the_csv_module_reader_did(csv_path, text, model):
+    csv_path.write_bytes(text.encode("utf-8"))
+    argv = ["fit", "--input", str(csv_path), f"--model={model}"]
+    with mock.patch.object(cli, "_read_counts_csv", csv_module_reader):
+        expected = call(argv)
+    assert call(argv) == expected
+    # stdin is read without newline translation; CR and CRLF still end lines
+    assert call(["fit", "--input", "-", f"--model={model}"], text) == expected

@@ -11,7 +11,9 @@ and the sample JSON counts) were re-recorded when the counting layer switched
 to exact Poisson draws from one seeded NumPy stream per call. CSV and text
 outputs must match byte for byte. JSON outputs must keep the same keys and
 every number within 1e-14, which leaves room for the kernel's last-bit
-rounding but nothing more.
+rounding but nothing more. The fit JSONs of three seeded noisy scans were
+recorded from the release before `fit` read its counts in one array pass,
+and must match byte for byte.
 """
 import hashlib
 import json
@@ -93,6 +95,18 @@ JSON = {
 }
 
 
+# A 10^5-step scan, and 5,001-step scans (the benchmark's length) at the
+# default photon budget and at a low one; each is fitted with its own state.
+FIT_HASHED = {
+    ("Bf", "--steps", "100000", "--visibility", "0.9", "--seed", "1"):
+        "ec9d86cb05750fda078219d00960c23c51248aa16dac7ebaf150653c417340e0",
+    ("V0", "--steps", "5001", "--visibility", "0.7", "--seed", "2"):
+        "0c4081463396a5d2e23501b8737e23389bff765ff6aee62b8259dd07824d1f43",
+    ("Nf", "--steps", "5001", "--visibility", "0.8", "--rate", "5.5", "--duration", "5", "--seed", "3"):
+        "6951af256a3c40ba3e2247a8c6868480e82bb931983dfae99fce3a66362ec59c",
+}
+
+
 def cli_output(capsys, argv) -> str:
     assert main(list(argv)) == 0
     return capsys.readouterr().out
@@ -124,6 +138,15 @@ def test_csv_and_text_outputs_are_byte_identical(capsys, argv):
 @pytest.mark.parametrize("argv", list(JSON), ids=lambda argv: " ".join(argv[:3]))
 def test_json_outputs_keep_keys_and_values(capsys, argv):
     assert_close(json.loads(cli_output(capsys, argv)), JSON[argv])
+
+
+@pytest.mark.parametrize("scan", list(FIT_HASHED), ids=lambda scan: " ".join(scan[:3]))
+def test_fit_json_is_byte_identical(capsys, tmp_path, scan):
+    state, *flags = scan
+    path = tmp_path / "scan.csv"
+    assert main(["phase-scan", "--state", state, *flags, "--out", str(path)]) == 0
+    out = cli_output(capsys, ["fit", "--input", str(path), "--model", state])
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FIT_HASHED[scan]
 
 
 def test_csv_emitter_matches_per_cell_f9(monkeypatch):
