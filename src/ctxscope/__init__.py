@@ -15,7 +15,6 @@ from .contexts import (
     context_at,
 )
 from .core import (
-    NonOrthonormalBasisError,
     TransferOperator,
     as_state,
     basis_change,

@@ -34,7 +34,7 @@ ENV_SEED = "CTXSCOPE_SEED"
 DEFAULT_RATE = 1000.0
 DEFAULT_DURATION = 100.0
 DEFAULT_STEPS = 25
-CSV_BLOCK_ROWS = 65_536  # rows per chunk from _csv and per block of sweep states
+CSV_BLOCK_ROWS = 65_536  # most rows in one block of any table: sweep states or scan settings
 # Most rows one sweep or scan may produce: about 8 s at the ~0.5 us per
 # sweep row measured on a 2-CPU VM (set as about a minute when a row took
 # ~3.3 us). Larger --resolution**2, --samples or --steps exit 2 before
@@ -127,28 +127,26 @@ def _ascii_rows(block: list[np.ndarray], sizes: list[np.ndarray | None]) -> byte
 
 
 def _csv(header: str, blocks: Iterable[Sequence[Sequence[float]]]) -> Iterator[bytes]:
-    """The header, then the rows of each block of columns, at most CSV_BLOCK_ROWS
-    per chunk, as ASCII bytes. Float columns print as _f9 does (|x| < 1e-12
-    snapped to 0, then "%.9f"), integer columns as "%d".
+    """The header, then the rows of each block of columns, one chunk per block,
+    as ASCII bytes. Float columns print as _f9 does (|x| < 1e-12 snapped to 0,
+    then "%.9f"), integer columns as "%d". Producers keep each block to at
+    most CSV_BLOCK_ROWS rows.
 
-    A chunk is formatted as a whole by _ascii_rows, from one |x| pass per float
-    column. A chunk with a float of magnitude 2**53 / 1e9 or more (or not
+    A block is formatted as a whole by _ascii_rows, from one |x| pass per float
+    column. A block with a float of magnitude 2**53 / 1e9 or more (or not
     finite) is formatted cell by cell with "%" instead; the bytes are the same
     either way."""
     yield (header + "\n").encode()
-    for columns in blocks:
-        columns = [np.asarray(c) for c in columns]
-        floating = [c.dtype.kind == "f" for c in columns]
-        row = ",".join("%.9f" if f else "%d" for f in floating) + "\n"
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
-            sizes = [np.abs(c) if f else None for c, f in zip(block, floating)]
-            if all(np.all(a < 2.0 ** 53 / 1e9) for a in sizes if a is not None):
-                yield _ascii_rows(block, sizes)
-            else:
-                block = [c if a is None else np.where(a < 1e-12, 0.0, c) for c, a in zip(block, sizes)]
-                values = itertools.chain.from_iterable(zip(*(c.tolist() for c in block)))
-                yield ((row * len(block[0])) % tuple(values)).encode()
+    for block in blocks:
+        block = [np.asarray(c) for c in block]
+        sizes = [np.abs(c) if c.dtype.kind == "f" else None for c in block]
+        if all(np.all(a < 2.0 ** 53 / 1e9) for a in sizes if a is not None):
+            yield _ascii_rows(block, sizes)
+        else:
+            row = ",".join("%d" if a is None else "%.9f" for a in sizes) + "\n"
+            block = [c if a is None else np.where(a < 1e-12, 0.0, c) for c, a in zip(block, sizes)]
+            values = itertools.chain.from_iterable(zip(*(c.tolist() for c in block)))
+            yield ((row * len(block[0])) % tuple(values)).encode()
 
 
 def _text(lines: Iterable[str]) -> bytes:
@@ -289,6 +287,7 @@ def _cells(rows: Iterable[str]) -> Iterator[float]:
 COUNTS_ROW_RULES = ("expected 5 fields, got {fields}", "non-numeric field in {row}", "non-finite field in {row}",
                     "counts must be non-negative", "duration must be positive",
                     "duration {0:g} differs from the first row's {1:g}")
+QUOTED_ROW_CHARS = 80  # an error quotes at most this much of the row's cell list, then "..."
 
 
 def _read_counts_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -297,7 +296,8 @@ def _read_counts_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     Lines end where str.splitlines ends them (LF, CRLF and CR among others),
     and blank ones are skipped. The first is COUNTS_CSV_HEADER, cells stripped;
     each later one holds five unquoted cells that float() reads and keeps
-    COUNTS_ROW_RULES. The error names the first line that breaks a rule."""
+    COUNTS_ROW_RULES. The error names the first line that breaks a rule, and
+    quotes at most QUOTED_ROW_CHARS characters of its cells."""
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -325,8 +325,11 @@ def _read_counts_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         i, rule = numeric, 0 if numeric == end else 1
     else:
         return table[:, 0], table[:, 1:4]
-    row = rows[i].split(",")
-    message = COUNTS_ROW_RULES[rule].format(*duration[[i, 0]] if i < numeric else (), fields=len(row), row=row)
+    cells = rows[i].split(",")
+    quoted = str(cells)
+    if len(quoted) > QUOTED_ROW_CHARS:
+        quoted = quoted[:QUOTED_ROW_CHARS] + "..."
+    message = COUNTS_ROW_RULES[rule].format(*duration[[i, 0]] if i < numeric else (), fields=len(cells), row=quoted)
     number = [k for k, line in enumerate(lines, 1) if line][i + 1]
     raise ValueError(f"line {number}: {message}")
 
@@ -337,19 +340,17 @@ def _check_counts_duration(duration: float) -> None:
         raise ValueError(f"--duration {duration:g} would print as 0.000000000 in the counts CSV")
 
 
-def _scan_noise(args: argparse.Namespace) -> tuple[float, float, float, int]:
-    """A noisy scan's visibility, rate, duration and seed, each checked before
-    the scan builds its grid."""
+def _scan_noise(args: argparse.Namespace) -> tuple[float, float, float, np.random.Generator]:
+    """A noisy scan's visibility, rate, duration and seeded generator, checked
+    before the grid is built: no mean exceeds the budget drawn here at p = 1."""
     seed = _resolve_seed(args)
     visibility = 1.0 if args.visibility is None else args.visibility
-    if args.kind == "transmittance" and visibility != 1.0:
-        raise ValueError("--visibility models phase fringes; not valid for trans-scan")
     stats._check_visibility(visibility)
     rate = DEFAULT_RATE if args.rate is None else args.rate
     duration = DEFAULT_DURATION if args.duration is None else args.duration
-    stats._photon_budget(rate, duration)
+    stats.draw_counts(1.0, rate, duration, seed)
     _check_counts_duration(duration)
-    return visibility, rate, duration, seed
+    return visibility, rate, duration, np.random.default_rng(seed)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -430,7 +431,7 @@ def _run_scan(args: argparse.Namespace) -> int:
         raise ValueError("transmittance settings must lie in [0, 2*pi]")
     noisy = any(getattr(args, flag) is not None for flag in ("visibility", "rate", "duration"))
     if noisy:
-        visibility, rate, duration, seed = _scan_noise(args)
+        visibility, rate, duration, rng = _scan_noise(args)
     # the top index times the step may round past the largest double; linspace
     # then overwrites that last setting with --to, so every setting is finite
     with np.errstate(over="ignore"):
@@ -438,16 +439,23 @@ def _run_scan(args: argparse.Namespace) -> int:
     network = build_network()
     if args.kind == "phase":
         coefficients = interferometer.fringe_coefficients(network, psi, args.target)
-        values = stats.fringe(grid, coefficients, visibility if noisy else 1.0)
-    else:
-        factors = np.sin(grid / 2.0)[:, None]
-        values = interferometer.propagate(network, psi[None, :], [args.target], factors)[:, 0]
-    if noisy:
-        values = stats.draw_counts(values, rate, duration, seed)
-        header, last = COUNTS_CSV_HEADER, np.full(len(grid), duration)
-    else:
-        header, last = IDEAL_CSV_HEADER, values.sum(axis=1)
-    _write(args.out, _csv(header, [[grid, *values.T, last]]))
+
+    def blocks() -> Iterator[list[np.ndarray]]:
+        for start in range(0, len(grid), CSV_BLOCK_ROWS):
+            settings = grid[start:start + CSV_BLOCK_ROWS]
+            if args.kind == "phase":
+                values = stats.fringe(settings, coefficients, visibility if noisy else 1.0)
+            else:
+                factors = np.sin(settings / 2.0)[:, None]
+                values = interferometer.propagate(network, psi[None, :], [args.target], factors)[:, 0]
+            if noisy:
+                values = stats.draw_counts(values, rate, duration, rng)
+                last = np.full(len(settings), duration)
+            else:
+                last = values.sum(axis=1)
+            yield [settings, *values.T, last]
+
+    _write(args.out, _csv(COUNTS_CSV_HEADER if noisy else IDEAL_CSV_HEADER, blocks()))
     return 0
 
 
@@ -612,8 +620,6 @@ def _add_scan_grid(sp: argparse.ArgumentParser, stop_default: float) -> None:
                     help=f"last setting in radians (default {stop_default:.6f})")
     sp.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                     help=f"number of settings (default {DEFAULT_STEPS})")
-    sp.add_argument("--visibility", type=float, default=None,
-                    help="fringe visibility for noisy counts (default 1.0 when sampling)")
     sp.add_argument("--rate", type=float, default=None,
                     help=f"detected photons per second (default {DEFAULT_RATE:g} when sampling)")
     sp.add_argument("--duration", type=float, default=None,
@@ -648,6 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("phase-scan", help="sweep a phase shifter in an interior path")
     _add_state(sp)
     _add_scan_grid(sp, 2.0 * math.pi)
+    sp.add_argument("--visibility", type=float, default=None,
+                    help="fringe visibility for noisy counts (default 1.0 when sampling)")
     _add_seed(sp)
     _add_out(sp)
     sp.set_defaults(func=_run_scan, kind="phase")
@@ -657,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scan_grid(sp, math.pi)
     _add_seed(sp)
     _add_out(sp)
-    sp.set_defaults(func=_run_scan, kind="transmittance")
+    sp.set_defaults(func=_run_scan, kind="transmittance", visibility=None)
 
     sp = sub.add_parser("sweep", help="map witness and gain over the real state octant")
     sp.add_argument("--resolution", type=int, default=101,

@@ -19,10 +19,6 @@ UNITARY_ATOL = 1e-12
 BASIS_INPUT_ATOL = 1e-10
 
 
-class NonOrthonormalBasisError(ValueError):
-    """Rows handed to basis_change are not an orthonormal set."""
-
-
 def as_state(values: Sequence[complex] | np.ndarray) -> np.ndarray:
     """Coerce to a finite complex amplitude vector of length 3."""
     arr = np.asarray(values, dtype=complex).reshape(-1)
@@ -81,12 +77,12 @@ def basis_change(rows: Sequence[Sequence[complex] | np.ndarray]) -> TransferOper
     anything beyond ~1e-13 is snapped to the nearest unitary.
     """
     if len(rows) != DIM:
-        raise NonOrthonormalBasisError(f"need {DIM} rows, got {len(rows)}")
+        raise ValueError(f"need {DIM} rows, got {len(rows)}")
     vs = np.array([as_state(r) for r in rows])
     gram = vs.conj() @ vs.T
     dev = float(np.max(np.abs(gram - np.eye(DIM))))
     if dev > BASIS_INPUT_ATOL:
-        raise NonOrthonormalBasisError(f"rows deviate from orthonormality by {dev:.3e}")
+        raise ValueError(f"rows deviate from orthonormality by {dev:.3e}")
     m = vs.conj()
     if dev > 1e-13:
         u, _, vh = np.linalg.svd(m)

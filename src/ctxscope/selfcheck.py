@@ -13,7 +13,7 @@ import numpy as np
 
 from . import interferometer
 from .contexts import CONTEXTS, canonical_paths
-from .core import NonOrthonormalBasisError, haar_random_states
+from .core import haar_random_states
 from .reference import NAMED_STATES
 
 IDENTITY_SUITE_STATES = 10_000
@@ -28,78 +28,69 @@ class CheckResult:
     detail: str
 
 
-def check_context_orthonormality(basis: Mapping[str, np.ndarray]) -> CheckResult:
-    worst = 0.0
-    worst_ctx = CONTEXTS[0]
+def check_context_orthonormality(basis: Mapping[str, np.ndarray]) -> tuple[bool, str]:
+    devs = []
     for ctx in CONTEXTS:
         vs = np.array([basis[label] for label in ctx])
-        dev = float(np.max(np.abs(vs.conj() @ vs.T - np.eye(3))))
-        if dev > worst:
-            worst, worst_ctx = dev, ctx
-    ok = worst <= 1e-12
-    return CheckResult(
-        "context orthonormality",
-        ok,
-        f"max Gram deviation {worst:.3e} (context {'/'.join(worst_ctx)})",
-    )
+        devs.append(float(np.max(np.abs(vs.conj() @ vs.T - np.eye(3)))))
+    # the first largest deviation, or the first NaN, which then fails the suite
+    worst = int(np.argmax(devs))
+    return devs[worst] <= 1e-12, f"max Gram deviation {devs[worst]:.3e} (context {'/'.join(CONTEXTS[worst])})"
 
 
-def check_balanced_state_overlaps(basis: Mapping[str, np.ndarray]) -> CheckResult:
+def check_balanced_state_overlaps(basis: Mapping[str, np.ndarray]) -> tuple[bool, str]:
     nf = NAMED_STATES["Nf"]
     pf = abs(np.vdot(basis["f"], nf)) ** 2
     pd1 = abs(np.vdot(basis["D1"], nf)) ** 2
     pd2 = abs(np.vdot(basis["D2"], nf)) ** 2
-    dev = max(abs(pf - 1 / 9), pd1, pd2)
-    return CheckResult(
-        "balanced-state overlaps",
-        dev <= 1e-12,
-        f"P(f)={pf:.15f}, P(D1)={pd1:.3e}, P(D2)={pd2:.3e}",
-    )
+    dev = float(np.max([abs(pf - 1 / 9), pd1, pd2]))  # NaN, unlike max(), carries through
+    return dev <= 1e-12, f"P(f)={pf:.15f}, P(D1)={pd1:.3e}, P(D2)={pd2:.3e}"
 
 
-def check_telescoping(network: interferometer.Network) -> CheckResult:
+def check_telescoping(network: interferometer.Network) -> tuple[bool, str]:
     product = np.eye(3, dtype=complex)
     for stage in network.stages:
         product = stage.transfer.matrix @ product
     dev = float(np.max(np.abs(product - np.eye(3))))
-    return CheckResult("telescoping product", dev <= 1e-12, f"deviation from identity {dev:.3e}")
+    return dev <= 1e-12, f"deviation from identity {dev:.3e}"
 
 
-def check_reflectivities(network: interferometer.Network) -> CheckResult:
+def check_reflectivities(network: interferometer.Network) -> tuple[bool, str]:
     actual = network.reflectivities
     dev = max(abs(a - e) for a, e in zip(actual, _EXPECTED_REFLECTIVITIES))
     listing = ", ".join(f"{r:.6f}" for r in actual)
-    return CheckResult("stage reflectivities", dev <= 1e-12, f"({listing})")
+    return dev <= 1e-12, f"({listing})"
 
 
-def check_output_identity(network: interferometer.Network) -> CheckResult:
+def check_output_identity(network: interferometer.Network) -> tuple[bool, str]:
     """Interior witness (canonical-path overlaps) equals the output-side
     witness (outputs propagated through `network`) for random states."""
     states = haar_random_states(IDENTITY_SUITE_STATES, IDENTITY_SUITE_SEED)
     metrics = interferometer.evaluate_states(network, states)
     worst = float(np.max(np.abs(metrics["witness"] - metrics["witness_outputs"])))
-    return CheckResult(
-        "output-side witness identity",
-        worst <= 1e-12,
-        f"max |direct - from outputs| = {worst:.3e} over {IDENTITY_SUITE_STATES} random states",
-    )
+    return worst <= 1e-12, f"max |direct - from outputs| = {worst:.3e} over {IDENTITY_SUITE_STATES} random states"
+
+
+# Each suite's name and check, in report order: those of the path basis, then
+# those of the network built from it.
+BASIS_SUITES = (
+    ("context orthonormality", check_context_orthonormality),
+    ("balanced-state overlaps", check_balanced_state_overlaps),
+)
+NETWORK_SUITES = (
+    ("telescoping product", check_telescoping),
+    ("stage reflectivities", check_reflectivities),
+    ("output-side witness identity", check_output_identity),
+)
 
 
 def run_all_checks(basis: Mapping[str, np.ndarray] | None = None) -> list[CheckResult]:
+    """One CheckResult per suite. A basis the network cannot be built from
+    (not orthonormal, or not finite) fails every network suite."""
     paths = canonical_paths() if basis is None else basis
-    results = [
-        check_context_orthonormality(paths),
-        check_balanced_state_overlaps(paths),
-    ]
+    results = [CheckResult(name, *check(paths)) for name, check in BASIS_SUITES]
     try:
         network = interferometer.build_network(paths)
-    except NonOrthonormalBasisError as exc:
-        detail = f"network not built: {exc}"
-        results.append(CheckResult("telescoping product", False, detail))
-        results.append(CheckResult("stage reflectivities", False, detail))
-        results.append(CheckResult("output-side witness identity", False, detail))
-        return results
-    results.append(check_telescoping(network))
-    results.append(check_reflectivities(network))
-    results.append(check_output_identity(network))
-    return results
+    except ValueError as exc:
+        return results + [CheckResult(name, False, f"network not built: {exc}") for name, _ in NETWORK_SUITES]
+    return results + [CheckResult(name, *check(network)) for name, check in NETWORK_SUITES]

@@ -41,12 +41,13 @@ def _photon_budget(rate: float, duration: float) -> float:
     return budget
 
 
-def draw_counts(probs: np.ndarray, rate: float, duration: float, seed: int) -> np.ndarray:
+def draw_counts(probs: np.ndarray, rate: float, duration: float, seed: int | np.random.Generator) -> np.ndarray:
     """Exact Poisson counts with means rate * duration * probs, as int64 in the
     shape of probs, from one stream.
 
-    The whole array comes from one NumPy generator seeded by seed (PTRS,
-    Hoermann 1993), so different seeds give unrelated streams.
+    The whole array comes from np.random.default_rng(seed) (PTRS, Hoermann
+    1993), so different seeds give unrelated streams. default_rng returns a
+    Generator seed itself: blocks drawn in turn from one give one call's counts.
     """
     probs = np.asarray(probs, dtype=float)
     if not np.all(np.isfinite(probs)):
@@ -56,7 +57,8 @@ def draw_counts(probs: np.ndarray, rate: float, duration: float, seed: int) -> n
         counts = np.random.default_rng(seed).poisson(budget * np.clip(probs, 0.0, 1.0))
     except ValueError as exc:  # NumPy refuses means whose counts would not fit in int64
         raise ValueError(f"rate * duration = {budget:g} is too large to count in int64") from exc
-    return counts.astype(np.int64, copy=False)
+    # a 0-d probability gives a Python int
+    return np.asarray(counts, dtype=np.int64)
 
 
 def fringe(

@@ -238,20 +238,35 @@ class TestScans:
         csv, draw = cli._csv, stats.draw_counts
 
         def keep_table(header, blocks):
-            tables.append(blocks[0])
+            blocks = list(blocks)
+            tables.append(blocks)
             return csv(header, blocks)
 
         def keep_probs(probs, *args):
             drawn.append(probs)
             return draw(probs, *args)
 
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 100)
         monkeypatch.setattr(cli, "_csv", keep_table)
         monkeypatch.setattr(stats, "draw_counts", keep_probs)
         grid = ("--state", state, "--target", "S1", "--from", "0.1", "--to", "3.1", "--steps", "301")
         assert run_cli(capsys, command, *grid)[0] == 0
         assert run_cli(capsys, command, *grid, "--rate", "100", "--seed", "4")[0] == 0
-        ideal = np.column_stack(tables[0][1:4])
-        assert len(drawn) == 1 and np.array_equal(drawn[0], ideal)
+        ideal = np.concatenate([np.column_stack(block[1:4]) for block in tables[0]])
+        # the noise flags' check draws once at probability 1, then each block draws once
+        budget_check, *blocks = drawn
+        assert np.ndim(budget_check) == 0 and len(blocks) == 4 == len(tables[1])
+        assert np.array_equal(np.concatenate(blocks), ideal)
+
+    @pytest.mark.parametrize("command, noise", [
+        ("phase-scan", ()), ("phase-scan", ("--visibility", "0.9", "--seed", "1")),
+        ("trans-scan", ()), ("trans-scan", ("--rate", "1000", "--seed", "2")),
+    ], ids=["phase-scan ideal", "phase-scan noisy", "trans-scan ideal", "trans-scan sampled"])
+    def test_scan_bytes_do_not_depend_on_the_block_size(self, capsys, monkeypatch, command, noise):
+        argv = (command, "--state", "V0", "--steps", "1000", *noise)
+        code, whole = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+        assert (code, run_cli(capsys, *argv)) == (0, (0, whole))
 
     def test_span_up_to_the_largest_double_scans_without_a_warning(self, capsys):
         # RuntimeWarnings are errors under pytest, so an overflow warning fails this call
@@ -292,8 +307,8 @@ class TestScans:
                                         if outside else (0, ""))
 
     def test_trans_scan_rejects_visibility_noise(self, capsys):
-        code, _ = run_cli(capsys, "trans-scan", "--state", "Nf", "--visibility", "0.9")
-        assert code == 2
+        assert usage_error(capsys, "trans-scan", "--state", "Nf", "--visibility", "0.9") == (
+            "error: unrecognized arguments: --visibility 0.9\n")
 
     def test_trans_scan_poisson_sampling(self, capsys):
         code, out = run_cli(capsys, "trans-scan", "--state", "Nf", "--steps", "5",
@@ -385,6 +400,21 @@ def test_budget_beyond_int64_counts_is_one_line_usage_error(capsys, argv):
     assert "too large to count in int64" in usage_error(capsys, *argv)
 
 
+def test_scan_refuses_a_budget_beyond_int64_even_where_every_mean_is_below_it(capsys):
+    # every mean on this grid is below NumPy's Poisson limit, so they could be drawn; the budget is above it
+    assert usage_error(capsys, "phase-scan", "--state", "V0", "--from", "0", "--to", "0.5", "--steps", "10",
+                       "--rate", "1e17", "--duration", "95") == (
+        "error: rate * duration = 9.5e+18 is too large to count in int64\n")
+
+
+def test_counts_beyond_int64_in_a_later_block_print_no_table():
+    # the first 65,536 settings keep every mean below NumPy's limit; later ones do not
+    proc = run_entry("phase-scan", "--state", "V0", "--from", "5", "--to", "10", "--steps", "100000",
+                     "--rate", "1e17", "--duration", "95")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: rate * duration = 9.5e+18 is too large to count in int64\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -404,7 +434,7 @@ def test_invalid_rate_is_reported_before_a_duration_printing_as_zero(capsys):
 
 
 NOISE_FLAG_ERRORS = [
-    (("trans-scan", "--visibility", "0.5"), None, "--visibility models phase fringes; not valid for trans-scan"),
+    (("trans-scan", "--visibility", "0.5"), None, "unrecognized arguments: --visibility 0.5"),
     (("phase-scan", "--visibility", "1.2"), None, "visibility must lie in [0, 1], got 1.2"),
     (("trans-scan", "--rate", "-1"), None, "rate must be positive, got -1.0"),
     (("phase-scan", "--rate", "-1"), None, "rate must be positive, got -1.0"),
@@ -461,6 +491,30 @@ def test_large_finite_budget_still_counts(capsys):
     for count, mean in zip(counts, (1e19 * 4 / 9, 1e19 * 4 / 9, 1e19 / 9)):
         assert isinstance(count, int)
         assert abs(count - mean) < 1e-6 * mean
+
+
+# Runs the CLI on its arguments and prints the child's peak RSS in KiB. Forked
+# from a large process, a child's ru_maxrss starts at that process's high-water
+# mark, so a small interpreter in between keeps the test process's out of it.
+PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-c", "from ctxscope.cli import entry; entry()", *sys.argv[1:]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def peak_rss_mb(*argv) -> float:
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], capture_output=True, text=True, check=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    return int(proc.stdout) / 1024
+
+
+@pytest.mark.parametrize("argv", [("phase-scan", "--state", "Nf", "--visibility", "0.9", "--seed", "1"),
+                                  ("trans-scan", "--state", "V0")], ids=["noisy phase-scan", "ideal trans-scan"])
+def test_scan_memory_does_not_grow_with_the_table(argv):
+    # a scan holds its settings grid (8 MB per 10^6 steps) and one block of rows
+    one, two = (peak_rss_mb(*argv, "--steps", str(steps), "--out", os.devnull) for steps in (10 ** 6, 2 * 10 ** 6))
+    assert two - one < 30.0
 
 
 def test_cli_import_does_not_load_scipy():
@@ -773,6 +827,18 @@ class TestFit:
         path = tmp_path / "counts.csv"
         path.write_text("setting,n1,n2,n3,duration\n" + body)
         assert message in usage_error(capsys, "fit", "--input", str(path), "--model", "Nf")
+
+    @pytest.mark.parametrize("cell, quoted", [
+        ("x" * 56, "['0', '1', '" + "x" * 56 + "', '3', '1']"),
+        ("x" * 57, "['0', '1', '" + "x" * 57 + "', '3', '1'..."),
+        ("1" * 140_000, "['0', '1', '" + "1" * 68 + "..."),
+    ], ids=["80 characters", "81 characters", "140,000 digits"])
+    def test_error_quotes_a_row_up_to_80_characters(self, capsys, tmp_path, cell, quoted):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"setting,n1,n2,n3,duration\n0,1,{cell},3,1\n")
+        kind = "non-numeric" if cell.startswith("x") else "non-finite"
+        assert usage_error(capsys, "fit", "--input", str(path), "--model", "Nf") == (
+            f"error: line 2: {kind} field in {quoted}\n")
 
     def test_reads_counts_from_stdin(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "scan.csv"

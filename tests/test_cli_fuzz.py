@@ -90,9 +90,8 @@ COMMANDS = st.one_of(
     joined(st.just(["run"]), STATE, MODIFIERS, fmt("json", "csv")),
     joined(st.just(["witness"]), STATE, fmt("json", "text")),
     *(joined(st.just([command]), STATE, flag("--target", LABELS), flag("--from", floats(0.0, 6.28)),
-             flag("--to", floats(0.0, 6.28)), flag("--steps", size(50)),
-             flag("--visibility", floats(0.0, 1.0)), RATE, DURATION, SEED)
-      for command in ("phase-scan", "trans-scan")),
+             flag("--to", floats(0.0, 6.28)), flag("--steps", size(50)), visibility, RATE, DURATION, SEED)
+      for command, visibility in (("phase-scan", flag("--visibility", floats(0.0, 1.0))), ("trans-scan", st.just([])))),
     joined(st.just(["sweep"]), flag("--resolution", size(20)), SEED),
     joined(st.just(["sweep", "--complex"]), flag("--samples", size(50)), SEED),
     joined(st.just(["sample"]), STATE, MODIFIERS, RATE, DURATION, flag("--setting", floats(-10.0, 10.0)),
@@ -102,15 +101,17 @@ COMMANDS = st.one_of(
 
 @st.composite
 def counts_csv(draw) -> str:
-    """A counts CSV for fit: well formed, or with edge values in any cell."""
-    header = draw(st.sampled_from([cli.COUNTS_CSV_HEADER] * 4 + ["setting,n1,n2,n3", ""]))
-    if draw(st.booleans()):
-        duration = draw(floats(1e-2, 1e2))
-        setting, cell = floats(-10.0, 10.0), st.integers(0, 10 ** 6).map(str)
-        last = st.just(duration)
-    else:
-        setting = cell = last = NUMBERS
-    rows = draw(st.lists(st.tuples(setting, cell, cell, cell, last), max_size=12))
+    """A counts CSV for fit: mostly the header, then at least three rows of one
+    duration, with up to three cells replaced by any number, an edge case, a
+    negative, a zero or a non-number, so that most draws reach the row rules."""
+    header = draw(st.sampled_from([cli.COUNTS_CSV_HEADER] * 8 + ["setting,n1,n2,n3", ""]))
+    duration = draw(floats(1e-2, 1e2))
+    cell = st.integers(0, 10 ** 6).map(str)
+    rows = draw(st.lists(st.tuples(floats(-10.0, 10.0), cell, cell, cell, st.just(duration)).map(list),
+                         min_size=3, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, 4))] = draw(st.one_of(NUMBERS, st.sampled_from(["-1", "0", "x", ""])))
     return "".join(line + "\n" for line in [header, *map(",".join, rows)])
 
 
@@ -184,7 +185,8 @@ def test_fit_gives_schema_output_or_one_error_line(text, model):
 def csv_module_reader(path: str) -> tuple[list[float], list[list[float]]]:
     """The counts reader `fit` had before one array pass replaced it: the csv
     module over the whole text, then float() cell by cell. Kept as the
-    reference that the array pass must agree with."""
+    reference that the array pass must agree with; like `fit` since, it quotes
+    a broken row's cells up to 80 characters and then "..."."""
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -201,12 +203,13 @@ def csv_module_reader(path: str) -> tuple[list[float], list[list[float]]]:
     for lineno, row in rows[1:]:
         if len(row) != 5:
             raise ValueError(f"line {lineno}: expected 5 fields, got {len(row)}")
+        quoted = str(row) if len(str(row)) <= 80 else str(row)[:80] + "..."
         try:
             values = [float(cell) for cell in row]
         except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric field in {row}") from None
+            raise ValueError(f"line {lineno}: non-numeric field in {quoted}") from None
         if not all(map(math.isfinite, values)):
-            raise ValueError(f"line {lineno}: non-finite field in {row}")
+            raise ValueError(f"line {lineno}: non-finite field in {quoted}")
         if any(v < 0 for v in values[1:4]):
             raise ValueError(f"line {lineno}: counts must be non-negative")
         if not values[4] > 0:

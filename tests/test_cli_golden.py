@@ -18,7 +18,6 @@ and must match byte for byte.
 import hashlib
 import json
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -149,11 +148,15 @@ def test_fit_json_is_byte_identical(capsys, tmp_path, scan):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FIT_HASHED[scan]
 
 
-def test_csv_emitter_matches_per_cell_f9(monkeypatch):
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+def blocks(columns, rows: int) -> list[list[np.ndarray]]:
+    """The columns cut into blocks of at most `rows` rows, as the table producers yield them."""
+    return [[c[start:start + rows] for c in columns] for start in range(0, len(columns[0]), rows)]
+
+
+def test_csv_emitter_matches_per_cell_f9():
     x = np.array([-0.0, 5e-13, -5e-13, 1e-12, -1e-12, -5e-10, 0.1234567895, -2.5])
     n = np.array([0, 7, -3, 10**15, 42, 1, 2, 3], dtype=np.int64)
-    chunks = list(cli._csv("x,y,n", [[x, x[::-1], n]]))
+    chunks = list(cli._csv("x,y,n", blocks([x, x[::-1], n], 3)))
     rows = [",".join([cli._f9(a), cli._f9(b), str(int(c))]) + "\n" for a, b, c in zip(x, x[::-1], n)]
     assert len(chunks) == 1 + 3
     assert b"".join(chunks) == ("x,y,n\n" + "".join(rows)).encode()
@@ -202,8 +205,7 @@ def tables(draw):
 @settings(max_examples=400, deadline=None)
 @given(tables(), st.integers(1, 5))
 def test_csv_emitter_is_byte_identical_to_per_cell_formatting(columns, block_rows):
-    with mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
-        data = b"".join(cli._csv("h", [columns]))
+    data = b"".join(cli._csv("h", blocks(columns, block_rows)))
     assert data == ("h\n" + per_cell_rows(columns)).encode()
 
 
@@ -215,7 +217,7 @@ def test_csv_emitter_full_block_and_remainder():
                      zip(rng.integers(-10 ** 10, 10 ** 10, rows), rng.integers(-1, 2, rows))])
     small = rng.standard_normal(rows) * 1e-9
     n = rng.integers(-2 ** 63, 2 ** 63 - 1, rows, dtype=np.int64)
-    chunks = list(cli._csv("h", [[wide, ties, small, n]]))
+    chunks = list(cli._csv("h", blocks([wide, ties, small, n], cli.CSV_BLOCK_ROWS)))
     assert len(chunks) == 1 + 2
     assert b"".join(chunks) == ("h\n" + per_cell_rows([wide, ties, small, n])).encode()
 

@@ -10,7 +10,7 @@ PUBLIC = {
     # contexts
     "CONTEXTS", "INPUT_LABELS", "INTERIOR_LABELS", "PATH_LABELS", "canonical_paths", "context_at",
     # core
-    "NonOrthonormalBasisError", "TransferOperator", "as_state", "basis_change", "haar_random_states",
+    "TransferOperator", "as_state", "basis_change", "haar_random_states",
     "normalize",
     # interferometer
     "Modifier", "Network", "Stage", "attenuate", "block", "build_network", "evaluate_states",

@@ -42,3 +42,14 @@ def test_grossly_perturbed_basis_skips_network_suites_gracefully():
     assert not all(r.passed for r in results)
     telescoping = next(r for r in results if r.name == "telescoping product")
     assert not telescoping.passed
+
+
+def test_nan_basis_fails_the_orthonormality_and_network_suites():
+    paths = dict(canonical_paths())
+    paths["P1"] = np.array([np.nan, 0.0, 0.0], dtype=complex)
+    results = {r.name: r for r in run_all_checks(basis=paths)}
+    assert not results["context orthonormality"].passed
+    assert "max Gram deviation nan" in results["context orthonormality"].detail
+    for name in ("telescoping product", "stage reflectivities", "output-side witness identity"):
+        assert not results[name].passed
+        assert results[name].detail == "network not built: state amplitudes must be finite"

@@ -53,6 +53,17 @@ class TestSampleCounts:
         b = draw_counts(np.array([0.2, 0.3, 0.5]), 1000.0, 100.0, 124)
         assert not np.array_equal(a, b)
 
+    def test_zero_dimensional_probability_counts_in_its_shape(self):
+        counts = draw_counts(0.5, 10.0, 1.0, 0)
+        assert counts.shape == () and counts.dtype == np.int64
+        assert counts == draw_counts(np.array([0.5]), 10.0, 1.0, 0)[0]
+
+    def test_generator_drawn_in_blocks_gives_the_counts_of_one_call(self):
+        probs = np.random.default_rng(5).uniform(0.0, 1.0, (1000, 3))
+        rng = np.random.default_rng(8)
+        blocks = [draw_counts(probs[start:start + 300], 1e4, 1.0, rng) for start in range(0, 1000, 300)]
+        assert np.array_equal(np.concatenate(blocks), draw_counts(probs, 1e4, 1.0, 8))
+
     def test_zero_probability_ports_count_zero(self):
         counts = draw_counts(np.array([1.0, 0.0, 0.0]), 100.0, 1.0, 9)
         assert counts[1] == 0
