@@ -2,7 +2,12 @@
 
 Subcommands: check, run, witness, phase-scan, trans-scan, sweep, sample,
 fit, reproduce. Exit codes: 0 success, 1 failed self-check, 2 usage or
-input-schema error, 3 numerical degeneracy while fitting.
+input-schema error, 3 numerical degeneracy while fitting. A reader that
+closes the pipe early ends the installed script by SIGPIPE, as it ends `cat`.
+
+Each command checks its arguments, then returns its exit status and its
+output as byte chunks, produced as they are written so that tables stream;
+`main` writes them to --out and turns every refusal into an exit code.
 
 Outputs are deterministic for fixed flags and seed: CSV uses the fixed
 headers below with nine-decimal floats and LF line endings, JSON uses
@@ -16,6 +21,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import sys
 from typing import Iterable, Iterator, NoReturn, Sequence
 
@@ -163,8 +169,8 @@ def _write(out: str, chunks: Iterable[bytes]) -> None:
     own directory and moved over `out` only after the last chunk, so a call
     that fails part way leaves `out` as it was. A device or pipe (such as
     /dev/null) is written in place, since there is nothing to replace.
-    Callers validate their input before the first chunk, because stdout
-    cannot be taken back.
+    Commands validate before they return, because stdout cannot be taken
+    back once the first chunk is written.
     """
     if out == "-":
         sink = getattr(sys.stdout, "buffer", None)
@@ -238,16 +244,10 @@ def _parse_state(spec: str) -> np.ndarray:
         values = [float(p) for p in parts]
     except ValueError:
         raise ValueError(f"state amplitudes must be numeric, got {spec!r}") from None
-    vec = np.array([complex(values[0], values[1]),
-                    complex(values[2], values[3]),
-                    complex(values[4], values[5])])
+    vec = np.array(values).view(complex)
     if not np.any(vec):
         raise ValueError("state amplitudes must not all be zero")
     return normalize(vec)
-
-
-def _state_parts(psi: np.ndarray) -> list[float]:
-    return [float(v) for pair in ((a.real, a.imag) for a in psi) for v in pair]
 
 
 def _split_pair(spec: str, flag: str) -> tuple[str, float]:
@@ -353,13 +353,12 @@ def _scan_noise(args: argparse.Namespace) -> tuple[float, float, float, np.rando
     return visibility, rate, duration, np.random.default_rng(seed)
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
     results = run_all_checks()
     lines = [f"{'ok' if r.passed else 'FAIL'}  {r.name}: {r.detail}" for r in results]
     failures = [r for r in results if not r.passed]
     lines.append(f"first failure: {failures[0].name}" if failures else "all checks passed")
-    _write(args.out, [_text(lines)])
-    return 1 if failures else 0
+    return 1 if failures else 0, [_text(lines)]
 
 
 def _distribution(probs: Sequence[float]) -> dict[str, float]:
@@ -367,23 +366,21 @@ def _distribution(probs: Sequence[float]) -> dict[str, float]:
     return {"p1": p1, "p2": p2, "p3": p3, "survival": p1 + p2 + p3}
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
     psi = _parse_state(args.state)
     mods = _parse_modifiers(args)
     fields = _distribution(run(build_network(), psi, mods))
     if args.format == "csv":
-        _write(args.out, _csv(",".join(fields), [[[v] for v in fields.values()]]))
-    else:
-        _write(args.out, [_json_dump({
-            **fields,
-            "modifiers": [f"{m.action}:{m.target}" + (f":{m.value!r}" if m.action != "block" else "")
-                          for m in mods],
-            "state": _state_parts(psi),
-        })])
-    return 0
+        return 0, _csv(",".join(fields), [[[v] for v in fields.values()]])
+    return 0, [_json_dump({
+        **fields,
+        "modifiers": [f"{m.action}:{m.target}" + (f":{m.value!r}" if m.action != "block" else "")
+                      for m in mods],
+        "state": psi.view(float).tolist(),
+    })]
 
 
-def cmd_witness(args: argparse.Namespace) -> int:
+def cmd_witness(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
     psi = _parse_state(args.state)
     metrics = {k: v[0] for k, v in evaluate_states(build_network(), psi[None, :]).items()}
     free, blocked = _distribution(metrics["free"]), _distribution(metrics["blocked"])
@@ -394,28 +391,26 @@ def cmd_witness(args: argparse.Namespace) -> int:
         "p_d1": float(metrics["pd1"]),
         "p_d2": float(metrics["pd2"]),
         "p_f": float(metrics["pf"]),
-        "state": _state_parts(psi),
+        "state": psi.view(float).tolist(),
         "witness_direct": float(metrics["witness"]),
         "witness_from_outputs": float(metrics["witness_outputs"]),
     }
     if args.format == "text":
         lines = [
             f"state: {args.state}",
-            f"P(f)={payload['p_f']:.9f}  P(D1)={payload['p_d1']:.9f}  P(D2)={payload['p_d2']:.9f}",
-            f"witness (interior paths):  {payload['witness_direct']:.9f}",
-            f"witness (output side):     {payload['witness_from_outputs']:.9f}",
-            f"gain at port 3 blocking f: {payload['gain_port3']:.9f}",
+            f"P(f)={_f9(payload['p_f'])}  P(D1)={_f9(payload['p_d1'])}  P(D2)={_f9(payload['p_d2'])}",
+            f"witness (interior paths):  {_f9(payload['witness_direct'])}",
+            f"witness (output side):     {_f9(payload['witness_from_outputs'])}",
+            f"gain at port 3 blocking f: {_f9(payload['gain_port3'])}",
             "free output:    " + "  ".join(_f9(v) for v in metrics["free"]),
             "blocked output: " + "  ".join(_f9(v) for v in metrics["blocked"])
             + f"  (survival {_f9(blocked['survival'])})",
         ]
-        _write(args.out, [_text(lines)])
-    else:
-        _write(args.out, [_json_dump(payload)])
-    return 0
+        return 0, [_text(lines)]
+    return 0, [_json_dump(payload)]
 
 
-def _run_scan(args: argparse.Namespace) -> int:
+def _run_scan(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
     _check_rows("--steps", args.steps, 1, args.steps)
     psi = _parse_state(args.state)
     interferometer._check_target(args.target)
@@ -455,8 +450,7 @@ def _run_scan(args: argparse.Namespace) -> int:
                 last = values.sum(axis=1)
             yield [settings, *values.T, last]
 
-    _write(args.out, _csv(COUNTS_CSV_HEADER if noisy else IDEAL_CSV_HEADER, blocks()))
-    return 0
+    return 0, _csv(COUNTS_CSV_HEADER if noisy else IDEAL_CSV_HEADER, blocks())
 
 
 def _sweep_csv(lead: tuple[str, ...], blocks: Iterable[tuple[list, np.ndarray]]) -> Iterator[bytes]:
@@ -480,7 +474,7 @@ def _sweep_csv(lead: tuple[str, ...], blocks: Iterable[tuple[list, np.ndarray]])
     yield f"# max_witness={_f9(best)} {where}\n".encode()
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
     if args.complex:
         _check_rows("--samples", args.samples, 1, args.samples)
         haar = haar_state_blocks(args.samples, _resolve_seed(args), CSV_BLOCK_ROWS)
@@ -492,11 +486,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid = real_grid_blocks(args.resolution, CSV_BLOCK_ROWS)
         lead = ("alpha", "beta")
         blocks = (([alphas, betas], states) for alphas, betas, states in grid)
-    _write(args.out, _sweep_csv(lead, blocks))
-    return 0
+    return 0, _sweep_csv(lead, blocks)
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
+def cmd_sample(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
     psi = _parse_state(args.state)
     mods = _parse_modifiers(args)
     if not math.isfinite(args.setting):
@@ -507,31 +500,28 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _check_counts_duration(args.duration)
         columns = [[args.setting], *([c] for c in counts), [args.duration]]
-        _write(args.out, _csv(COUNTS_CSV_HEADER, [columns]))
-    else:
-        _write(args.out, [_json_dump({
-            "counts": counts,
-            "duration": args.duration,
-            "rate": args.rate,
-            "seed": seed,
-            "setting": args.setting,
-        })])
-    return 0
+        return 0, _csv(COUNTS_CSV_HEADER, [columns])
+    return 0, [_json_dump({
+        "counts": counts,
+        "duration": args.duration,
+        "rate": args.rate,
+        "seed": seed,
+        "setting": args.setting,
+    })]
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
+def cmd_fit(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
+    model = _parse_state(args.model)
     settings, counts = _read_counts_csv(args.input)
-    _, b, c = interferometer.fringe_coefficients(build_network(), NAMED_STATES[args.model])
-    ports = stats.fit_fringe(settings, counts, np.hypot(b, c))
-    _write(args.out, [_json_dump({
+    ports = stats.fit_fringe(settings, counts, interferometer.fringe_coefficients(build_network(), model))
+    return 0, [_json_dump({
         "model": args.model,
         "ports": [p._asdict() for p in ports],
         "settings": len(settings),
-    })])
-    return 0
+    })]
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
+def cmd_reproduce(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
     network = build_network()
     lines = ["benchmark reproduction: simulator vs published measured values", ""]
     header = f"{'state':<6} {'quantity':<20} {'simulated':>13} {'reference':>11} {'|delta|':>12}"
@@ -576,18 +566,13 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         f"max |delta|: probabilities {dev_probs:.9f}, gains {dev_gains:.9f}, "
         f"witnesses {dev_witness:.9f}"
     )
-    _write(args.out, [_text(lines)])
-    return 0
+    return 0, [_text(lines)]
 
 
 def _out_path(value: str) -> str:
     if not value:
         raise argparse.ArgumentTypeError("must be a path, or - for stdout")
     return value
-
-
-def _add_out(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", type=_out_path, default="-", help="output path, or - for stdout (default)")
 
 
 def _add_state(sp: argparse.ArgumentParser) -> None:
@@ -635,20 +620,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     sp = sub.add_parser("check", help="run the structural self-check suites")
-    _add_out(sp)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("run", help="propagate one state, optionally with modifiers")
     _add_state(sp)
     _add_modifiers(sp)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_out(sp)
     sp.set_defaults(func=cmd_run)
 
     sp = sub.add_parser("witness", help="witness, gain, and output distributions for a state")
     _add_state(sp)
     sp.add_argument("--format", choices=("json", "text"), default="json")
-    _add_out(sp)
     sp.set_defaults(func=cmd_witness)
 
     sp = sub.add_parser("phase-scan", help="sweep a phase shifter in an interior path")
@@ -657,14 +639,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--visibility", type=float, default=None,
                     help="fringe visibility for noisy counts (default 1.0 when sampling)")
     _add_seed(sp)
-    _add_out(sp)
     sp.set_defaults(func=_run_scan, kind="phase")
 
     sp = sub.add_parser("trans-scan", help="sweep a tunable absorber in an interior path")
     _add_state(sp)
     _add_scan_grid(sp, math.pi)
     _add_seed(sp)
-    _add_out(sp)
     sp.set_defaults(func=_run_scan, kind="transmittance", visibility=None)
 
     sp = sub.add_parser("sweep", help="map witness and gain over the real state octant")
@@ -675,7 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=10_000,
                     help="number of random states with --complex (default 10000)")
     _add_seed(sp)
-    _add_out(sp)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("sample", help="Poisson counts for one detection run")
@@ -689,27 +668,30 @@ def build_parser() -> argparse.ArgumentParser:
                     help="setting value recorded with the counts (default 0)")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     _add_seed(sp)
-    _add_out(sp)
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("fit", help="fit fringe visibilities to a counts CSV")
     sp.add_argument("--input", required=True, help="counts CSV path, or - for stdin")
-    sp.add_argument("--model", required=True, choices=("Nf", "Bf", "V0"),
-                    help="which theory fringe the data follows")
-    _add_out(sp)
+    sp.add_argument("--model", required=True,
+                    help="state whose theory fringe on f the data follows: a named state or six "
+                         "comma-separated re,im amplitude parts, as --state takes them")
     sp.set_defaults(func=cmd_fit)
 
     sp = sub.add_parser("reproduce", help="regenerate every benchmark number next to the published values")
-    _add_out(sp)
     sp.set_defaults(func=cmd_reproduce)
 
+    # last in every subcommand's --help
+    for sp in sub.choices.values():
+        sp.add_argument("--out", type=_out_path, default="-", help="output path, or - for stdout (default)")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        status, chunks = args.func(args)
+        _write(args.out, chunks)
+        return status
     except stats.DegenerateDesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -719,6 +701,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # Python ignores SIGPIPE; its default action ends the script quietly under `| head`
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

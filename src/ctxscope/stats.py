@@ -91,7 +91,7 @@ def fringe(
 def fit_fringe(
     settings: Sequence[float] | np.ndarray,
     counts: np.ndarray,
-    amplitudes: Sequence[float],
+    coefficients: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[PortFit, PortFit, PortFit]:
     """Least-squares fringe fit of normalized counts on {1, cos, sin}, one
     PortFit per output port.
@@ -100,10 +100,12 @@ def fit_fringe(
     per-port counts at them: finite and non-negative, integers when drawn by
     the sampler or real-valued, e.g. exactly scaled probabilities. Counts are
     normalized per setting by the total across the three ports, which removes
-    rate drift and any overall scale. amplitudes holds each port's model
-    fringe amplitude |b + i c|. The visibility for port i is
-    sqrt(b^2 + c^2) / amplitudes[i] with its standard error propagated from
-    the residual variance; values above 1 are reported as-is.
+    rate drift and any overall scale. coefficients holds the model's per-port
+    (a, b, c), as for fringe. The visibility for port i is the fitted
+    sqrt(b^2 + c^2) over the model's |b_i + i c_i|, with its standard error
+    propagated from the residual variance; values above 1 are reported as-is.
+    A model amplitude below 1e-12, the rounding residue that a port with no
+    fringe is left with, is refused as zero.
     """
     phi = np.asarray(settings, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -114,7 +116,9 @@ def fit_fringe(
         raise ValueError("settings and counts must be finite")
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
-    if len(amplitudes) != 3:
+    _, model_b, model_c = coefficients
+    amplitudes = np.hypot(model_b, model_c)
+    if amplitudes.shape != (3,):
         raise ValueError("model must give a fringe amplitude for each of the three ports")
     n = phi.size
     # not np.unique, which imports numpy.ma in NumPy 2; -0.0 and 0.0 count as one setting
@@ -135,7 +139,7 @@ def fit_fringe(
     ports = []
     for i in range(3):
         model_amp = float(amplitudes[i])
-        if not model_amp > 0.0:
+        if not model_amp >= 1e-12:
             raise ValueError(f"model fringe amplitude for port {i + 1} must be positive")
         coef, *_ = np.linalg.lstsq(design, y[:, i], rcond=None)
         a, b, c = (float(v) for v in coef)

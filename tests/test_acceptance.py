@@ -205,20 +205,19 @@ def test_c07_sweep_finds_maximal_violation(network, witness_matrix):
 
 def test_c08_statistical_layer(network):
     true_v = 0.95
-    coefficients = offs, amps, sines = fringe_coefficients(network, NAMED_STATES["Bf"])
-    model = np.hypot(amps, sines)
+    coefficients = offs, amps, _ = fringe_coefficients(network, NAMED_STATES["Bf"])
     grid = np.linspace(0.0, 2.0 * math.pi, 25)
     probs = fringe(grid, coefficients, true_v)
     hits = total = 0
     for trial in range(500):
         counts = draw_counts(probs, 1000.0, 100.0, 100_000 + 40 * trial)
-        for port in fit_fringe(grid, counts, model):
+        for port in fit_fringe(grid, counts, coefficients):
             total += 1
             if abs(port.visibility - true_v) <= 3.0 * port.stderr:
                 hits += 1
     coverage = hits / total
     exact = (np.asarray(offs)[None, :] + true_v * np.asarray(amps)[None, :] * np.cos(grid)[:, None]) * 1e6
-    noiseless_dev = max(abs(p.visibility - true_v) for p in fit_fringe(grid, exact, model))
+    noiseless_dev = max(abs(p.visibility - true_v) for p in fit_fringe(grid, exact, coefficients))
     ok = coverage >= 0.99 and noiseless_dev < 1e-6
     report("8", ok, f"coverage {hits}/{total} = {coverage:.4f} (>= 0.99), "
                     f"noiseless recovery dev {noiseless_dev:.2e} (< 1e-6)")

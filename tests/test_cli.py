@@ -1,7 +1,9 @@
+import hashlib
 import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +173,13 @@ class TestWitness:
         code, out = run_cli(capsys, "witness", "--state", "V0", "--format", "text")
         assert code == 0
         assert "witness (interior paths):  0.222222222" in out
+
+    def test_text_format_prints_no_negative_zero(self, capsys):
+        # this state's output-side witness is a rounding residue below zero
+        code, out = run_cli(capsys, "witness", "--state=-1,1,0,2,0.5,0", "--format", "text")
+        assert code == 0
+        assert "witness (output side):     0.000000000\n" in out
+        assert "-0.000000000" not in out
 
 
 class TestScans:
@@ -365,11 +374,45 @@ def test_usage_errors_are_one_line_in_a_fresh_process(argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
-def test_help_is_unchanged(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["sample", "--help"])
-    assert err.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: ctxscope sample ")
+# sha256 of each --help at COLUMNS=80, recorded before --out was added to
+# every subcommand in one loop; fit's was recorded again when --model came to
+# take any state.
+HELP_SHA256 = {
+    (): "9d7445cd82ae56f246316def16047bcdda9886c73fdd95c32ec19d33476de2b5",
+    ("check",): "e3ce000f543c2e58a689eb64166e140150fbe7e2c0fbd5e393cd415f9928c165",
+    ("run",): "fe5ab3d1d26ca50e2f97526d8a605635564efbaef9008d2253d2fcdefe8e6fd2",
+    ("witness",): "9b7ed6c686d484c49aebdcc76f0b06737e6c6688c7c9eb5982e77e68f5ba82aa",
+    ("phase-scan",): "0b736b2abb4b3c4863bd86bdc9d78a71c3f813c1fd5c3af7c3957b03bec1c130",
+    ("trans-scan",): "b86fc5289d97105fe41f6ece246754a7c874a3c4eb3bfb03aa9b3dd9a9a4cd52",
+    ("sweep",): "2db4d185a92a94b6dad0d2eec3fe097e065963eb05cc6ca5d12b156e80bbc847",
+    ("sample",): "26de9804a3d70bab679837c999b5454d955af75b1e4fb9230b760d660ad688dc",
+    ("fit",): "c12ab247af4d6cbde76ebd67c07893444571f67936539b01ad7dbc0624e13c0a",
+    ("reproduce",): "f76bb0902513aaff5ead65d08e7a51c4d9b2d0e2b60dc9e6cc664305937afcba",
+}
+
+
+def test_help_is_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, digest in HELP_SHA256.items():
+        with pytest.raises(SystemExit) as err:
+            main([*command, "--help"])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+@pytest.mark.parametrize("argv", [("phase-scan", "--state", "Nf", "--steps", "1000000"),
+                                  ("sweep", "--resolution", "1001")], ids=lambda argv: argv[0])
+def test_closed_pipe_ends_the_script_by_sigpipe(argv):
+    """A reader that stops after one line ends the script as it ends `cat`:
+    killed by SIGPIPE, with nothing on stderr."""
+    with subprocess.Popen([sys.executable, "-c", "from ctxscope.cli import entry; entry()", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}) as proc:
+        assert proc.stdout.readline().startswith((b"setting,", b"alpha,"))
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
 
 
 @pytest.mark.parametrize(
@@ -786,6 +829,29 @@ class TestFit:
         ports = json.loads(out)["ports"]
         assert [p["a"] for p in ports] == pytest.approx([2 / 9, 2 / 9, 5 / 9], abs=1e-6)
         assert [abs(p["b"]) for p in ports] == pytest.approx([2 / 9, 2 / 9, 4 / 9], abs=1e-6)
+
+    @pytest.mark.parametrize("model", [COMPLEX_STATE, "basis2", " v0 "])
+    def test_model_is_any_state(self, capsys, tmp_path, model):
+        path = tmp_path / "scan.csv"
+        assert main(["phase-scan", f"--state={model}", "--steps", "25", "--visibility", "0.8",
+                     "--rate", "1e5", "--seed", "2", "--out", str(path)]) == 0
+        code, out = run_cli(capsys, "fit", "--input", str(path), f"--model={model}")
+        payload = json.loads(out)
+        assert code == 0 and payload["model"] == model
+        for port in payload["ports"]:
+            assert abs(port["visibility"] - 0.8) < 5.0 * port["stderr"]
+
+    def test_model_without_a_fringe_is_usage_error(self, capsys, tmp_path):
+        # (1, -1, 0) is orthogonal to f, so a phase on f moves no port
+        path = tmp_path / "scan.csv"
+        assert main(["phase-scan", "--state", "Nf", "--steps", "5", "--visibility", "0.9", "--out", str(path)]) == 0
+        assert usage_error(capsys, "fit", "--input", str(path), "--model", "1,0,-1,0,0,0") == (
+            "error: model fringe amplitude for port 1 must be positive\n")
+
+    def test_unknown_model_is_refused_before_the_input_is_read(self, capsys, tmp_path):
+        assert usage_error(capsys, "fit", "--input", str(tmp_path / "nope.csv"), "--model", "V1") == (
+            "error: state must be one of ['Bf', 'Nf', 'V0', 'basis1', 'basis2', 'basis3'] or six "
+            "comma-separated re,im amplitude parts, got 'V1'\n")
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         assert run_cli(capsys, "fit", "--input", str(tmp_path / "nope.csv"), "--model", "Nf")[0] == 2

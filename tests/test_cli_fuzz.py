@@ -175,8 +175,13 @@ def test_every_command_gives_schema_output_or_one_error_line(argv):
     assert_outcome(argv, *call(argv))
 
 
+# fit's model: a named state or not, a basis state, or six parts as STATE draws them
+MODELS = st.one_of(st.sampled_from(["Nf", "Bf", "V0", "V1"]), st.sampled_from(["basis1", "basis2", "basis3"]),
+                   st.lists(value(floats(-1.0, 1.0)), min_size=6, max_size=6).map(",".join))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(counts_csv(), st.sampled_from(["Nf", "Bf", "V0", "V1"]))
+@given(counts_csv(), MODELS)
 def test_fit_gives_schema_output_or_one_error_line(text, model):
     argv = ["fit", "--input", "-", f"--model={model}"]
     assert_outcome(argv, *call(argv, text))

@@ -122,6 +122,12 @@ class TestCanonicalPaths:
         }
         assert not set(INPUT_LABELS) & set(INTERIOR_LABELS)
 
+    def test_context_positions_run_from_0_to_5(self):
+        assert context_at(0) == context_at(5) == CONTEXTS[0]
+        for position in (-1, 6):
+            with pytest.raises(ValueError, match=f"context position must be in 0..5, got {position}"):
+                context_at(position)
+
     def test_vectors_are_read_only(self):
         with pytest.raises(ValueError):
             canonical_paths()["f"][0] = 0.0

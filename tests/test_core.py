@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,18 @@ class TestApply:
         u = TransferOperator(random_unitary(seed))
         psi = haar_random_states(1, seed + 100)[0]
         assert norm_sq(u.matrix @ psi) == pytest.approx(norm_sq(psi), abs=1e-12)
+
+    @pytest.mark.parametrize("matrix", [np.eye(2), np.eye(4), np.eye(3)[0]], ids=["2x2", "4x4", "a row"])
+    def test_rejects_a_matrix_that_is_not_3x3(self, matrix):
+        with pytest.raises(ValueError, match=re.escape(f"transfer matrix must be 3x3, got {matrix.shape}")):
+            TransferOperator(matrix)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_a_non_finite_entry(self, entry):
+        matrix = np.eye(3, dtype=complex)
+        matrix[1, 2] = entry
+        with pytest.raises(ValueError, match="transfer matrix entries must be finite"):
+            TransferOperator(matrix)
 
     def test_unitary_kind_rejects_nonunitary_matrix(self):
         with pytest.raises(ValueError, match="not unitary"):

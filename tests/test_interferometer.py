@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ctxscope.contexts import INTERIOR_LABELS, canonical_paths
 from ctxscope.core import haar_random_states, real_grid_blocks
 from ctxscope.interferometer import (
+    Modifier,
     attenuate,
     block,
     evaluate_states,
@@ -171,6 +173,10 @@ class TestRun:
         with pytest.raises(ValueError, match="multiple modifiers on path 'f'"):
             run(network, NF, [block("f"), phase_shift("f", 1.0)])
 
+    def test_rejects_unknown_action(self):
+        with pytest.raises(ValueError, match="unknown modifier action: 'squeeze'"):
+            Modifier("f", "squeeze")
+
     def test_rejects_out_of_range_attenuation(self):
         with pytest.raises(ValueError):
             attenuate("f", 1.5)
@@ -271,6 +277,11 @@ class TestKernelMatchesRepeatedUpdate:
 
 
 class TestKernelInputs:
+    @pytest.mark.parametrize("states", [NF, np.zeros((2, 2)), NF[None, None, :]], ids=["1-D", "two columns", "3-D"])
+    def test_states_of_the_wrong_shape_are_refused(self, network, states):
+        with pytest.raises(ValueError, match=r"states must have shape \(n, 3\), got " + re.escape(str(states.shape))):
+            propagate(network, states, ["f"], [[0.0]])
+
     def test_nan_state_is_refused(self, network):
         with pytest.raises(ValueError, match="input states must be normalized"):
             propagate(network, np.array([NF, [math.nan, 0.0, 0.0]]), ["f"], [[0.0]])

@@ -36,12 +36,6 @@ def nf_coefficients(network):
     return fringe_coefficients(network, NF)
 
 
-@pytest.fixture(scope="module")
-def nf_model(nf_coefficients):
-    _, b, c = nf_coefficients
-    return np.hypot(b, c)
-
-
 class TestSampleCounts:
     def test_deterministic_per_seed(self):
         a = draw_counts(np.array([0.2, 0.3, 0.5]), 1000.0, 100.0, 123)
@@ -172,94 +166,93 @@ class TestNoisyFringe:
 
 
 class TestFitFringe:
-    def test_exact_counts_recover_unit_visibility(self, nf_fringe, nf_model):
+    def test_exact_counts_recover_unit_visibility(self, nf_fringe, nf_coefficients):
         settings, ideal = nf_fringe
-        fit = fit_fringe(settings, ideal * 1e6, nf_model)
+        fit = fit_fringe(settings, ideal * 1e6, nf_coefficients)
         for port in fit:
             assert port.visibility == pytest.approx(1.0, abs=1e-9)
             assert port.c == pytest.approx(0.0, abs=1e-9)
 
-    def test_exact_degraded_curve_recovers_true_visibility(self, nf_fringe, nf_coefficients, nf_model):
+    def test_exact_degraded_curve_recovers_true_visibility(self, nf_fringe, nf_coefficients):
         settings, _ = nf_fringe
         offs, amps, _ = nf_coefficients
         curve = offs[None, :] + 0.7 * amps[None, :] * np.cos(settings)[:, None]
-        fit = fit_fringe(settings, curve * 1e6, nf_model)
+        fit = fit_fringe(settings, curve * 1e6, nf_coefficients)
         for port in fit:
             assert port.visibility == pytest.approx(0.7, abs=1e-9)
 
-    def test_scale_invariance(self, nf_fringe, nf_coefficients, nf_model):
+    def test_scale_invariance(self, nf_fringe, nf_coefficients):
         settings, _ = nf_fringe
         noisy = sampled_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, 4)
-        base = fit_fringe(settings, noisy, nf_model)
-        rescaled = fit_fringe(settings, noisy.astype(float) * 137.0, nf_model)
+        base = fit_fringe(settings, noisy, nf_coefficients)
+        rescaled = fit_fringe(settings, noisy.astype(float) * 137.0, nf_coefficients)
         for a, b in zip(base, rescaled):
             assert b.visibility == pytest.approx(a.visibility, abs=1e-9)
 
-    def test_noisy_recovery_within_three_percent(self, nf_fringe, nf_coefficients, nf_model):
+    def test_noisy_recovery_within_three_percent(self, nf_fringe, nf_coefficients):
         settings, _ = nf_fringe
         for seed in (1, 2, 3, 4, 5):
             counts = sampled_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, seed)
-            fit = fit_fringe(settings, counts, nf_model)
+            fit = fit_fringe(settings, counts, nf_coefficients)
             for port in fit:
                 assert 0.97 <= port.visibility <= 1.03
 
-    def test_sine_term_absorbs_no_signal(self, nf_fringe, nf_coefficients, nf_model):
+    def test_sine_term_absorbs_no_signal(self, nf_fringe, nf_coefficients):
         # the models carry no phase offset, so c must stay at noise level
         settings, _ = nf_fringe
         counts = sampled_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, 8)
-        fit = fit_fringe(settings, counts, nf_model)
+        fit = fit_fringe(settings, counts, nf_coefficients)
         for port in fit:
             assert abs(port.c) < 5.0 * port.stderr + 1e-6
 
-    def test_visibility_above_one_is_not_clamped(self, nf_fringe, nf_coefficients, nf_model):
+    def test_visibility_above_one_is_not_clamped(self, nf_fringe, nf_coefficients):
         settings, _ = nf_fringe
         counts = sampled_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, 1)
-        fit = fit_fringe(settings, counts, nf_model)
+        fit = fit_fringe(settings, counts, nf_coefficients)
         assert any(port.visibility > 1.0 for port in fit)
 
     def test_complex_state_recovers_injected_visibility(self, network):
         # psi ~ (1, i, 0.5) has a sine term; its fringe amplitude is |b + i c|
         psi = normalize(np.array([1.0, 1.0j, 0.5]))
         coefficients = fringe_coefficients(network, psi)
-        amplitudes = np.hypot(coefficients[1], coefficients[2])
         grid = np.linspace(0.0, 2.0 * math.pi, 25)
         for seed in (1, 2, 3, 4, 5):
-            fit = fit_fringe(grid, sampled_fringe(grid, coefficients, 0.8, 1000.0, 100.0, seed), amplitudes)
+            fit = fit_fringe(grid, sampled_fringe(grid, coefficients, 0.8, 1000.0, 100.0, seed), coefficients)
             for port in fit:
                 assert abs(port.visibility - 0.8) < 5.0 * port.stderr
 
-    def test_three_settings_fit_exactly_with_zero_stderr(self, network, nf_model):
+    def test_three_settings_fit_exactly_with_zero_stderr(self, network, nf_coefficients):
         grid = [0.0, math.pi / 2.0, math.pi]
-        fit = fit_fringe(grid, phase_scan(network, NF, "f", grid) * 1e6, nf_model)
+        fit = fit_fringe(grid, phase_scan(network, NF, "f", grid) * 1e6, nf_coefficients)
         for port in fit:
             assert port.visibility == pytest.approx(1.0, abs=1e-9)
             assert port.stderr == 0.0
 
-    def test_too_few_distinct_settings(self, nf_model):
+    def test_too_few_distinct_settings(self, nf_coefficients):
         with pytest.raises(DegenerateDesignError):
-            fit_fringe(np.array([0.0, 0.0, math.pi]), np.array([[10, 10, 10]] * 3, dtype=np.int64), nf_model)
+            fit_fringe(np.array([0.0, 0.0, math.pi]), np.array([[10, 10, 10]] * 3, dtype=np.int64), nf_coefficients)
 
-    def test_aliased_settings_are_degenerate(self, nf_model):
+    def test_aliased_settings_are_degenerate(self, nf_coefficients):
         # distinct floats that collapse onto the same (cos, sin) pairs
         with pytest.raises(DegenerateDesignError):
             fit_fringe(np.array([0.0, math.pi, 2.0 * math.pi]), np.array([[10, 10, 10]] * 3, dtype=np.int64),
-                       nf_model)
+                       nf_coefficients)
 
-    def test_zero_total_counts_rejected(self, nf_model):
+    def test_zero_total_counts_rejected(self, nf_coefficients):
         with pytest.raises(DegenerateDesignError):
-            fit_fringe(np.array([0.0, 1.0, 2.0, 3.0]), np.zeros((4, 3), dtype=np.int64), nf_model)
+            fit_fringe(np.array([0.0, 1.0, 2.0, 3.0]), np.zeros((4, 3), dtype=np.int64), nf_coefficients)
 
-    def test_overflowing_totals_are_degenerate(self, nf_model):
+    def test_overflowing_totals_are_degenerate(self, nf_coefficients):
         with pytest.raises(DegenerateDesignError, match="finite total"):
-            fit_fringe(np.arange(4.0), np.full((4, 3), 1e308), nf_model)
+            fit_fringe(np.arange(4.0), np.full((4, 3), 1e308), nf_coefficients)
 
 
 class TestFringeDataset:
     """The settings and counts that fit_fringe accepts, and the probabilities draw_counts accepts."""
 
-    def test_counts_must_be_non_negative(self, nf_model):
+    def test_counts_must_be_non_negative(self, nf_coefficients):
         with pytest.raises(ValueError, match="counts must be non-negative"):
-            fit_fringe(np.array([0.0]), np.array([[1, -2, 3]]), nf_model)
+            fit_fringe(np.array([0.0]), np.array([[1, -2, 3]]), nf_coefficients)
 
     @pytest.mark.parametrize("settings, values", [
         ([0.0], [[math.nan, 0.0, 0.0]]),
@@ -267,9 +260,9 @@ class TestFringeDataset:
         ([0.0], [[1.0, math.inf, 3.0]]),
         ([-math.inf], [[1, 2, 3]]),
     ])
-    def test_non_finite_settings_and_values_are_rejected(self, settings, values, nf_model):
+    def test_non_finite_settings_and_values_are_rejected(self, settings, values, nf_coefficients):
         with pytest.raises(ValueError, match="must be finite") as excinfo:
-            fit_fringe(np.array(settings), values, nf_model)
+            fit_fringe(np.array(settings), values, nf_coefficients)
         assert excinfo.type is ValueError
 
     @pytest.mark.parametrize("settings, values", [
@@ -279,14 +272,36 @@ class TestFringeDataset:
         (np.arange(4.0).reshape(4, 1), np.ones((4, 3))),
         (0.0, np.ones((1, 3))),
     ], ids=["two ports", "too few rows", "flat counts", "2-D settings", "scalar setting"])
-    def test_wrong_shapes_are_rejected(self, settings, values, nf_model):
+    def test_wrong_shapes_are_rejected(self, settings, values, nf_coefficients):
         with pytest.raises(ValueError, match=r"need counts of shape \(n, 3\)") as excinfo:
-            fit_fringe(settings, values, nf_model)
+            fit_fringe(settings, values, nf_coefficients)
         assert excinfo.type is ValueError
 
-    def test_empty_dataset_is_degenerate(self, nf_model):
+    @pytest.mark.parametrize("ports", [2, 4])
+    def test_model_needs_a_fringe_for_each_of_three_ports(self, ports):
+        coefficients = (np.full(ports, 0.3), np.full(ports, 0.2), np.zeros(ports))
+        with pytest.raises(ValueError, match="model must give a fringe amplitude for each of the three ports"):
+            fit_fringe(np.arange(4.0), np.full((4, 3), 10), coefficients)
+
+    @pytest.mark.parametrize("port", [0, 1, 2])
+    @pytest.mark.parametrize("amplitude", [0.0, 5e-17, math.nan])
+    def test_model_port_without_a_fringe_is_refused(self, nf_coefficients, port, amplitude):
+        offsets, cosines, sines = (np.array(v) for v in nf_coefficients)
+        cosines[port], sines[port] = amplitude, 0.0
+        with pytest.raises(ValueError, match=f"model fringe amplitude for port {port + 1} must be positive"):
+            fit_fringe(np.arange(4.0), np.full((4, 3), 10), (offsets, cosines, sines))
+
+    def test_flat_counts_fit_zero_visibility(self, monkeypatch, nf_coefficients):
+        # Constant counts fit a cosine and sine term of exactly zero, but the
+        # solver's rounding decides whether it returns them as 0.0, so the
+        # exact solution stands in for it here.
+        monkeypatch.setattr(np.linalg, "lstsq", lambda design, y, rcond: (np.array([y[0], 0.0, 0.0]),))
+        for port in fit_fringe(np.arange(4.0), np.full((4, 3), 10), nf_coefficients):
+            assert (port.b, port.c, port.visibility, port.stderr) == (0.0, 0.0, 0.0, 0.0)
+
+    def test_empty_dataset_is_degenerate(self, nf_coefficients):
         with pytest.raises(DegenerateDesignError, match="need at least 3 distinct settings"):
-            fit_fringe(np.zeros(0), np.zeros((0, 3)), nf_model)
+            fit_fringe(np.zeros(0), np.zeros((0, 3)), nf_coefficients)
 
     def test_nan_probability_is_not_reported_as_a_rate_error(self):
         with pytest.raises(ValueError, match="must be finite") as excinfo:
@@ -297,11 +312,11 @@ class TestFringeDataset:
         ("counts", np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9], [3, 2, 1]])),
         ("ideal", np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [0.2, 0.2, 0.2], [0.1, 0.3, 0.2]])),
     ])
-    def test_caller_arrays_stay_writeable_and_apart(self, kind, values, nf_model):
+    def test_caller_arrays_stay_writeable_and_apart(self, kind, values, nf_coefficients):
         # fitting reads its inputs: it neither freezes nor rescales the caller's arrays
         settings = np.array([0.0, 1.0, 2.0, 3.0])
         kept_settings, kept_values = settings.copy(), values.copy()
-        fit_fringe(settings, values, nf_model)
+        fit_fringe(settings, values, nf_coefficients)
         assert settings.flags.writeable and values.flags.writeable
         assert np.array_equal(settings, kept_settings)
         assert np.array_equal(values, kept_values)
