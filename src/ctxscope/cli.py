@@ -9,7 +9,7 @@ Each command checks its arguments, then returns its exit status and its
 output as byte chunks, produced as they are written so that tables stream;
 `main` writes them to --out and turns every refusal into an exit code.
 
-Outputs are deterministic for fixed flags and seed: CSV uses the fixed
+Outputs are deterministic for fixed flags: CSV uses the fixed
 headers below with nine-decimal floats and LF line endings, JSON uses
 alphabetically ordered keys.
 """
@@ -35,7 +35,6 @@ from .selfcheck import run_all_checks
 
 IDEAL_CSV_HEADER = "setting,p1,p2,p3,survival"
 COUNTS_CSV_HEADER = "setting,n1,n2,n3,duration"
-ENV_SEED = "CTXSCOPE_SEED"
 
 DEFAULT_RATE = 1000.0
 DEFAULT_DURATION = 100.0
@@ -215,25 +214,20 @@ def _json_dump(obj: object) -> bytes:
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        raw = os.environ.get(ENV_SEED, "0")
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-    return seed
+    if not 0 <= args.seed < 2 ** 64:
+        raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {args.seed}")
+    return args.seed
 
 
 _NAMED_LOOKUP = {name.casefold(): name for name in NAMED_STATES}
 
 
-def _parse_state(spec: str) -> np.ndarray:
+def _parse_state(spec: str) -> tuple[str, np.ndarray]:
+    """A spec's label and normalized vector: a name in any case or padding is
+    labelled by its NAMED_STATES key, six amplitude parts by the spec as typed."""
     name = _NAMED_LOOKUP.get(spec.strip().casefold())
     if name is not None:
-        return NAMED_STATES[name]
+        return name, NAMED_STATES[name]
     parts = spec.split(",")
     if len(parts) != 6:
         raise ValueError(
@@ -247,7 +241,7 @@ def _parse_state(spec: str) -> np.ndarray:
     vec = np.array(values).view(complex)
     if not np.any(vec):
         raise ValueError("state amplitudes must not all be zero")
-    return normalize(vec)
+    return spec, normalize(vec)
 
 
 def _split_pair(spec: str, flag: str) -> tuple[str, float]:
@@ -367,7 +361,7 @@ def _distribution(probs: Sequence[float]) -> dict[str, float]:
 
 
 def cmd_run(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
-    psi = _parse_state(args.state)
+    _, psi = _parse_state(args.state)
     mods = _parse_modifiers(args)
     fields = _distribution(run(build_network(), psi, mods))
     if args.format == "csv":
@@ -381,7 +375,7 @@ def cmd_run(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
 
 
 def cmd_witness(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
-    psi = _parse_state(args.state)
+    label, psi = _parse_state(args.state)
     metrics = {k: v[0] for k, v in evaluate_states(build_network(), psi[None, :]).items()}
     free, blocked = _distribution(metrics["free"]), _distribution(metrics["blocked"])
     payload = {
@@ -397,7 +391,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
     }
     if args.format == "text":
         lines = [
-            f"state: {args.state}",
+            f"state: {label}",
             f"P(f)={_f9(payload['p_f'])}  P(D1)={_f9(payload['p_d1'])}  P(D2)={_f9(payload['p_d2'])}",
             f"witness (interior paths):  {_f9(payload['witness_direct'])}",
             f"witness (output side):     {_f9(payload['witness_from_outputs'])}",
@@ -412,7 +406,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
 
 def _run_scan(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
     _check_rows("--steps", args.steps, 1, args.steps)
-    psi = _parse_state(args.state)
+    _, psi = _parse_state(args.state)
     interferometer._check_target(args.target)
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise ValueError("--from and --to must be finite")
@@ -490,7 +484,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
 
 
 def cmd_sample(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
-    psi = _parse_state(args.state)
+    _, psi = _parse_state(args.state)
     mods = _parse_modifiers(args)
     if not math.isfinite(args.setting):
         raise ValueError("--setting must be finite")
@@ -511,11 +505,11 @@ def cmd_sample(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
 
 
 def cmd_fit(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
-    model = _parse_state(args.model)
+    label, model = _parse_state(args.model)
     settings, counts = _read_counts_csv(args.input)
     ports = stats.fit_fringe(settings, counts, interferometer.fringe_coefficients(build_network(), model))
     return 0, [_json_dump({
-        "model": args.model,
+        "model": label,
         "ports": [p._asdict() for p in ports],
         "settings": len(settings),
     })]
@@ -523,49 +517,34 @@ def cmd_fit(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
 
 def cmd_reproduce(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
     network = build_network()
-    lines = ["benchmark reproduction: simulator vs published measured values", ""]
     header = f"{'state':<6} {'quantity':<20} {'simulated':>13} {'reference':>11} {'|delta|':>12}"
-    lines.append(header)
-    lines.append("-" * len(header))
-    dev_probs, dev_gains, dev_witness = 0.0, 0.0, 0.0
-
-    def row(state: str, quantity: str, simulated: float, reference: float, ref_decimals: int = 3) -> float:
-        delta = abs(simulated - reference)
-        lines.append(
-            f"{state:<6} {quantity:<20} {simulated:>13.9f} {reference:>11.{ref_decimals}f} {delta:>12.9f}"
-        )
-        return delta
-
+    lines = ["benchmark reproduction: simulator vs published measured values", "", header, "-" * len(header)]
+    worst = dict.fromkeys(("probabilities", "gains", "witnesses"), 0.0)
     names = ("Nf", "Bf", "V0")
     metrics = evaluate_states(network, np.array([NAMED_STATES[name] for name in names]))
     for n, name in enumerate(names):
-        free, blocked = metrics["free"][n], metrics["blocked"][n]
         measured = MEASURED[name]
-        for i in range(3):
-            dev_probs = max(dev_probs, row(name, f"free p{i + 1}", free[i], measured.free[i]))
-        for i in range(3):
-            dev_probs = max(dev_probs, row(name, f"blocked p{i + 1}", blocked[i], measured.blocked[i]))
-        dev_gains = max(dev_gains, row(name, "gain port3", metrics["gain"][n], measured.gain))
-        dev_witness = max(dev_witness, row(name, "witness direct", metrics["witness"][n], measured.witness))
-        dev_witness = max(
-            dev_witness,
-            row(name, "witness outputs", metrics["witness_outputs"][n], measured.witness),
-        )
-        offs, amps, _ = interferometer.fringe_coefficients(network, NAMED_STATES[name])
-        model_offs, model_amps = FRINGE_MODELS[name]
-        for i in range(3):
-            row(name, f"fringe a{i + 1}", offs[i], model_offs[i], ref_decimals=9)
-            row(name, f"fringe b{i + 1}", amps[i], model_amps[i], ref_decimals=9)
+        fringe = interferometer.fringe_coefficients(network, NAMED_STATES[name])[:2]
+        # (quantity, simulated, published, group); the fringe rows, in no group, print nine reference decimals
+        rows = [
+            *((f"{side} p{i + 1}", metrics[side][n][i], getattr(measured, side)[i], "probabilities")
+              for side in ("free", "blocked") for i in range(3)),
+            ("gain port3", metrics["gain"][n], measured.gain, "gains"),
+            ("witness direct", metrics["witness"][n], measured.witness, "witnesses"),
+            ("witness outputs", metrics["witness_outputs"][n], measured.witness, "witnesses"),
+            *((f"fringe {term}{i + 1}", simulated[i], published[i], None)
+              for i in range(3) for term, simulated, published in zip("ab", fringe, FRINGE_MODELS[name])),
+        ]
+        for quantity, simulated, published, group in rows:
+            delta = abs(simulated - published)
+            lines.append(f"{name:<6} {quantity:<20} {simulated:>13.9f} "
+                         f"{published:>11.{3 if group else 9}f} {delta:>12.9f}")
+            if group:
+                worst[group] = max(worst[group], delta)
         vis = measured.visibilities
-        lines.append(
-            f"{name:<6} reported fitted visibilities (experiment-specific): "
-            f"V1={vis[0]:.2f} V2={vis[1]:.2f} V3={vis[2]:.2f}"
-        )
-        lines.append("")
-    lines.append(
-        f"max |delta|: probabilities {dev_probs:.9f}, gains {dev_gains:.9f}, "
-        f"witnesses {dev_witness:.9f}"
-    )
+        lines += [f"{name:<6} reported fitted visibilities (experiment-specific): "
+                  f"V1={vis[0]:.2f} V2={vis[1]:.2f} V3={vis[2]:.2f}", ""]
+    lines.append("max |delta|: " + ", ".join(f"{group} {delta:.9f}" for group, delta in worst.items()))
     return 0, [_text(lines)]
 
 
@@ -584,8 +563,7 @@ def _add_state(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_seed(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=None,
-                    help=f"RNG seed; defaults to ${ENV_SEED}, then 0")
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
 
 def _add_modifiers(sp: argparse.ArgumentParser) -> None:

@@ -174,6 +174,12 @@ class TestWitness:
         assert code == 0
         assert "witness (interior paths):  0.222222222" in out
 
+    @pytest.mark.parametrize("state, label", [(" v0 ", "V0"), ("BASIS2", "basis2"), (" 1, 0,0,0,0,0", " 1, 0,0,0,0,0")])
+    def test_text_format_echoes_the_state_label(self, capsys, state, label):
+        # a named state by its canonical name, six amplitude parts as typed
+        code, out = run_cli(capsys, "witness", f"--state={state}", "--format", "text")
+        assert code == 0 and out.startswith(f"state: {label}\n")
+
     def test_text_format_prints_no_negative_zero(self, capsys):
         # this state's output-side witness is a rounding residue below zero
         code, out = run_cli(capsys, "witness", "--state=-1,1,0,2,0.5,0", "--format", "text")
@@ -382,10 +388,10 @@ HELP_SHA256 = {
     ("check",): "e3ce000f543c2e58a689eb64166e140150fbe7e2c0fbd5e393cd415f9928c165",
     ("run",): "fe5ab3d1d26ca50e2f97526d8a605635564efbaef9008d2253d2fcdefe8e6fd2",
     ("witness",): "9b7ed6c686d484c49aebdcc76f0b06737e6c6688c7c9eb5982e77e68f5ba82aa",
-    ("phase-scan",): "0b736b2abb4b3c4863bd86bdc9d78a71c3f813c1fd5c3af7c3957b03bec1c130",
-    ("trans-scan",): "b86fc5289d97105fe41f6ece246754a7c874a3c4eb3bfb03aa9b3dd9a9a4cd52",
-    ("sweep",): "2db4d185a92a94b6dad0d2eec3fe097e065963eb05cc6ca5d12b156e80bbc847",
-    ("sample",): "26de9804a3d70bab679837c999b5454d955af75b1e4fb9230b760d660ad688dc",
+    ("phase-scan",): "92ba9a8ed910467bc76280a85820eb13abce153a2c68acf39cc0d0a299f4c408",
+    ("trans-scan",): "0244d50035f48faad6b06d4c27812db86c41c193bca09dabfdb6f83a8a90aea2",
+    ("sweep",): "919800de29fedeb84927d7724709a38d2bd1644e57608f2cc43b61df48e3badc",
+    ("sample",): "0f8d9b8195bf0fa325e497c4aac3907237487e359618b7722b048b29e451a90d",
     ("fit",): "c12ab247af4d6cbde76ebd67c07893444571f67936539b01ad7dbc0624e13c0a",
     ("reproduce",): "f76bb0902513aaff5ead65d08e7a51c4d9b2d0e2b60dc9e6cc664305937afcba",
 }
@@ -477,35 +483,27 @@ def test_invalid_rate_is_reported_before_a_duration_printing_as_zero(capsys):
 
 
 NOISE_FLAG_ERRORS = [
-    (("trans-scan", "--visibility", "0.5"), None, "unrecognized arguments: --visibility 0.5"),
-    (("phase-scan", "--visibility", "1.2"), None, "visibility must lie in [0, 1], got 1.2"),
-    (("trans-scan", "--rate", "-1"), None, "rate must be positive, got -1.0"),
-    (("phase-scan", "--rate", "-1"), None, "rate must be positive, got -1.0"),
-    (("phase-scan", "--duration", "0"), None, "duration must be positive, got 0.0"),
-    (("trans-scan", "--rate", "1e200", "--duration", "1e200"), None,
-     "rate * duration must be finite, got 1e+200 * 1e+200"),
-    (("phase-scan", "--rate", "5e-324", "--duration", "0.5"), None,
-     "rate * duration underflows to 0, got 5e-324 * 0.5"),
-    (("trans-scan", "--duration", "1e-11"), None, "--duration 1e-11 would print as 0.000000000 in the counts CSV"),
-    (("phase-scan", "--duration", "1e-11"), None, "--duration 1e-11 would print as 0.000000000 in the counts CSV"),
-    (("trans-scan", "--rate", "1000"), "x", "CTXSCOPE_SEED must be an integer, got 'x'"),
-    (("phase-scan", "--rate", "1000", "--seed", "-1"), None, "seed must fit in an unsigned 64-bit integer, got -1"),
+    (("trans-scan", "--visibility", "0.5"), "unrecognized arguments: --visibility 0.5"),
+    (("phase-scan", "--visibility", "1.2"), "visibility must lie in [0, 1], got 1.2"),
+    (("trans-scan", "--rate", "-1"), "rate must be positive, got -1.0"),
+    (("phase-scan", "--rate", "-1"), "rate must be positive, got -1.0"),
+    (("phase-scan", "--duration", "0"), "duration must be positive, got 0.0"),
+    (("trans-scan", "--rate", "1e200", "--duration", "1e200"), "rate * duration must be finite, got 1e+200 * 1e+200"),
+    (("phase-scan", "--rate", "5e-324", "--duration", "0.5"), "rate * duration underflows to 0, got 5e-324 * 0.5"),
+    (("trans-scan", "--duration", "1e-11"), "--duration 1e-11 would print as 0.000000000 in the counts CSV"),
+    (("phase-scan", "--duration", "1e-11"), "--duration 1e-11 would print as 0.000000000 in the counts CSV"),
+    (("phase-scan", "--rate", "1000", "--seed", "-1"), "seed must fit in an unsigned 64-bit integer, got -1"),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, seed_env, message", NOISE_FLAG_ERRORS,
-    ids=[" ".join(argv) + (f" CTXSCOPE_SEED={env}" if env else "") for argv, env, _ in NOISE_FLAG_ERRORS],
-)
-def test_bad_noise_flags_are_refused_before_the_scan_runs(capsys, monkeypatch, argv, seed_env, message):
+@pytest.mark.parametrize("argv, message", NOISE_FLAG_ERRORS, ids=[" ".join(argv) for argv, _ in NOISE_FLAG_ERRORS])
+def test_bad_noise_flags_are_refused_before_the_scan_runs(capsys, monkeypatch, argv, message):
     def ran(*args, **kwargs):
         raise AssertionError("the scan ran before its noise flags were checked")
 
     monkeypatch.setattr(interferometer, "propagate", ran)
     monkeypatch.setattr(interferometer, "fringe_coefficients", ran)
     monkeypatch.setattr(cli.np, "linspace", ran)
-    if seed_env is not None:
-        monkeypatch.setenv("CTXSCOPE_SEED", seed_env)
     assert usage_error(capsys, argv[0], "--state", "Nf", "--steps", "7", *argv[1:]) == f"error: {message}\n"
 
 
@@ -763,24 +761,23 @@ class TestSample:
         lines = out.splitlines()
         assert lines[0] == "setting,n1,n2,n3,duration"
 
-    def test_env_seed_default_and_flag_priority(self, capsys, monkeypatch):
-        monkeypatch.setenv("CTXSCOPE_SEED", "42")
-        _, from_env = run_cli(capsys, "sample", "--state", "Nf")
-        monkeypatch.delenv("CTXSCOPE_SEED")
-        _, from_flag = run_cli(capsys, "sample", "--state", "Nf", "--seed", "42")
-        assert from_env == from_flag
-        monkeypatch.setenv("CTXSCOPE_SEED", "7")
-        _, flag_wins = run_cli(capsys, "sample", "--state", "Nf", "--seed", "42")
-        assert flag_wins == from_flag
-
-    def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("CTXSCOPE_SEED", "not-a-number")
-        assert run_cli(capsys, "sample", "--state", "Nf")[0] == 2
-
-    def test_seed_of_2_to_the_64_is_usage_error(self, capsys, monkeypatch):
+    def test_seed_of_2_to_the_64_is_usage_error(self, capsys):
         assert "64-bit" in usage_error(capsys, "sample", "--state", "Nf", "--seed", str(2 ** 64))
-        monkeypatch.setenv("CTXSCOPE_SEED", str(2 ** 64))
-        assert "64-bit" in usage_error(capsys, "sample", "--state", "Nf")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--state", "Nf"),
+    ("phase-scan", "--state", "Nf", "--steps", "7", "--rate", "10"),
+    ("trans-scan", "--state", "V0", "--steps", "7", "--rate", "10"),
+    ("sweep", "--complex", "--samples", "5"),
+], ids=lambda argv: argv[0])
+def test_environment_does_not_change_the_bytes(capsys, monkeypatch, argv):
+    # the seed comes from --seed, else 0; the CTXSCOPE_SEED variable that once set it is ignored
+    monkeypatch.delenv("CTXSCOPE_SEED", raising=False)
+    _, unset = run_cli(capsys, *argv)
+    _, seed_0 = run_cli(capsys, *argv, "--seed", "0")
+    monkeypatch.setenv("CTXSCOPE_SEED", "7")
+    assert run_cli(capsys, *argv) == (0, unset) and unset == seed_0
 
 
 class TestFit:
@@ -830,14 +827,15 @@ class TestFit:
         assert [p["a"] for p in ports] == pytest.approx([2 / 9, 2 / 9, 5 / 9], abs=1e-6)
         assert [abs(p["b"]) for p in ports] == pytest.approx([2 / 9, 2 / 9, 4 / 9], abs=1e-6)
 
-    @pytest.mark.parametrize("model", [COMPLEX_STATE, "basis2", " v0 "])
+    @pytest.mark.parametrize("model", [COMPLEX_STATE, "basis2", " v0 ", " nf ", "NF"])
     def test_model_is_any_state(self, capsys, tmp_path, model):
         path = tmp_path / "scan.csv"
         assert main(["phase-scan", f"--state={model}", "--steps", "25", "--visibility", "0.8",
                      "--rate", "1e5", "--seed", "2", "--out", str(path)]) == 0
         code, out = run_cli(capsys, "fit", "--input", str(path), f"--model={model}")
         payload = json.loads(out)
-        assert code == 0 and payload["model"] == model
+        # a named state is echoed by its canonical name, six amplitude parts as typed
+        assert code == 0 and payload["model"] == {" v0 ": "V0", " nf ": "Nf", "NF": "Nf"}.get(model, model)
         for port in payload["ports"]:
             assert abs(port["visibility"] - 0.8) < 5.0 * port["stderr"]
 

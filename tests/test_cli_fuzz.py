@@ -145,7 +145,7 @@ def assert_schema(argv: list[str], out: str) -> None:
             for cell in cells:
                 _finite(cell)
     elif fmt == "text":
-        # the first line echoes --state as given
+        # the first line echoes the state's label
         assert not re.search(r"nan|inf", out.split("\n", 1)[1], re.IGNORECASE), out
     else:
         json.loads(out, parse_constant=_reject, parse_float=_finite)
@@ -175,8 +175,9 @@ def test_every_command_gives_schema_output_or_one_error_line(argv):
     assert_outcome(argv, *call(argv))
 
 
-# fit's model: a named state or not, a basis state, or six parts as STATE draws them
-MODELS = st.one_of(st.sampled_from(["Nf", "Bf", "V0", "V1"]), st.sampled_from(["basis1", "basis2", "basis3"]),
+# fit's model: a named state in any spelling or not, a basis state, or six parts as STATE draws them
+MODELS = st.one_of(st.sampled_from(["Nf", "Bf", "V0", "V1", " nf ", "V0 ", "NF"]),
+                   st.sampled_from(["basis1", "basis2", "basis3", "BASIS2"]),
                    st.lists(value(floats(-1.0, 1.0)), min_size=6, max_size=6).map(",".join))
 
 
@@ -184,7 +185,15 @@ MODELS = st.one_of(st.sampled_from(["Nf", "Bf", "V0", "V1"]), st.sampled_from(["
 @given(counts_csv(), MODELS)
 def test_fit_gives_schema_output_or_one_error_line(text, model):
     argv = ["fit", "--input", "-", f"--model={model}"]
-    assert_outcome(argv, *call(argv, text))
+    code, out, err = call(argv, text)
+    assert_outcome(argv, code, out, err)
+    if code == 0:
+        # a named state is echoed by its NAMED_STATES key, six amplitude parts as given
+        fitted = json.loads(out)["model"]
+        if fitted in NAMED_STATES:
+            assert fitted.casefold() == model.strip().casefold(), (model, fitted)
+        else:
+            assert fitted == model and model.count(",") == 5, (model, fitted)
 
 
 def csv_module_reader(path: str) -> tuple[list[float], list[list[float]]]:
