@@ -8,6 +8,8 @@ closes the pipe early ends the installed script by SIGPIPE, as it ends `cat`.
 Each command checks its arguments, then returns its exit status and its
 output as byte chunks, produced as they are written so that tables stream;
 `main` writes them to --out and turns every refusal into an exit code.
+A table's CSV is formatted on one worker thread, one block at a time,
+while the calling thread computes the next block.
 
 Outputs are deterministic for fixed flags: CSV uses the fixed
 headers below with nine-decimal floats and LF line endings, JSON uses
@@ -23,6 +25,7 @@ import os
 import shutil
 import signal
 import sys
+import threading
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -131,27 +134,67 @@ def _ascii_rows(block: list[np.ndarray], sizes: list[np.ndarray | None]) -> byte
     return buf[:pos].T.tobytes().replace(b"\0", b"")
 
 
-def _csv(header: str, blocks: Iterable[Sequence[Sequence[float]]]) -> Iterator[bytes]:
-    """The header, then the rows of each block of columns, one chunk per block,
-    as ASCII bytes. Float columns print as _f9 does (|x| < 1e-12 snapped to 0,
-    then "%.9f"), integer columns as "%d". Producers keep each block to at
-    most CSV_BLOCK_ROWS rows.
+def _format_block(block: Sequence[Sequence[float]]) -> bytes:
+    """The rows of one block of columns, from one |x| pass per float column:
+    by _ascii_rows, or cell by cell with "%" when a float has magnitude
+    2**53 / 1e9 or more (or is not finite); the bytes are the same either way."""
+    block = [np.asarray(c) for c in block]
+    sizes = [np.abs(c) if c.dtype.kind == "f" else None for c in block]
+    if all(np.all(a < 2.0 ** 53 / 1e9) for a in sizes if a is not None):
+        return _ascii_rows(block, sizes)
+    row = ",".join("%d" if a is None else "%.9f" for a in sizes) + "\n"
+    block = [c if a is None else np.where(a < 1e-12, 0.0, c) for c, a in zip(block, sizes)]
+    values = itertools.chain.from_iterable(zip(*(c.tolist() for c in block)))
+    return ((row * len(block[0])) % tuple(values)).encode()
 
-    A block is formatted as a whole by _ascii_rows, from one |x| pass per float
-    column. A block with a float of magnitude 2**53 / 1e9 or more (or not
-    finite) is formatted cell by cell with "%" instead; the bytes are the same
-    either way."""
+
+class _Formatting(threading.Thread):
+    """_format_block of one block on its own thread; result() joins it and
+    returns the bytes or raises what the formatting raised. Nothing is left
+    for the thread to print: every exception is kept for result()."""
+
+    def __init__(self, block: Sequence[Sequence[float]]) -> None:
+        super().__init__(name="ctxscope-csv")
+        self.block, self.chunk, self.error = block, b"", None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self.chunk = _format_block(self.block)
+        except BaseException as exc:
+            self.error = exc
+
+    def result(self) -> bytes:
+        self.join()
+        if self.error is not None:
+            raise self.error
+        return self.chunk
+
+
+def _csv(header: str, blocks: Iterable[Sequence[Sequence[float]]]) -> Iterator[bytes]:
+    """The header, then the rows of each block of columns, one chunk per block
+    in order, as ASCII bytes. Float columns print as _f9 does (|x| < 1e-12
+    snapped to 0, then "%.9f"), integer columns as "%d". Producers keep each
+    block to at most CSV_BLOCK_ROWS rows.
+
+    One worker thread at a time formats block k (_format_block) while this
+    thread takes block k + 1 from the producer and then hands on block k's
+    bytes, so at most one block is being formatted. An exception from the
+    producer or the formatter reaches the caller as it was raised, and the
+    worker is joined before this generator ends, fails or is closed."""
     yield (header + "\n").encode()
-    for block in blocks:
-        block = [np.asarray(c) for c in block]
-        sizes = [np.abs(c) if c.dtype.kind == "f" else None for c in block]
-        if all(np.all(a < 2.0 ** 53 / 1e9) for a in sizes if a is not None):
-            yield _ascii_rows(block, sizes)
-        else:
-            row = ",".join("%d" if a is None else "%.9f" for a in sizes) + "\n"
-            block = [c if a is None else np.where(a < 1e-12, 0.0, c) for c, a in zip(block, sizes)]
-            values = itertools.chain.from_iterable(zip(*(c.tolist() for c in block)))
-            yield ((row * len(block[0])) % tuple(values)).encode()
+    worker = None
+    try:
+        for block in blocks:
+            chunk = worker.result() if worker else None
+            worker = _Formatting(block)
+            if chunk is not None:
+                yield chunk
+        if worker:
+            yield worker.result()
+    finally:
+        if worker:
+            worker.join()
 
 
 def _text(lines: Iterable[str]) -> bytes:
@@ -449,7 +492,9 @@ def _run_scan(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
 
 def _sweep_csv(lead: tuple[str, ...], blocks: Iterable[tuple[list, np.ndarray]]) -> Iterator[bytes]:
     """Sweep CSV from (lead columns, states) blocks, evaluated one block at a
-    time; the trailer names the first row with the largest witness."""
+    time. The trailer names the first row whose witness prints as the largest:
+    mirror rows (beta and pi/2 - beta at one alpha) tie up to rounding, and
+    comparing rint(witness * 1e9) keeps the last bit from choosing between them."""
     best, where = -math.inf, ""
 
     def rows() -> Iterator[list[np.ndarray]]:
@@ -457,8 +502,9 @@ def _sweep_csv(lead: tuple[str, ...], blocks: Iterable[tuple[list, np.ndarray]])
         network = build_network()
         for columns, states in blocks:
             metrics = evaluate_states(network, states)
-            top = int(np.argmax(metrics["witness"]))
-            if metrics["witness"][top] > best:
+            nines = np.rint(metrics["witness"] * 1e9)
+            top = int(np.argmax(nines))
+            if nines[top] > np.rint(best * 1e9):
                 best = metrics["witness"][top]
                 where = " ".join(f"{name}={_f9(c[top]) if c.dtype.kind == 'f' else c[top]}"
                                  for name, c in zip(lead, columns))

@@ -148,6 +148,13 @@ def build_network(basis: Mapping[str, np.ndarray] | None = None) -> Network:
     return Network(tuple(stages))
 
 
+def _overlap(v: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """<v|amps> for amplitudes with the three rails on their second-to-last
+    axis: conj(v_i) * amps_i for i = 0, 1, 2, summed in that order."""
+    w = v.conj()
+    return w[0] * amps[..., 0, :] + w[1] * amps[..., 1, :] + w[2] * amps[..., 2, :]
+
+
 def propagate(
     network: Network,
     states: np.ndarray,
@@ -162,9 +169,11 @@ def propagate(
 
     The amplitudes are held as (n_settings, 3, n_states), states on the long
     axis, and the returned probabilities are a transposed view of that array.
-    Each overlap <v|amps> is still taken from rows laid out as (n_states, 3),
-    so every element goes through the same floating-point operations as an
-    update of a repeated (n_settings, n_states, 3) array would.
+    Each overlap <v|amps> is _overlap's three complex products summed in
+    order, not a matrix product: a BLAS call per table block would wake
+    OpenBLAS's worker thread, which then spins on the second CPU that the
+    CLI's CSV formatter runs on, and the sum no longer depends on how BLAS
+    splits or orders it.
     """
     psi = np.ascontiguousarray(states, dtype=complex)
     if psi.ndim != 2 or psi.shape[1] != 3:
@@ -182,13 +191,14 @@ def propagate(
         raise ValueError(f"factors must have shape (n_settings, {len(targets)}), got {factors.shape}")
     if not np.isfinite(factors).all():
         raise ValueError("modifier factors must be finite")
-    amps = np.broadcast_to(psi.T, (len(factors), 3, len(psi)))
+    columns = np.ascontiguousarray(psi.T)
+    amps = np.broadcast_to(columns, (len(factors), 3, len(psi)))
     order = list(network.paths)
     for k, j in enumerate(sorted(range(len(targets)), key=lambda j: order.index(targets[j]))):
         v = network.paths[targets[j]]
-        # before the first update, every setting's rows are the input states
-        rows = psi if k == 0 else np.ascontiguousarray(amps.transpose(0, 2, 1))
-        update = ((factors[:, j] - 1.0)[:, None] * (rows @ v.conj()))[:, None, :] * v[:, None]
+        # before the first update, every setting's amplitudes are the input states
+        overlap = _overlap(v, columns if k == 0 else amps)
+        update = ((factors[:, j] - 1.0)[:, None] * overlap)[:, None, :] * v[:, None]
         update += amps
         amps = update
     probs = np.abs(amps)
@@ -224,11 +234,13 @@ def evaluate_states(network: Network, states: np.ndarray) -> dict[str, np.ndarra
     "free"/"blocked": output probabilities without/with f blocked; "pf",
     "pd1", "pd2": canonical-path overlaps; "witness": P(f) - P(D1) - P(D2);
     "gain": gain at port 3; "witness_outputs": the witness from outputs alone.
+
+    Each path overlap is _overlap's three explicit complex products, as in
+    propagate, so that no call reaches BLAS and wakes its worker thread.
     """
-    paths = canonical_paths()
-    overlaps = states @ np.array([paths["f"], paths["D1"], paths["D2"]]).conj().T
-    pf, pd1, pd2 = (np.abs(overlaps) ** 2).T
     free, blocked = propagate(network, states, ["f"], [[1.0], [0.0]])
+    paths, columns = canonical_paths(), np.ascontiguousarray(np.asarray(states, dtype=complex).T)
+    pf, pd1, pd2 = (np.abs(_overlap(paths[label], columns)) ** 2 for label in ("f", "D1", "D2"))
     return {
         "free": free,
         "blocked": blocked,

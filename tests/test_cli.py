@@ -689,6 +689,34 @@ class TestSweepStreaming:
         assert code == 0
         assert out.splitlines()[-1] == "# max_witness=0.500000000 index=2"
 
+    def test_trailer_keeps_the_first_row_when_a_later_one_is_larger_by_an_ulp(self, capsys, monkeypatch):
+        def tie(first_row, metrics):
+            rows = first_row + np.arange(len(metrics["witness"]))
+            metrics["witness"] = np.select([rows == 2, rows == 3, rows == 6], [0.3, np.nextafter(0.3, 1.0), 0.3])
+
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)
+        spy_evaluate(monkeypatch, tie)
+        code, out = run_cli(capsys, "sweep", "--complex", "--samples", "10", "--seed", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == "# max_witness=0.300000000 index=2"
+
+    @pytest.mark.parametrize("block_rows", [1, 2])
+    @pytest.mark.parametrize("pair", [(150, 149), (149, 150)])
+    def test_trailer_names_the_first_of_a_mirror_pair(self, pair, block_rows):
+        # At one alpha, beta and pi/2 - beta have the same witness up to
+        # rounding; these two rows of the 300-point grid differ in the last
+        # bit, one way with BLAS overlaps and the other way with explicit ones.
+        axis = np.linspace(0.0, math.pi / 2.0, 300)
+        alphas, betas = np.full(2, axis[250]), axis[list(pair)]
+        states = np.column_stack([np.sin(alphas) * np.cos(betas), np.sin(alphas) * np.sin(betas),
+                                  np.cos(alphas)]).astype(complex)
+        blocks = [([alphas[i:i + block_rows], betas[i:i + block_rows]], states[i:i + block_rows])
+                  for i in range(0, 2, block_rows)]
+        lines = b"".join(cli._sweep_csv(("alpha", "beta"), blocks)).decode().splitlines()
+        witness = {line.split(",")[2] for line in lines[1:3]}
+        assert len(witness) == 1
+        assert lines[-1] == f"# max_witness={witness.pop()} alpha=1.313374855 beta={cli._f9(betas[0])}"
+
     def test_rewrite_keeps_mode_and_device_is_written_in_place(self, tmp_path):
         out = tmp_path / "map.csv"
         out.write_text("earlier output\n")
@@ -1011,3 +1039,4 @@ class TestReproduce:
         target = tmp_path / "report.txt"
         assert main(["reproduce", "--out", str(target)]) == 0
         assert "benchmark reproduction" in target.read_text()
+

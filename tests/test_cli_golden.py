@@ -13,11 +13,21 @@ outputs must match byte for byte. JSON outputs must keep the same keys and
 every number within 1e-14, which leaves room for the kernel's last-bit
 rounding but nothing more. The fit JSONs of three seeded noisy scans were
 recorded from the release before `fit` read its counts in one array pass,
-and must match byte for byte.
+and must match byte for byte. Three entries were re-recorded when the
+kernel's overlaps became three explicit complex products instead of BLAS
+calls: `check` (a 1e-15 residue it prints moved in its last digits), the
+300-point sweep (its trailer now names the first of two mirror rows whose
+witnesses print alike) and the fit of the 10^5-step Bf scan (16th digit).
 """
 import hashlib
+import io
+import itertools
 import json
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +39,7 @@ from ctxscope.cli import main
 STATE = "0.3,0.1,-0.7,0.2,0.5,-0.4"
 
 HASHED = {
-    ("check",): "67c8e14102454f613b8172beab73b89df7daab59a7ff56ac63c2fec8adde9337",
+    ("check",): "b3a65600cd777fe97267090ca09aec3d8f5b066a4e9f9c8103a4ae475aa11651",
     ("reproduce",): "53bbee6f7c52db6532025431f5179cd2899b765158c79ac52bcc07c15c132666",
     ("witness", "--state", "Bf", "--format", "text"):
         "25a9a232a1235b20996f8617015681998f33ce99d3668815cbfb3d31efba81c2",
@@ -51,7 +61,7 @@ HASHED = {
     ("sweep", "--complex", "--samples", "2000", "--seed", "4"):
         "c0972dee1016f22b7c2cc019700cd55a052362352629dae96cc99203ddc041c9",
     ("sweep", "--resolution", "300"):
-        "a1a65a05cac6789902b6d74e06bb396f14db145318d5c77c3f9ad54638e365f6",
+        "988ab3c3c0ef1e2c95ffe68c2d01e5e784c167f119e86ed26e0b538cfc98d58b",
     ("sweep", "--seed", "5", "--complex", "--samples", "70000"):
         "c48ee9d59330aa7bc2725519e8222522fcc47998b3c97f0bb9d501dde9261769",
     ("sample", "--state", "V0", "--rate", "37.5", "--duration", "2", "--setting", "0.25",
@@ -98,7 +108,7 @@ JSON = {
 # default photon budget and at a low one; each is fitted with its own state.
 FIT_HASHED = {
     ("Bf", "--steps", "100000", "--visibility", "0.9", "--seed", "1"):
-        "ec9d86cb05750fda078219d00960c23c51248aa16dac7ebaf150653c417340e0",
+        "89820365a36f9ef25e8be9f46e38076a9b1f8919c0559892ab1b2d87e98120a7",
     ("V0", "--steps", "5001", "--visibility", "0.7", "--seed", "2"):
         "0c4081463396a5d2e23501b8737e23389bff765ff6aee62b8259dd07824d1f43",
     ("Nf", "--steps", "5001", "--visibility", "0.8", "--rate", "5.5", "--duration", "5", "--seed", "3"):
@@ -244,3 +254,113 @@ def test_csv_emitter_hard_cells():
     big = np.concatenate([big, -big])
     data = b"".join(cli._csv("x", [[big]]))
     assert data == ("x\n" + per_cell_rows([big])).encode()
+
+
+def two_row_blocks(count: int) -> list[list[np.ndarray]]:
+    """`count` blocks of two rows, each a float column and an integer column."""
+    rng = np.random.default_rng(count)
+    return blocks([rng.uniform(-5.0, 5.0, 2 * count), rng.integers(-10 ** 6, 10 ** 6, 2 * count)], 2)
+
+
+def chunks_of(table) -> list[bytes]:
+    return [per_cell_rows(block).encode() for block in table]
+
+
+def slow_formatter(monkeypatch, fail_at=None, error=None) -> list[int]:
+    """Replace cli._ascii_rows by one that sleeps 20 ms per block, so a worker
+    is still running when the caller moves on, and raises `error` on call `fail_at`."""
+    real, calls = cli._ascii_rows, []
+
+    def formatter(block, sizes):
+        calls.append(len(block[0]))
+        time.sleep(0.02)
+        if len(calls) == fail_at:
+            raise error
+        return real(block, sizes)
+
+    monkeypatch.setattr(cli, "_ascii_rows", formatter)
+    return calls
+
+
+class TestCsvWorker:
+    """_csv formats each block on a worker thread while the next is computed."""
+
+    def test_many_tiny_blocks_come_out_in_order(self):
+        table, start = two_row_blocks(45), threading.active_count()
+        assert list(cli._csv("x,n", iter(table))) == [b"x,n\n", *chunks_of(table)]
+        assert threading.active_count() == start
+
+    def test_one_block_is_formatted_at_a_time(self, monkeypatch):
+        busy, overlaps = [], []
+        real = cli._ascii_rows
+
+        def formatter(block, sizes):
+            busy.append(1)
+            overlaps.append(len(busy))
+            time.sleep(0.005)
+            busy.pop()
+            return real(block, sizes)
+
+        monkeypatch.setattr(cli, "_ascii_rows", formatter)
+        table = two_row_blocks(12)
+        assert list(cli._csv("x,n", iter(table))) == [b"x,n\n", *chunks_of(table)]
+        assert overlaps == [1] * 12
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_producer_error_after_k_blocks_reaches_the_caller(self, capfd, monkeypatch, k):
+        slow_formatter(monkeypatch)
+        error, table, chunks = RuntimeError("producer failed"), two_row_blocks(k), []
+
+        def producer():
+            yield from table
+            raise error
+
+        start = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            for chunk in cli._csv("x,n", producer()):
+                chunks.append(chunk)
+        assert caught.value is error
+        # block k - 1 was being formatted when the producer failed
+        assert chunks == [b"x,n\n", *chunks_of(table[:-1])]
+        assert threading.active_count() == start
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("fail_at", [1, 3])
+    def test_formatter_error_reaches_the_caller_and_prints_nothing(self, capfd, monkeypatch, fail_at):
+        error = ValueError("formatter failed")
+        calls = slow_formatter(monkeypatch, fail_at, error)
+        start = threading.active_count()
+        with pytest.raises(ValueError) as caught:
+            list(cli._csv("x,n", iter(two_row_blocks(10))))
+        assert caught.value is error
+        assert len(calls) == fail_at
+        assert threading.active_count() == start
+        assert capfd.readouterr() == ("", "")
+
+    def test_closing_a_half_read_table_joins_the_worker(self, monkeypatch):
+        slow_formatter(monkeypatch)
+        table, start = two_row_blocks(10), threading.active_count()
+        csv = cli._csv("x,n", iter(table))
+        assert [next(csv) for _ in range(4)] == [b"x,n\n", *chunks_of(table[:3])]
+        csv.close()
+        assert threading.active_count() == start
+
+    def test_no_thread_outlives_main(self, monkeypatch, capsys):
+        start = threading.active_count()
+        assert main(["sweep", "--resolution", "300", "--out", os.devnull]) == 0
+        assert threading.active_count() == start
+
+        class ClosedAfterOneBlock(io.StringIO):
+            # the reader goes away while the worker formats the second block
+            class buffer:
+                @staticmethod
+                def writelines(chunks):
+                    list(itertools.islice(chunks, 2))
+                    raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1000)
+        slow_formatter(monkeypatch)
+        monkeypatch.setattr(sys, "stdout", ClosedAfterOneBlock())
+        assert main(["sweep", "--resolution", "100"]) == 2
+        assert threading.active_count() == start
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"

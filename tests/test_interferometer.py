@@ -276,6 +276,26 @@ class TestKernelMatchesRepeatedUpdate:
             assert np.array_equal(got, repeated_update(network, states, targets, factors)), (trial, targets)
 
 
+    def test_ten_thousand_haar_states_agree_with_matrix_products(self, network):
+        # the kernel's overlaps are explicit products, not BLAS calls; over a
+        # BLAS-sized batch they stay within 1e-15 of the plain `@` form
+        rng = np.random.default_rng(2718)
+        states = haar_random_states(10_000, 21)
+        for count in (1, 2, 3):
+            targets = [str(t) for t in rng.permutation(INTERIOR_LABELS)[:count]]
+            factors = np.exp(1j * rng.uniform(-math.pi, math.pi, (4, count))) * rng.uniform(0.0, 1.0, (4, 1))
+            factors[0] = 0.0
+            got = propagate(network, states, targets, factors)
+            assert float(np.max(np.abs(got - repeated_update(network, states, targets, factors)))) <= 1e-15
+        metrics = evaluate_states(network, states)
+        free, blocked = repeated_update(network, states, ["f"], np.array([[1.0], [0.0]]))
+        expected = {"free": free, "blocked": blocked, "gain": blocked[:, 2] - free[:, 2]}
+        for key, label in (("pf", "f"), ("pd1", "D1"), ("pd2", "D2")):
+            expected[key] = np.abs(states @ canonical_paths()[label].conj()) ** 2
+        for key, values in expected.items():
+            assert float(np.max(np.abs(metrics[key] - values))) <= 1e-15, key
+
+
 class TestKernelInputs:
     @pytest.mark.parametrize("states", [NF, np.zeros((2, 2)), NF[None, None, :]], ids=["1-D", "two columns", "3-D"])
     def test_states_of_the_wrong_shape_are_refused(self, network, states):
