@@ -18,6 +18,7 @@ alphabetically ordered keys.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -298,15 +299,9 @@ def _split_pair(spec: str, flag: str) -> tuple[str, float]:
 
 
 def _parse_modifiers(args: argparse.Namespace) -> list[interferometer.Modifier]:
-    mods = []
-    for label in args.block or []:
-        mods.append(interferometer.block(label))
-    for spec in args.phase or []:
-        label, value = _split_pair(spec, "--phase")
-        mods.append(interferometer.phase_shift(label, value))
-    for spec in args.attenuate or []:
-        label, value = _split_pair(spec, "--attenuate")
-        mods.append(interferometer.attenuate(label, value))
+    mods = [interferometer.block(label) for label in args.block or []]
+    for flag, modifier in (("--phase", interferometer.phase_shift), ("--attenuate", interferometer.attenuate)):
+        mods += [modifier(*_split_pair(spec, flag)) for spec in getattr(args, flag[2:]) or []]
     return mods
 
 
@@ -327,8 +322,9 @@ COUNTS_ROW_RULES = ("expected 5 fields, got {fields}", "non-numeric field in {ro
 QUOTED_ROW_CHARS = 80  # an error quotes at most this much of the row's cell list, then "..."
 
 
-def _read_counts_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """The float settings, shape (n,), and counts, shape (n, 3), of a counts CSV.
+def _read_counts_csv(path: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Float settings, shape (n,), and counts, shape (n, 3), of a counts CSV,
+    in blocks of at most CSV_BLOCK_ROWS lines, each yielded once it is checked.
 
     Lines end where str.splitlines ends them (LF, CRLF and CR among others),
     and blank ones are skipped. The first is COUNTS_CSV_HEADER, cells stripped;
@@ -336,39 +332,44 @@ def _read_counts_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     COUNTS_ROW_RULES. The error names the first line that breaks a rule, and
     quotes at most QUOTED_ROW_CHARS characters of its cells."""
     try:
-        if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        fh = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from None
-    lines = text.splitlines()
-    header, *rows = [line for line in lines if line] or [""]
-    if [cell.strip() for cell in header.split(",")] != COUNTS_CSV_HEADER.split(","):
-        raise ValueError(f"input must start with header {COUNTS_CSV_HEADER!r}")
-    if not rows:
-        raise ValueError("input has no data rows")
-    # the rows before `end` have five fields, and those before `numeric` five numbers
-    end = next((i for i, row in enumerate(rows) if row.count(",") != 4), len(rows))
-    values = np.fromiter(_cells(rows[:end]), float)
-    table = values[:len(values) // 5 * 5].reshape(-1, 5)
-    numeric, duration = len(table), table[:, 4]
-    broken = np.argwhere(np.column_stack([~np.isfinite(table).all(axis=1), (table[:, 1:4] < 0).any(axis=1),
-                                          ~(duration > 0), duration != duration[:1]]))
-    if len(broken):
-        i, rule = broken[0] + (0, 2)
-    elif numeric < len(rows):
-        i, rule = numeric, 0 if numeric == end else 1
-    else:
-        return table[:, 0], table[:, 1:4]
-    cells = rows[i].split(",")
-    quoted = str(cells)
-    if len(quoted) > QUOTED_ROW_CHARS:
-        quoted = quoted[:QUOTED_ROW_CHARS] + "..."
-    message = COUNTS_ROW_RULES[rule].format(*duration[[i, 0]] if i < numeric else (), fields=len(cells), row=quoted)
-    number = [k for k, line in enumerate(lines, 1) if line][i + 1]
-    raise ValueError(f"line {number}: {message}")
+    before, header, first = 0, None, np.empty(0)  # lines in earlier blocks; the first row's duration
+    with contextlib.nullcontext() if fh is sys.stdin else fh:
+        # a block ends where a line does, so its lines are those of the whole text
+        for lines in iter(lambda: "".join(itertools.islice(fh, CSV_BLOCK_ROWS)).splitlines(), []):
+            start, before = before, before + len(lines)
+            rows = [line for line in lines if line]
+            if header is None and rows:
+                header, *rows = rows
+                if [cell.strip() for cell in header.split(",")] != COUNTS_CSV_HEADER.split(","):
+                    raise ValueError(f"input must start with header {COUNTS_CSV_HEADER!r}")
+            # the rows before `end` have five fields, and those before `numeric` five numbers
+            end = next((i for i, row in enumerate(rows) if row.count(",") != 4), len(rows))
+            values = np.fromiter(_cells(rows[:end]), float)
+            table = values[:len(values) // 5 * 5].reshape(-1, 5)
+            numeric, duration = len(table), table[:, 4]
+            first = first if first.size else duration[:1]
+            broken = np.argwhere(np.column_stack([~np.isfinite(table).all(axis=1), (table[:, 1:4] < 0).any(axis=1),
+                                                  ~(duration > 0), duration != first]))
+            if len(broken):
+                i, rule = broken[0] + (0, 2)
+            elif numeric < len(rows):
+                i, rule = numeric, 0 if numeric == end else 1
+            else:
+                yield table[:, 0], table[:, 1:4]
+                continue
+            cells = rows[i].split(",")
+            quoted = str(cells)
+            if len(quoted) > QUOTED_ROW_CHARS:
+                quoted = quoted[:QUOTED_ROW_CHARS] + "..."
+            message = COUNTS_ROW_RULES[rule].format(*duration[i:i + 1], *first, fields=len(cells), row=quoted)
+            numbers = [k for k, line in enumerate(lines, start + 1) if line][-len(rows):]  # those of the rows
+            raise ValueError(f"line {numbers[i]}: {message}")
+    if not first.size:  # no data row, and perhaps no header either
+        raise ValueError(f"input must start with header {COUNTS_CSV_HEADER!r}" if header is None
+                         else "input has no data rows")
 
 
 def _check_counts_duration(duration: float) -> None:
@@ -552,12 +553,12 @@ def cmd_sample(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
 
 def cmd_fit(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
     label, model = _parse_state(args.model)
-    settings, counts = _read_counts_csv(args.input)
-    ports = stats.fit_fringe(settings, counts, interferometer.fringe_coefficients(build_network(), model))
+    coefficients = interferometer.fringe_coefficients(build_network(), model)
+    n, ports = stats.fit_fringe(_read_counts_csv(args.input), coefficients)
     return 0, [_json_dump({
         "model": label,
         "ports": [p._asdict() for p in ports],
-        "settings": len(settings),
+        "settings": n,
     })]
 
 

@@ -1,12 +1,14 @@
 """Phase fringes, Poisson photon counting and cosine-fringe visibility
 fitting, on plain arrays: fringe gives float probabilities, draw_counts int64
-counts, and fit_fringe checks the settings and (n, 3) counts it is given."""
+counts, and fit_fringe checks and folds the (settings, counts) blocks it is given."""
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+FOLD_ROWS = 1024  # rows per QR of fit_fringe's fold: so few that OpenBLAS wakes no worker thread
 
 
 class DegenerateDesignError(ValueError):
@@ -89,69 +91,68 @@ def fringe(
 
 
 def fit_fringe(
-    settings: Sequence[float] | np.ndarray,
-    counts: np.ndarray,
+    blocks: Iterable[tuple[Sequence[float] | np.ndarray, np.ndarray]],
     coefficients: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> tuple[PortFit, PortFit, PortFit]:
-    """Least-squares fringe fit of normalized counts on {1, cos, sin}, one
-    PortFit per output port.
+) -> tuple[int, tuple[PortFit, PortFit, PortFit]]:
+    """Least-squares fringe fit of normalized counts on {1, cos, sin}: the
+    number of settings, and one PortFit per output port.
 
-    settings holds the n control parameters in radians and counts the (n, 3)
-    per-port counts at them: finite and non-negative, integers when drawn by
-    the sampler or real-valued, e.g. exactly scaled probabilities. Counts are
-    normalized per setting by the total across the three ports, which removes
-    rate drift and any overall scale. coefficients holds the model's per-port
-    (a, b, c), as for fringe. The visibility for port i is the fitted
-    sqrt(b^2 + c^2) over the model's |b_i + i c_i|, with its standard error
-    propagated from the residual variance; values above 1 are reported as-is.
-    A model amplitude below 1e-12, the rounding residue that a port with no
-    fringe is left with, is refused as zero.
+    blocks yields (settings, counts) pairs, one pair for arrays: n control
+    parameters in radians and the (n, 3) per-port counts at them, finite and
+    non-negative, integers or real-valued. Counts are normalized per setting
+    by their total, which removes rate drift and any overall scale.
+    coefficients holds the model's per-port (a, b, c), as for fringe. The
+    visibility for port i is the fitted sqrt(b^2 + c^2) over the model's
+    |b_i + i c_i|, with its standard error propagated from the residual
+    variance; values above 1 are reported as-is. A model amplitude below
+    1e-12, the rounding residue that a port with no fringe is left with, is
+    refused as zero. Only the triangular factor R of the rows
+    [1, cos, sin, y1, y2, y3] is kept, folded block by block (TSQR).
     """
-    phi = np.asarray(settings, dtype=float)
-    counts = np.asarray(counts, dtype=float)
-    if phi.ndim != 1 or counts.shape != (phi.size, 3):
-        raise ValueError(f"settings of shape (n,) need counts of shape (n, 3), "
-                         f"got {phi.shape} and {counts.shape}")
-    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(counts))):
-        raise ValueError("settings and counts must be finite")
-    if np.any(counts < 0):
-        raise ValueError("counts must be non-negative")
+    r = np.zeros((0, 6))
+    n, nonpositive, infinite = 0, False, False
+    for settings, counts in blocks:
+        phi = np.asarray(settings, dtype=float)
+        counts = np.asarray(counts, dtype=float)
+        if phi.ndim != 1 or counts.shape != (phi.size, 3):
+            raise ValueError(f"settings of shape (n,) need counts of shape (n, 3), "
+                             f"got {phi.shape} and {counts.shape}")
+        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(counts))):
+            raise ValueError("settings and counts must be finite")
+        if np.any(counts < 0):
+            raise ValueError("counts must be non-negative")
+        with np.errstate(over="ignore"):
+            totals = counts.sum(axis=1)[:, None]
+        nonpositive |= not np.all(totals > 0.0)  # raised at the end, after any malformed later block
+        infinite |= not np.all(np.isfinite(totals))
+        y = np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0.0)
+        rows = np.column_stack([np.ones(phi.size), np.cos(phi), np.sin(phi), y])
+        for start in range(0, phi.size, FOLD_ROWS):
+            r = np.linalg.qr(np.vstack([r, rows[start:start + FOLD_ROWS]]), mode="r")
+        n += phi.size
     _, model_b, model_c = coefficients
     amplitudes = np.hypot(model_b, model_c)
     if amplitudes.shape != (3,):
         raise ValueError("model must give a fringe amplitude for each of the three ports")
-    n = phi.size
-    # not np.unique, which imports numpy.ma in NumPy 2; -0.0 and 0.0 count as one setting
-    if np.count_nonzero(np.diff(np.sort(phi))) + 1 < 3:
-        raise DegenerateDesignError("need at least 3 distinct settings")
-    with np.errstate(over="ignore"):
-        totals = counts.sum(axis=1)
-    if np.any(totals <= 0.0):
-        raise DegenerateDesignError("every setting needs a positive total count")
-    if not np.all(np.isfinite(totals)):
-        raise DegenerateDesignError("every setting needs a finite total count")
-    y = counts / totals[:, None]
-    design = np.column_stack([np.ones(n), np.cos(phi), np.sin(phi)])
-    gram = design.T @ design
-    if np.linalg.matrix_rank(gram) < 3:
+    r11 = r[:3, :3]
+    # the rank of R11^T R11 = X^T X, with matrix_rank's tolerance on that Gram matrix
+    if np.linalg.matrix_rank(r11.T @ r11) < 3:
         raise DegenerateDesignError("settings do not span offset, cosine, and sine terms")
-    gram_inv = np.linalg.inv(gram)
+    if nonpositive:
+        raise DegenerateDesignError("every setting needs a positive total count")
+    if infinite:
+        raise DegenerateDesignError("every setting needs a finite total count")
+    # R11 gives the coefficients and their covariance; a port's residual norm is its column of R below row 3
+    coef = np.linalg.solve(r11, r[:3, 3:])  # column i holds port i's (a, b, c)
+    r11_inv = np.linalg.inv(r11)
     ports = []
     for i in range(3):
         model_amp = float(amplitudes[i])
         if not model_amp >= 1e-12:
             raise ValueError(f"model fringe amplitude for port {i + 1} must be positive")
-        coef, *_ = np.linalg.lstsq(design, y[:, i], rcond=None)
-        a, b, c = (float(v) for v in coef)
-        resid = y[:, i] - design @ coef
-        dof = n - 3
-        sigma_sq = float(resid @ resid) / dof if dof > 0 else 0.0
-        cov = sigma_sq * gram_inv
+        a, b, c = (float(v) for v in coef[:, i])
+        sigma = float(np.linalg.norm(r[3:, 3 + i])) / math.sqrt(n - 3) if n > 3 else 0.0
         amp = math.hypot(b, c)
-        if amp > 0.0:
-            grad = np.array([b, c]) / amp
-            amp_var = float(grad @ cov[1:, 1:] @ grad)
-        else:
-            amp_var = float(cov[1, 1])
-        ports.append(PortFit(a, b, c, amp / model_amp, math.sqrt(max(amp_var, 0.0)) / model_amp))
-    return tuple(ports)
+        grad = np.array([0.0, b / amp, c / amp]) if amp > 0.0 else np.array([0.0, 1.0, 0.0])
+        ports.append(PortFit(a, b, c, amp / model_amp, sigma * float(np.linalg.norm(grad @ r11_inv)) / model_amp))
+    return n, tuple(ports)

@@ -211,13 +211,13 @@ def test_c08_statistical_layer(network):
     hits = total = 0
     for trial in range(500):
         counts = draw_counts(probs, 1000.0, 100.0, 100_000 + 40 * trial)
-        for port in fit_fringe(grid, counts, coefficients):
+        for port in fit_fringe([(grid, counts)], coefficients)[1]:
             total += 1
             if abs(port.visibility - true_v) <= 3.0 * port.stderr:
                 hits += 1
     coverage = hits / total
     exact = (np.asarray(offs)[None, :] + true_v * np.asarray(amps)[None, :] * np.cos(grid)[:, None]) * 1e6
-    noiseless_dev = max(abs(p.visibility - true_v) for p in fit_fringe(grid, exact, coefficients))
+    noiseless_dev = max(abs(p.visibility - true_v) for p in fit_fringe([(grid, exact)], coefficients)[1])
     ok = coverage >= 0.99 and noiseless_dev < 1e-6
     report("8", ok, f"coverage {hits}/{total} = {coverage:.4f} (>= 0.99), "
                     f"noiseless recovery dev {noiseless_dev:.2e} (< 1e-6)")

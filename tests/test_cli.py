@@ -558,6 +558,18 @@ def test_scan_memory_does_not_grow_with_the_table(argv):
     assert two - one < 30.0
 
 
+def test_fit_memory_does_not_grow_with_the_input(tmp_path):
+    # fit holds one block of lines and the 6x6 R factor, not the input (about 200 MB per 10^6 rows)
+    peaks = []
+    for steps in (10 ** 6, 2 * 10 ** 6):
+        path = tmp_path / f"scan{steps}.csv"
+        assert main(["phase-scan", "--state", "Nf", "--visibility", "0.9", "--seed", "1", "--steps", str(steps),
+                     "--out", str(path)]) == 0
+        peaks.append(peak_rss_mb("fit", "--input", str(path), "--model", "Nf", "--out", os.devnull))
+        path.unlink()
+    assert peaks[1] - peaks[0] < 30.0
+
+
 def test_cli_import_does_not_load_scipy():
     subprocess.run(
         [sys.executable, "-c", "import ctxscope.cli, sys; assert 'scipy' not in sys.modules"],
@@ -905,8 +917,9 @@ class TestFit:
         path = tmp_path / "scan.csv"
         assert main(["phase-scan", "--state", "Nf", "--steps", "7", "--rate", "50", "--out", str(path)]) == 0
         nan_port = stats.PortFit(math.nan, 0.0, 0.0, math.nan, math.inf)
-        monkeypatch.setattr(stats, "fit_fringe", lambda *args: (nan_port,) * 3)
-        usage_error(capsys, "fit", "--input", str(path), "--model", "Nf")
+        monkeypatch.setattr(stats, "fit_fringe", lambda *args: (7, (nan_port,) * 3))
+        assert usage_error(capsys, "fit", "--input", str(path), "--model", "Nf") == (
+            "error: Out of range float values are not JSON compliant: nan\n")
 
     @pytest.mark.parametrize("body, message", [
         ("0.0,1,2,3\n", "line 2: expected 5 fields, got 4"),
@@ -947,7 +960,7 @@ class TestFit:
         rows = [f"{k},{a},{b},{c},2" for k, (a, b, c) in enumerate(zip(cells, cells[1:], cells[2:]))]
         path = tmp_path / "counts.csv"
         path.write_text("setting,n1,n2,n3,duration\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        settings, counts = cli._read_counts_csv(str(path))
+        [(settings, counts)] = cli._read_counts_csv(str(path))
         assert settings.dtype == counts.dtype == np.float64
         assert settings.tolist() == [float(k) for k in range(len(rows))]
         assert counts.tolist() == [[float(a), float(b), float(c)] for a, b, c in zip(cells, cells[1:], cells[2:])]

@@ -292,8 +292,77 @@ def csv_path(tmp_path_factory):
 def test_fit_reads_every_csv_as_the_csv_module_reader_did(csv_path, text, model):
     csv_path.write_bytes(text.encode("utf-8"))
     argv = ["fit", "--input", str(csv_path), f"--model={model}"]
-    with mock.patch.object(cli, "_read_counts_csv", csv_module_reader):
+    with mock.patch.object(cli, "_read_counts_csv", lambda path: [csv_module_reader(path)]):
         expected = call(argv)
     assert call(argv) == expected
     # stdin is read without newline translation; CR and CRLF still end lines
     assert call(["fit", "--input", "-", f"--model={model}"], text) == expected
+
+
+def fit_at_block_sizes(argv: list[str], text: str) -> list[tuple[int, str, str]]:
+    """fit's result with the reader's blocks at 65,536 lines (as shipped), then at 3 and at 2."""
+    results = [call(argv, text)]
+    for rows in (3, 2):
+        with mock.patch.object(cli, "CSV_BLOCK_ROWS", rows):
+            results.append(call(argv, text))
+    return results
+
+
+def outcome(result: tuple[int, str, str]) -> tuple:
+    """Exit code and error line, and for a fit its model and setting count: all
+    that the block size may not change. The fitted numbers move in their last
+    bits, as R is folded in other slices."""
+    code, out, err = result
+    return code, err, *((json.loads(out)["model"], json.loads(out)["settings"]) if code == 0 else ())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(FIT_CSVS, st.sampled_from(["Nf", "Bf", "V0"]))
+def test_fit_does_not_depend_on_the_reader_block_size(csv_path, text, model):
+    csv_path.write_bytes(text.encode("utf-8"))
+    for argv, stdin in ((["fit", "--input", str(csv_path), f"--model={model}"], ""),
+                        (["fit", "--input", "-", f"--model={model}"], text)):
+        whole, *small = map(outcome, fit_at_block_sizes(argv, stdin))
+        assert small == [whole, whole], (text, whole, small)
+
+
+HEADER = cli.COUNTS_CSV_HEADER + "\n"
+ROWS = [f"{k},{10 + k},20,{30 + k},1\n" for k in range(8)]
+
+
+@pytest.mark.parametrize("lines, err", [
+    # at 3 lines a block, line 4 opens the second block; at 2, line 5 opens the third
+    ([HEADER, *ROWS[:2], "2,1,x,3,1\n", *ROWS[2:]], "line 4: non-numeric field in ['2', '1', 'x', '3', '1']"),
+    ([HEADER, *ROWS[:3], "3,1,x,3,1\n", *ROWS[3:]], "line 5: non-numeric field in ['3', '1', 'x', '3', '1']"),
+    ([HEADER, ROWS[0], "1,1,2,3\n", *ROWS], "line 3: expected 5 fields, got 4"),
+    ([HEADER, *ROWS, "9,1,2,3,1\n", "9,1,2,3,2\n"], "line 11: duration 2 differs from the first row's 1"),
+    ([HEADER, *ROWS[:2], "5,1,2,3,7\n"], "line 4: duration 7 differs from the first row's 1"),
+    ([HEADER, "\n", "\n", "\n", *ROWS, "\n", "\n", "7,1,2,-3,1\n"], "line 15: counts must be non-negative"),
+    ([HEADER], "input has no data rows"),
+    (["\n"] * 4 + [HEADER, "\n", "\n"], "input has no data rows"),
+    (["\n"] * 5, "input must start with header 'setting,n1,n2,n3,duration'"),
+    ([], "input must start with header 'setting,n1,n2,n3,duration'"),
+    (["\n"] * 4 + ["setting,n1\n", *ROWS], "input must start with header 'setting,n1,n2,n3,duration'"),
+], ids=["error opens the second block", "error opens the third block", "error in the header's block",
+        "duration in a later block", "duration opens the second block", "blank lines around a boundary",
+        "header only", "blank lines and header", "blank lines only", "empty", "header in a later block"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_reader_errors_name_the_same_line_at_every_block_size(csv_path, lines, err, end):
+    text = "".join(lines).replace("\n", end)
+    csv_path.write_bytes(text.encode("utf-8"))
+    for argv, stdin in ((["fit", "--input", str(csv_path), "--model", "Nf"], ""),
+                        (["fit", "--input", "-", "--model", "Nf"], text)):
+        assert fit_at_block_sizes(argv, stdin) == [(2, "", f"error: {err}\n")] * 3
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_blank_lines_at_block_boundaries_leave_the_fit_as_it_is(csv_path, end):
+    text = "".join([HEADER, "\n", *ROWS[:3], "\n", "\n", *ROWS[3:], "\n"]).replace("\n", end)
+    csv_path.write_bytes(text.encode("utf-8"))
+    for argv, stdin in ((["fit", "--input", str(csv_path), "--model", "Nf"], ""),
+                        (["fit", "--input", "-", "--model", "Nf"], text)):
+        (code, out, err), *small = fit_at_block_sizes(argv, stdin)
+        assert (code, err, json.loads(out)["settings"]) == (0, "", 8)
+        for ports in (json.loads(other[1])["ports"] for other in small):
+            for port, expected in zip(ports, json.loads(out)["ports"]):
+                assert port == pytest.approx(expected, rel=1e-13, abs=1e-15)

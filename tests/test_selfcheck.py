@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from ctxscope import interferometer
 from ctxscope.contexts import canonical_paths
 from ctxscope.selfcheck import run_all_checks
 
@@ -53,3 +55,21 @@ def test_nan_basis_fails_the_orthonormality_and_network_suites():
     for name in ("telescoping product", "stage reflectivities", "output-side witness identity"):
         assert not results[name].passed
         assert results[name].detail == "network not built: state amplitudes must be finite"
+
+
+def test_identity_suite_fails_on_an_imaginary_off_diagonal_deviation(monkeypatch):
+    # psi^H D psi with D = [[0, i, 0], [-i, 0, 0], [0, 0, 0]] vanishes on every
+    # real state, so only the (e_i + i e_j)/sqrt(2) states can see it
+    evaluate_states = interferometer.evaluate_states
+    d = np.zeros((3, 3), dtype=complex)
+    d[0, 1], d[1, 0] = 1j, -1j
+
+    def skewed(network, states):
+        metrics = evaluate_states(network, states)
+        form = np.einsum("ni,ij,nj->n", states.conj(), d, states).real
+        return {**metrics, "witness_outputs": metrics["witness"] + 1e-9 * form}
+
+    monkeypatch.setattr(interferometer, "evaluate_states", skewed)
+    identity = next(r for r in run_all_checks() if r.name == "output-side witness identity")
+    assert not identity.passed
+    assert float(identity.detail.split("=")[1].split("over")[0]) == pytest.approx(1e-9, rel=1e-6)

@@ -19,6 +19,11 @@ def phase_scan(network, psi, target, grid) -> np.ndarray:
     return propagate(network, psi[None, :], [target], np.exp(1j * grid)[:, None])[:, 0]
 
 
+def fit_one(settings, counts, coefficients):
+    """The three PortFits of fit_fringe on one (settings, counts) block."""
+    return fit_fringe([(settings, counts)], coefficients)[1]
+
+
 def sampled_fringe(settings, coefficients, visibility, rate, duration, seed) -> np.ndarray:
     """Counts of a phase fringe degraded to visibility, drawn as a noisy phase-scan draws them."""
     return draw_counts(fringe(settings, coefficients, visibility), rate, duration, seed)
@@ -168,7 +173,7 @@ class TestNoisyFringe:
 class TestFitFringe:
     def test_exact_counts_recover_unit_visibility(self, nf_fringe, nf_coefficients):
         settings, ideal = nf_fringe
-        fit = fit_fringe(settings, ideal * 1e6, nf_coefficients)
+        fit = fit_one(settings, ideal * 1e6, nf_coefficients)
         for port in fit:
             assert port.visibility == pytest.approx(1.0, abs=1e-9)
             assert port.c == pytest.approx(0.0, abs=1e-9)
@@ -177,15 +182,15 @@ class TestFitFringe:
         settings, _ = nf_fringe
         offs, amps, _ = nf_coefficients
         curve = offs[None, :] + 0.7 * amps[None, :] * np.cos(settings)[:, None]
-        fit = fit_fringe(settings, curve * 1e6, nf_coefficients)
+        fit = fit_one(settings, curve * 1e6, nf_coefficients)
         for port in fit:
             assert port.visibility == pytest.approx(0.7, abs=1e-9)
 
     def test_scale_invariance(self, nf_fringe, nf_coefficients):
         settings, _ = nf_fringe
         noisy = sampled_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, 4)
-        base = fit_fringe(settings, noisy, nf_coefficients)
-        rescaled = fit_fringe(settings, noisy.astype(float) * 137.0, nf_coefficients)
+        base = fit_one(settings, noisy, nf_coefficients)
+        rescaled = fit_one(settings, noisy.astype(float) * 137.0, nf_coefficients)
         for a, b in zip(base, rescaled):
             assert b.visibility == pytest.approx(a.visibility, abs=1e-9)
 
@@ -193,7 +198,7 @@ class TestFitFringe:
         settings, _ = nf_fringe
         for seed in (1, 2, 3, 4, 5):
             counts = sampled_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, seed)
-            fit = fit_fringe(settings, counts, nf_coefficients)
+            fit = fit_one(settings, counts, nf_coefficients)
             for port in fit:
                 assert 0.97 <= port.visibility <= 1.03
 
@@ -201,14 +206,14 @@ class TestFitFringe:
         # the models carry no phase offset, so c must stay at noise level
         settings, _ = nf_fringe
         counts = sampled_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, 8)
-        fit = fit_fringe(settings, counts, nf_coefficients)
+        fit = fit_one(settings, counts, nf_coefficients)
         for port in fit:
             assert abs(port.c) < 5.0 * port.stderr + 1e-6
 
     def test_visibility_above_one_is_not_clamped(self, nf_fringe, nf_coefficients):
         settings, _ = nf_fringe
         counts = sampled_fringe(settings, nf_coefficients, 1.0, 1000.0, 100.0, 1)
-        fit = fit_fringe(settings, counts, nf_coefficients)
+        fit = fit_one(settings, counts, nf_coefficients)
         assert any(port.visibility > 1.0 for port in fit)
 
     def test_complex_state_recovers_injected_visibility(self, network):
@@ -217,34 +222,34 @@ class TestFitFringe:
         coefficients = fringe_coefficients(network, psi)
         grid = np.linspace(0.0, 2.0 * math.pi, 25)
         for seed in (1, 2, 3, 4, 5):
-            fit = fit_fringe(grid, sampled_fringe(grid, coefficients, 0.8, 1000.0, 100.0, seed), coefficients)
+            fit = fit_one(grid, sampled_fringe(grid, coefficients, 0.8, 1000.0, 100.0, seed), coefficients)
             for port in fit:
                 assert abs(port.visibility - 0.8) < 5.0 * port.stderr
 
     def test_three_settings_fit_exactly_with_zero_stderr(self, network, nf_coefficients):
         grid = [0.0, math.pi / 2.0, math.pi]
-        fit = fit_fringe(grid, phase_scan(network, NF, "f", grid) * 1e6, nf_coefficients)
+        fit = fit_one(grid, phase_scan(network, NF, "f", grid) * 1e6, nf_coefficients)
         for port in fit:
             assert port.visibility == pytest.approx(1.0, abs=1e-9)
             assert port.stderr == 0.0
 
     def test_too_few_distinct_settings(self, nf_coefficients):
         with pytest.raises(DegenerateDesignError):
-            fit_fringe(np.array([0.0, 0.0, math.pi]), np.array([[10, 10, 10]] * 3, dtype=np.int64), nf_coefficients)
+            fit_one(np.array([0.0, 0.0, math.pi]), np.array([[10, 10, 10]] * 3, dtype=np.int64), nf_coefficients)
 
     def test_aliased_settings_are_degenerate(self, nf_coefficients):
         # distinct floats that collapse onto the same (cos, sin) pairs
         with pytest.raises(DegenerateDesignError):
-            fit_fringe(np.array([0.0, math.pi, 2.0 * math.pi]), np.array([[10, 10, 10]] * 3, dtype=np.int64),
+            fit_one(np.array([0.0, math.pi, 2.0 * math.pi]), np.array([[10, 10, 10]] * 3, dtype=np.int64),
                        nf_coefficients)
 
     def test_zero_total_counts_rejected(self, nf_coefficients):
         with pytest.raises(DegenerateDesignError):
-            fit_fringe(np.array([0.0, 1.0, 2.0, 3.0]), np.zeros((4, 3), dtype=np.int64), nf_coefficients)
+            fit_one(np.array([0.0, 1.0, 2.0, 3.0]), np.zeros((4, 3), dtype=np.int64), nf_coefficients)
 
     def test_overflowing_totals_are_degenerate(self, nf_coefficients):
         with pytest.raises(DegenerateDesignError, match="finite total"):
-            fit_fringe(np.arange(4.0), np.full((4, 3), 1e308), nf_coefficients)
+            fit_one(np.arange(4.0), np.full((4, 3), 1e308), nf_coefficients)
 
 
 class TestFringeDataset:
@@ -252,7 +257,7 @@ class TestFringeDataset:
 
     def test_counts_must_be_non_negative(self, nf_coefficients):
         with pytest.raises(ValueError, match="counts must be non-negative"):
-            fit_fringe(np.array([0.0]), np.array([[1, -2, 3]]), nf_coefficients)
+            fit_one(np.array([0.0]), np.array([[1, -2, 3]]), nf_coefficients)
 
     @pytest.mark.parametrize("settings, values", [
         ([0.0], [[math.nan, 0.0, 0.0]]),
@@ -262,7 +267,7 @@ class TestFringeDataset:
     ])
     def test_non_finite_settings_and_values_are_rejected(self, settings, values, nf_coefficients):
         with pytest.raises(ValueError, match="must be finite") as excinfo:
-            fit_fringe(np.array(settings), values, nf_coefficients)
+            fit_one(np.array(settings), values, nf_coefficients)
         assert excinfo.type is ValueError
 
     @pytest.mark.parametrize("settings, values", [
@@ -274,14 +279,14 @@ class TestFringeDataset:
     ], ids=["two ports", "too few rows", "flat counts", "2-D settings", "scalar setting"])
     def test_wrong_shapes_are_rejected(self, settings, values, nf_coefficients):
         with pytest.raises(ValueError, match=r"need counts of shape \(n, 3\)") as excinfo:
-            fit_fringe(settings, values, nf_coefficients)
+            fit_one(settings, values, nf_coefficients)
         assert excinfo.type is ValueError
 
     @pytest.mark.parametrize("ports", [2, 4])
     def test_model_needs_a_fringe_for_each_of_three_ports(self, ports):
         coefficients = (np.full(ports, 0.3), np.full(ports, 0.2), np.zeros(ports))
         with pytest.raises(ValueError, match="model must give a fringe amplitude for each of the three ports"):
-            fit_fringe(np.arange(4.0), np.full((4, 3), 10), coefficients)
+            fit_one(np.arange(4.0), np.full((4, 3), 10), coefficients)
 
     @pytest.mark.parametrize("port", [0, 1, 2])
     @pytest.mark.parametrize("amplitude", [0.0, 5e-17, math.nan])
@@ -289,19 +294,16 @@ class TestFringeDataset:
         offsets, cosines, sines = (np.array(v) for v in nf_coefficients)
         cosines[port], sines[port] = amplitude, 0.0
         with pytest.raises(ValueError, match=f"model fringe amplitude for port {port + 1} must be positive"):
-            fit_fringe(np.arange(4.0), np.full((4, 3), 10), (offsets, cosines, sines))
+            fit_one(np.arange(4.0), np.full((4, 3), 10), (offsets, cosines, sines))
 
-    def test_flat_counts_fit_zero_visibility(self, monkeypatch, nf_coefficients):
-        # Constant counts fit a cosine and sine term of exactly zero, but the
-        # solver's rounding decides whether it returns them as 0.0, so the
-        # exact solution stands in for it here.
-        monkeypatch.setattr(np.linalg, "lstsq", lambda design, y, rcond: (np.array([y[0], 0.0, 0.0]),))
-        for port in fit_fringe(np.arange(4.0), np.full((4, 3), 10), nf_coefficients):
+    def test_flat_counts_fit_zero_visibility(self, nf_coefficients):
+        # constant counts fit a cosine and sine term of exactly zero
+        for port in fit_one(np.arange(4.0), np.full((4, 3), 10), nf_coefficients):
             assert (port.b, port.c, port.visibility, port.stderr) == (0.0, 0.0, 0.0, 0.0)
 
     def test_empty_dataset_is_degenerate(self, nf_coefficients):
-        with pytest.raises(DegenerateDesignError, match="need at least 3 distinct settings"):
-            fit_fringe(np.zeros(0), np.zeros((0, 3)), nf_coefficients)
+        with pytest.raises(DegenerateDesignError, match="settings do not span offset, cosine, and sine terms"):
+            fit_one(np.zeros(0), np.zeros((0, 3)), nf_coefficients)
 
     def test_nan_probability_is_not_reported_as_a_rate_error(self):
         with pytest.raises(ValueError, match="must be finite") as excinfo:
@@ -316,7 +318,71 @@ class TestFringeDataset:
         # fitting reads its inputs: it neither freezes nor rescales the caller's arrays
         settings = np.array([0.0, 1.0, 2.0, 3.0])
         kept_settings, kept_values = settings.copy(), values.copy()
-        fit_fringe(settings, values, nf_coefficients)
+        fit_one(settings, values, nf_coefficients)
         assert settings.flags.writeable and values.flags.writeable
         assert np.array_equal(settings, kept_settings)
         assert np.array_equal(values, kept_values)
+
+
+def lstsq_fit(settings, counts, coefficients):
+    """The fit by a plain least-squares solve per port: (a, b, c, visibility, stderr) rows."""
+    y = counts / counts.sum(axis=1, keepdims=True)
+    design = np.column_stack([np.ones(len(settings)), np.cos(settings), np.sin(settings)])
+    cov = np.linalg.inv(design.T @ design)
+    rows = []
+    for i, amplitude in enumerate(np.hypot(coefficients[1], coefficients[2])):
+        coef, *_ = np.linalg.lstsq(design, y[:, i], rcond=None)
+        resid = y[:, i] - design @ coef
+        sigma_sq = resid @ resid / (len(settings) - 3) if len(settings) > 3 else 0.0
+        grad = coef[1:] / math.hypot(*coef[1:])
+        rows.append([*coef, math.hypot(*coef[1:]) / amplitude,
+                     math.sqrt(sigma_sq * grad @ cov[1:, 1:] @ grad) / amplitude])
+    return np.array(rows)
+
+
+class TestFitFolding:
+    """fit_fringe folds its blocks into one R factor; the answers are those of a plain solve."""
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_matches_a_plain_least_squares_solve(self, network, trial):
+        rng = np.random.default_rng(trial)
+        psi = haar_random_states(1, trial)[0]  # complex states: every port has a sine term
+        coefficients = fringe_coefficients(network, psi)
+        n = [3, 4, 7, 50, 2500][trial % 5]
+        settings = rng.uniform(-10.0, 10.0, n)
+        counts = sampled_fringe(settings, coefficients, rng.uniform(0.2, 1.0), 1e4, 1.0, trial) + 1.0
+        fitted = np.array([list(port) for port in fit_one(settings, counts, coefficients)])
+        expected = lstsq_fit(settings, counts.astype(float), coefficients)
+        scale = np.maximum(np.abs(expected), 1e-300)
+        if n == 3:  # an exact fit: no residual, so the stderr column is exactly zero on both sides
+            assert np.all(fitted[:, 4] == 0.0)
+        assert np.all(np.abs(fitted - expected) <= 1e-12 * scale + 1e-15), (fitted, expected)
+
+    @pytest.mark.parametrize("sizes", [[1] * 9, [2, 5, 1, 1], [4000, 1, 3000, 2999], [1023, 1, 1025, 2048]])
+    def test_one_block_or_many_give_the_same_fit(self, network, sizes):
+        psi = normalize(np.array([1.0, 0.5j, -0.3 + 0.2j]))
+        coefficients = fringe_coefficients(network, psi)
+        settings = np.random.default_rng(len(sizes)).uniform(0.0, 2.0 * math.pi, sum(sizes))
+        counts = sampled_fringe(settings, coefficients, 0.9, 1e3, 1.0, 7)
+        bounds = np.cumsum([0, *sizes])
+        blocks = [(settings[lo:hi], counts[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        n, ports = fit_fringe(iter(blocks), coefficients)
+        assert n == len(settings)
+        whole = fit_one(settings, counts, coefficients)
+        assert np.allclose(np.array(ports), np.array(whole), rtol=1e-13, atol=1e-15)
+
+    def test_a_block_with_no_rows_changes_nothing(self, nf_fringe, nf_coefficients):
+        settings, ideal = nf_fringe
+        empty = (np.zeros(0), np.zeros((0, 3)))
+        assert fit_fringe([empty, (settings, ideal), empty], nf_coefficients) == (
+            len(settings), fit_one(settings, ideal, nf_coefficients))
+
+    def test_a_degenerate_total_is_reported_after_every_block_is_read(self, nf_coefficients):
+        # a zero total in the first block must not hide a malformed later block
+        def blocks():
+            yield np.arange(4.0), np.zeros((4, 3))
+            yield np.arange(2.0), np.array([[1.0, -1.0, 1.0], [1.0, 1.0, 1.0]])
+
+        with pytest.raises(ValueError, match="counts must be non-negative") as excinfo:
+            fit_fringe(blocks(), nf_coefficients)
+        assert excinfo.type is ValueError
