@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import sys
@@ -320,25 +321,36 @@ COUNTS_ROW_RULES = ("expected 5 fields, got {fields}", "non-numeric field in {ro
                     "counts must be non-negative", "duration must be positive",
                     "duration {0:g} differs from the first row's {1:g}")
 QUOTED_ROW_CHARS = 80  # an error quotes at most this much of the row's cell list, then "..."
+# A byte that is not UTF-8, as the surrogateescape error handler decodes it.
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def _read_counts_csv(path: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Float settings, shape (n,), and counts, shape (n, 3), of a counts CSV,
     in blocks of at most CSV_BLOCK_ROWS lines, each yielded once it is checked.
 
-    Lines end where str.splitlines ends them (LF, CRLF and CR among others),
-    and blank ones are skipped. The first is COUNTS_CSV_HEADER, cells stripped;
-    each later one holds five unquoted cells that float() reads and keeps
-    COUNTS_ROW_RULES. The error names the first line that breaks a rule, and
-    quotes at most QUOTED_ROW_CHARS characters of its cells."""
+    The file, or stdin for "-", is read as UTF-8 whatever the locale, and with
+    universal newlines, so that CR-ended lines come in blocks too. Lines end
+    where str.splitlines ends them (LF, CRLF and CR among others), and blank
+    ones are skipped. The first is COUNTS_CSV_HEADER, cells stripped; each
+    later one holds five unquoted cells that float() reads and keeps
+    COUNTS_ROW_RULES. The error names the first line that breaks a rule or
+    holds a byte that is not UTF-8, and quotes at most QUOTED_ROW_CHARS
+    characters of a row's cells."""
     try:
-        fh = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
+        fh = sys.stdin if path == "-" else open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from None
+    if fh is sys.stdin and hasattr(fh, "reconfigure"):  # not a replacement that holds text, such as io.StringIO
+        fh.reconfigure(encoding="utf-8", errors="surrogateescape", newline=None)  # as the file is read
     before, header, first = 0, None, np.empty(0)  # lines in earlier blocks; the first row's duration
     with contextlib.nullcontext() if fh is sys.stdin else fh:
         # a block ends where a line does, so its lines are those of the whole text
-        for lines in iter(lambda: "".join(itertools.islice(fh, CSV_BLOCK_ROWS)).splitlines(), []):
+        for text in iter(lambda: "".join(itertools.islice(fh, CSV_BLOCK_ROWS)), ""):
+            lines = text.splitlines()
+            undecoded = None if text.isascii() else _UNDECODED.search(text)
+            if undecoded:  # the lines before its line are checked first
+                del lines[len(text[:undecoded.end()].splitlines()) - 1:]
             start, before = before, before + len(lines)
             rows = [line for line in lines if line]
             if header is None and rows:
@@ -347,7 +359,10 @@ def _read_counts_csv(path: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
                     raise ValueError(f"input must start with header {COUNTS_CSV_HEADER!r}")
             # the rows before `end` have five fields, and those before `numeric` five numbers
             end = next((i for i, row in enumerate(rows) if row.count(",") != 4), len(rows))
-            values = np.fromiter(_cells(rows[:end]), float)
+            try:  # one conversion pass; only a block with a cell float() refuses is walked again
+                values = np.fromiter(map(float, itertools.chain.from_iterable(r.split(",") for r in rows[:end])), float)
+            except ValueError:
+                values = np.fromiter(_cells(rows[:end]), float)
             table = values[:len(values) // 5 * 5].reshape(-1, 5)
             numeric, duration = len(table), table[:, 4]
             first = first if first.size else duration[:1]
@@ -359,6 +374,8 @@ def _read_counts_csv(path: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
                 i, rule = numeric, 0 if numeric == end else 1
             else:
                 yield table[:, 0], table[:, 1:4]
+                if undecoded:
+                    raise ValueError(f"line {before + 1}: byte {ord(undecoded.group()) - 0xDC00:#04x} is not UTF-8")
                 continue
             cells = rows[i].split(",")
             quoted = str(cells)
@@ -725,11 +742,32 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
-def entry() -> None:
+def entry() -> NoReturn:
+    """The installed script: main() on sys.argv, then stdout and stderr
+    flushed, then os._exit with main's status.
+
+    os._exit skips the interpreter's teardown (module cleanup, the last
+    collection, freeing NumPy's memory and OpenBLAS's threads), which takes
+    25-40 ms of a short call. Nothing is left for it to do: main returns only
+    after its last chunk is written, an --out file is closed and renamed and
+    the CSV worker is joined, and nothing registers an atexit handler. A
+    flush that fails is an output error like any other, one `error:` line and
+    exit 2, unless main has reported an error already. --help and uncaught
+    exceptions leave through the interpreter's usual exit."""
     # Python ignores SIGPIPE; its default action ends the script quietly under `| head`
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    raise SystemExit(main())
+    status = main()
+    try:
+        if sys.stdout is not None:  # None when the script started with its stdout closed
+            sys.stdout.flush()  # the text layer, then its binary buffer
+    except OSError as exc:
+        if status < 2:
+            print(f"error: {exc}", file=sys.stderr)
+            status = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -6,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -419,6 +421,164 @@ def test_closed_pipe_ends_the_script_by_sigpipe(argv):
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
+
+
+MAIN_CODE = "from ctxscope.cli import main; raise SystemExit(main())"
+ENTRY_CODE = "from ctxscope.cli import entry; entry()"
+
+
+def run_fresh(code: str, *argv, cwd=None) -> tuple[int, bytes, bytes]:
+    """Status, stdout and stderr of code run on argv in a fresh interpreter.
+    Stdout is buffered, as the installed script's is: PYTHONUNBUFFERED would
+    write every chunk at once and hide a byte lost at exit."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, timeout=60, cwd=cwd,
+                          env={**env, "PYTHONPATH": str(SRC)})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+FLAT_COUNTS = "setting,n1,n2,n3,duration\n" + "0.5,10,20,30,1\n" * 4
+
+
+@pytest.mark.parametrize("argv, status", [
+    (("check",), 0),
+    (("run", "--state", "Nf", "--block", "f", "--format", "csv"), 0),
+    (("witness", "--state", "Nf"), 0),
+    (("witness", "--state", "V0", "--format", "text"), 0),
+    (("phase-scan", "--state", "Nf", "--steps", "25"), 0),
+    (("trans-scan", "--state", "V0", "--steps", "25", "--rate", "1000", "--seed", "2"), 0),
+    (("sweep", "--resolution", "101"), 0),
+    (("sweep", "--complex", "--samples", "100", "--seed", "3"), 0),
+    (("sample", "--state", "Nf", "--seed", "42"), 0),
+    (("fit", "--input", "scan.csv", "--model", "Nf"), 0),
+    (("reproduce",), 0),
+    (("--help",), 0),
+    (("fit", "--help"), 0),
+    (("witness", "--state", "nope"), 2),
+    (("fit", "--input", "flat.csv", "--model", "Nf"), 3),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
+def test_entry_exits_with_the_bytes_and_status_of_main(tmp_path, argv, status):
+    """entry() ends the process with os._exit once its output is flushed; a
+    fresh process must end with what main() under the usual exit gives."""
+    assert main(["phase-scan", "--state", "Nf", "--steps", "101", "--visibility", "0.9", "--seed", "1",
+                 "--out", str(tmp_path / "scan.csv")]) == 0
+    (tmp_path / "flat.csv").write_text(FLAT_COUNTS)
+    expected = run_fresh(MAIN_CODE, *argv, cwd=tmp_path)
+    assert expected[0] == status
+    assert expected[1] or expected[2]
+    assert run_fresh(ENTRY_CODE, *argv, cwd=tmp_path) == expected
+
+
+def test_entry_writes_a_table_to_stdout_and_to_out_alike(tmp_path):
+    # two CSV blocks and the trailer line, which is still in stdout's buffer when main() returns
+    argv = ("sweep", "--resolution", "300")
+    expected = run_fresh(MAIN_CODE, *argv)
+    assert expected[0] == 0 and expected[1].count(b"\n") == 300 * 300 + 2
+    assert run_fresh(ENTRY_CODE, *argv) == expected
+    assert run_fresh(ENTRY_CODE, *argv, "--out", str(tmp_path / "map.csv")) == (0, b"", b"")
+    assert (tmp_path / "map.csv").read_bytes() == expected[1]
+
+
+class Device(io.RawIOBase):
+    """A raw stream that keeps every byte written to it, or that refuses every
+    write as a full disk does."""
+
+    def __init__(self, full: bool = False) -> None:
+        super().__init__()
+        self.data, self.full = bytearray(), full
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, b) -> int:
+        if self.full:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.data += b
+        return len(b)
+
+
+class Exited(BaseException):
+    """Raised in place of os._exit, which would end the test process."""
+
+
+def entry_status(monkeypatch, argv) -> int:
+    """entry() on argv, with os._exit raising its status instead of ending the test process."""
+    monkeypatch.setattr(sys, "argv", ["ctxscope", *argv])
+
+    def record(status):
+        raise Exited(status)
+
+    monkeypatch.setattr(os, "_exit", record)
+    handler = signal.getsignal(signal.SIGPIPE)
+    try:
+        with pytest.raises(Exited) as exited:
+            cli.entry()
+    finally:
+        signal.signal(signal.SIGPIPE, handler)
+    return exited.value.args[0]
+
+
+def entry_in_process(monkeypatch, argv, stdout: Device) -> tuple[int, bytes, bytes]:
+    """entry_status(), then what reached stdout and stderr. Both are buffered
+    text layers over Device streams that keep up to 64 KiB unwritten until
+    they are flushed, so a byte left unflushed at the exit is missing."""
+    stderr = Device()
+    for name, device in (("stdout", stdout), ("stderr", stderr)):
+        monkeypatch.setattr(sys, name, io.TextIOWrapper(io.BufferedWriter(device, 1 << 16), encoding="utf-8"))
+    return entry_status(monkeypatch, argv), bytes(stdout.data), bytes(stderr.data)
+
+
+class TestEntryExit:
+    """entry() flushes stdout and stderr, then passes main()'s status to os._exit."""
+
+    def test_after_a_16_block_sweep(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 64)
+        sizes = spy_evaluate(monkeypatch)
+        argv, start = ("sweep", "--resolution", "32"), threading.active_count()
+        expected = run_cli(capsys, *argv)
+        assert len(sizes) == 16
+        status, out, err = entry_in_process(monkeypatch, argv, Device())
+        assert (status, out.decode(), err) == (*expected, b"")
+        assert threading.active_count() == start
+
+    def test_after_a_producer_error_mid_table(self, capsys, monkeypatch):
+        def fail_eighth(first_row, metrics):
+            if first_row == 7 * 64:
+                raise ValueError("injected failure")
+
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 64)
+        sizes = spy_evaluate(monkeypatch, fail_eighth)
+        argv, start = ("sweep", "--resolution", "32"), threading.active_count()
+        assert main(list(argv)) == 2
+        expected = capsys.readouterr()
+        assert expected.out.count("\n") > 6 * 64 and expected.err == "error: injected failure\n"
+        sizes.clear()
+        status, out, err = entry_in_process(monkeypatch, argv, Device())
+        assert (status, out.decode(), err.decode()) == (2, expected.out, expected.err)
+        assert threading.active_count() == start
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_after_a_write_to_a_full_device(self, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 64)
+        start = threading.active_count()
+        status, out, err = entry_in_process(monkeypatch, ("sweep", "--resolution", "32", "--out", "/dev/full"),
+                                            Device())
+        assert (status, out, err) == (2, b"", b"error: [Errno 28] No space left on device\n")
+        assert threading.active_count() == start
+
+    def test_a_flush_that_fails_at_exit_is_one_error_line(self, monkeypatch):
+        # the JSON waits in stdout's buffer until entry() flushes it to a full disk
+        start = threading.active_count()
+        status, out, err = entry_in_process(monkeypatch, ("witness", "--state", "Nf"), Device(full=True))
+        assert (status, out, err) == (2, b"", b"error: [Errno 28] No space left on device\n")
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("closed", ["stdout", "stderr"])
+    def test_a_stream_closed_at_start_is_not_flushed(self, monkeypatch, tmp_path, closed):
+        # Python sets sys.stdout or sys.stderr to None when the script starts with that descriptor closed
+        monkeypatch.setattr(sys, closed, None)
+        assert entry_status(monkeypatch, ("witness", "--state", "Nf", "--out", str(tmp_path / "w.json"))) == 0
+        assert json.loads((tmp_path / "w.json").read_text())["p_f"] > 0
 
 
 @pytest.mark.parametrize(
@@ -998,13 +1158,21 @@ class TestFit:
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
     def test_reads_crlf_and_cr_lines_from_stdin(self, capsys, tmp_path, monkeypatch, end):
-        # stdin is read without newline translation, so its line ends reach the reader
+        # io.StringIO is read without newline translation, so its line ends reach the reader
         path = tmp_path / "scan.csv"
         assert main(["phase-scan", "--state", "Nf", "--steps", "7", "--seed", "2", "--rate", "50",
                      "--out", str(path)]) == 0
         _, from_file = run_cli(capsys, "fit", "--input", str(path), "--model", "Nf")
         monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text().replace("\n", end)))
         assert run_cli(capsys, "fit", "--input", "-", "--model", "Nf") == (0, from_file)
+
+    def test_cr_lines_from_stdin_come_in_blocks(self, monkeypatch):
+        # stdin is read with universal newlines, as a file is, so CR-ended
+        # lines are not one line held whole
+        text = "setting,n1,n2,n3,duration\r" + "".join(f"{k},1,2,3,1\r" for k in range(10))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="\n"))
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+        assert [len(settings) for settings, _ in cli._read_counts_csv("-")] == [2, 3, 3, 2]
 
     def test_overflowing_row_totals_exit_3(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"
@@ -1023,6 +1191,24 @@ class TestFit:
             "3.141592654,10,10,10,1.0\n"
         )
         assert run_cli(capsys, "fit", "--input", str(two), "--model", "Nf")[0] == 3
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda data: data + b"\xff", 100003),
+        (lambda data: b"\n".join(line + b"\xff" if k == 10 else line for k, line in enumerate(data.split(b"\n"))),
+         11),
+    ], ids=["0xff as a last line", "0xff ending line 11"])
+    def test_a_byte_that_is_not_utf8_is_named_by_its_line(self, capsys, monkeypatch, tmp_path, edit, line):
+        # a 100,001-row scan spans two reader blocks; stdin is read as UTF-8
+        # even where its own text layer decodes strictly
+        path = tmp_path / "scan.csv"
+        assert main(["phase-scan", "--state", "Nf", "--steps", "100001", "--visibility", "0.9", "--seed", "1",
+                     "--out", str(path)]) == 0
+        data = edit(path.read_bytes())
+        path.write_bytes(data)
+        expected = f"error: line {line}: byte 0xff is not UTF-8\n"
+        assert usage_error(capsys, "fit", "--input", str(path), "--model", "Nf") == expected
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n"))
+        assert usage_error(capsys, "fit", "--input", "-", "--model", "Nf") == expected
 
 
 class TestReproduce:

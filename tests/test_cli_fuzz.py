@@ -151,9 +151,13 @@ def assert_schema(argv: list[str], out: str) -> None:
         json.loads(out, parse_constant=_reject, parse_float=_finite)
 
 
-def call(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
+def call(argv: list[str], stdin: str | bytes = "") -> tuple[int, str, str]:
+    """main(argv) in-process. Text stdin is an io.StringIO; bytes sit under a
+    strict UTF-8 text layer that splits lines at LF, as sys.stdin's does."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+    stream = io.StringIO(stdin) if isinstance(stdin, str) else \
+        io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", newline="\n")
+    with mock.patch.object(sys, "stdin", stream), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
@@ -295,11 +299,11 @@ def test_fit_reads_every_csv_as_the_csv_module_reader_did(csv_path, text, model)
     with mock.patch.object(cli, "_read_counts_csv", lambda path: [csv_module_reader(path)]):
         expected = call(argv)
     assert call(argv) == expected
-    # stdin is read without newline translation; CR and CRLF still end lines
+    # io.StringIO is read without newline translation; CR and CRLF still end lines
     assert call(["fit", "--input", "-", f"--model={model}"], text) == expected
 
 
-def fit_at_block_sizes(argv: list[str], text: str) -> list[tuple[int, str, str]]:
+def fit_at_block_sizes(argv: list[str], text: str | bytes) -> list[tuple[int, str, str]]:
     """fit's result with the reader's blocks at 65,536 lines (as shipped), then at 3 and at 2."""
     results = [call(argv, text)]
     for rows in (3, 2):
@@ -352,6 +356,28 @@ def test_reader_errors_name_the_same_line_at_every_block_size(csv_path, lines, e
     csv_path.write_bytes(text.encode("utf-8"))
     for argv, stdin in ((["fit", "--input", str(csv_path), "--model", "Nf"], ""),
                         (["fit", "--input", "-", "--model", "Nf"], text)):
+        assert fit_at_block_sizes(argv, stdin) == [(2, "", f"error: {err}\n")] * 3
+
+
+BYTE_ROWS = [row.encode() for row in ROWS]
+
+
+@pytest.mark.parametrize("lines, err", [
+    ([HEADER.encode(), *BYTE_ROWS, b"\xff"], "line 10: byte 0xff is not UTF-8"),
+    ([HEADER.encode(), *BYTE_ROWS[:2], b"2,12,20,32,1\xff\n", *BYTE_ROWS[3:]], "line 4: byte 0xff is not UTF-8"),
+    ([b"\xff\xfe" + HEADER.encode(), *BYTE_ROWS], "line 1: byte 0xff is not UTF-8"),
+    ([HEADER.encode(), b"\n", b"\n", *BYTE_ROWS[:3], b"3,1,\xe2\x82,3,1\n"], "line 7: byte 0xe2 is not UTF-8"),
+    ([HEADER.encode(), BYTE_ROWS[0], b"1,1,2,3\n", b"2,1,2,3,1\xff\n"], "line 3: expected 5 fields, got 4"),
+    ([HEADER.encode(), BYTE_ROWS[0], b"1,1,2,3,1\xff\n", b"2,1,2,3\n"], "line 3: byte 0xff is not UTF-8"),
+], ids=["0xff as a last line", "0xff ending a row", "UTF-16 byte order mark", "cut multi-byte sequence",
+        "an earlier broken row first", "before a broken row"])
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_a_byte_that_is_not_utf8_names_its_line_at_every_block_size(csv_path, lines, err, end):
+    # stdin is read as UTF-8 like a file, even where its text layer decodes strictly
+    data = b"".join(lines).replace(b"\n", end)
+    csv_path.write_bytes(data)
+    for argv, stdin in ((["fit", "--input", str(csv_path), "--model", "Nf"], ""),
+                        (["fit", "--input", "-", "--model", "Nf"], data)):
         assert fit_at_block_sizes(argv, stdin) == [(2, "", f"error: {err}\n")] * 3
 
 
