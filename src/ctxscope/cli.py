@@ -46,9 +46,8 @@ DEFAULT_DURATION = 100.0
 DEFAULT_STEPS = 25
 CSV_BLOCK_ROWS = 65_536  # most rows in one block of any table: sweep states or scan settings
 # Most rows one sweep or scan may produce: about 8 s at the ~0.5 us per
-# sweep row measured on a 2-CPU VM (set as about a minute when a row took
-# ~3.3 us). Larger --resolution**2, --samples or --steps exit 2 before
-# anything is allocated.
+# sweep row measured on a 2-CPU VM. Larger --resolution**2, --samples or
+# --steps exit 2 before anything is allocated.
 MAX_ROWS = 16_000_000
 SWEEP_METRICS = ("witness", "gain", "pf", "pd1", "pd2")
 

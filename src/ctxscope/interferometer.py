@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import TransferOperator, as_state, basis_change
-from .contexts import INTERIOR_LABELS, canonical_paths, context_at
+from .contexts import CONTEXTS, INPUT_LABELS, INTERIOR_LABELS, canonical_paths, context_at
 
 NORMALIZATION_ATOL = 1e-9
 
@@ -78,74 +78,55 @@ def attenuate(target: str, tau: float) -> Modifier:
 
 @dataclass(frozen=True)
 class Stage:
-    index: int                      # 1..5, the beam splitter number
     basis: tuple[str, str, str]     # context after this splitter
     transfer: TransferOperator      # previous stage coordinates -> these coordinates
-    reflectivity: float             # coupling of the changed pair, the value <= 1/2
 
 
 @dataclass(frozen=True)
 class Network:
+    """Stages in propagation order, and what one walk through them from the
+    input context (1, 2, 3) derives. Each stage's context must share exactly
+    one label with the context before it."""
+
     stages: tuple[Stage, ...]
     #: Interior path vectors in rail coordinates, in earliest-stage order: the
     #: conjugated row of the cumulative stage product where each path first appears.
     paths: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    #: The product of all stage transfers, read-only: input rails to output rails.
+    product: np.ndarray = field(init=False, repr=False, compare=False)
+    #: Each stage's coupling: the smaller |entry|^2 of its unitary 2x2 block on
+    #: the changed label pair, whose |entry|^2 values come as {r, 1-r}; which of
+    #: the pair is called reflectivity is a port-labeling convention.
+    reflectivities: tuple[float, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        paths = {}
-        cumulative = np.eye(3, dtype=complex)
+        paths, reflectivities = {}, []
+        previous, cumulative = INPUT_LABELS, np.eye(3, dtype=complex)
         for stage in self.stages:
-            cumulative = stage.transfer.matrix @ cumulative
+            shared = set(previous) & set(stage.basis)
+            if len(shared) != 1:
+                raise ValueError(f"contexts {previous} and {stage.basis} must share exactly one label")
+            new, old = ([i for i, label in enumerate(b) if label not in shared] for b in (stage.basis, previous))
+            reflectivities.append(float(np.min(np.abs(stage.transfer.matrix[np.ix_(new, old)]) ** 2)))
+            previous, cumulative = stage.basis, stage.transfer.matrix @ cumulative
             for slot, label in enumerate(stage.basis):
                 if label in INTERIOR_LABELS and label not in paths:
                     paths[label] = cumulative[slot].conj()
                     paths[label].setflags(write=False)
+        cumulative.setflags(write=False)
         object.__setattr__(self, "paths", MappingProxyType(paths))
-
-    @property
-    def reflectivities(self) -> tuple[float, ...]:
-        return tuple(s.reflectivity for s in self.stages)
-
-
-def _stage_reflectivity(
-    prev_basis: tuple[str, str, str],
-    basis: tuple[str, str, str],
-    transfer: TransferOperator,
-) -> float:
-    """Coupling strength of the 2x2 block acting on the changed label pair.
-
-    The block is unitary, so its |entry|^2 values come as {r, 1-r}; which of
-    the pair is called reflectivity is a port-labeling convention, fixed here
-    as the branch <= 1/2.
-    """
-    shared = set(prev_basis) & set(basis)
-    if len(shared) != 1:
-        raise ValueError(f"contexts {prev_basis} and {basis} must share exactly one label")
-    label = shared.pop()
-    old_idx = [j for j, l in enumerate(prev_basis) if l != label]
-    new_idx = [i for i, l in enumerate(basis) if l != label]
-    sub = transfer.matrix[np.ix_(new_idx, old_idx)]
-    return float(np.min(np.abs(sub) ** 2))
+        object.__setattr__(self, "product", cumulative)
+        object.__setattr__(self, "reflectivities", tuple(reflectivities))
 
 
 def build_network(basis: Mapping[str, np.ndarray] | None = None) -> Network:
     """Assemble the five-stage network from the path basis (canonical by default)."""
     paths = canonical_paths() if basis is None else basis
-    changes = [
-        basis_change([paths[label] for label in context_at(k)]) for k in range(6)
-    ]
-    stages = []
-    for k in range(1, 6):
-        transfer = TransferOperator(changes[k].matrix @ changes[k - 1].adjoint().matrix)
-        stages.append(
-            Stage(
-                index=k,
-                basis=context_at(k),
-                transfer=transfer,
-                reflectivity=_stage_reflectivity(context_at(k - 1), context_at(k), transfer),
-            )
-        )
-    return Network(tuple(stages))
+    changes = [basis_change([paths[label] for label in context]) for context in CONTEXTS]
+    return Network(tuple(
+        Stage(context_at(k), TransferOperator(changes[k % 5].matrix @ changes[k - 1].adjoint().matrix))
+        for k in range(1, 6)
+    ))
 
 
 def _overlap(v: np.ndarray, amps: np.ndarray) -> np.ndarray:

@@ -43,10 +43,7 @@ def check_balanced_state_overlaps(basis: Mapping[str, np.ndarray]) -> tuple[bool
 
 
 def check_telescoping(network: interferometer.Network) -> tuple[bool, str]:
-    product = np.eye(3, dtype=complex)
-    for stage in network.stages:
-        product = stage.transfer.matrix @ product
-    dev = float(np.max(np.abs(product - np.eye(3))))
+    dev = float(np.max(np.abs(network.product - np.eye(3))))
     return dev <= 1e-12, f"deviation from identity {dev:.3e}"
 
 

@@ -106,9 +106,17 @@ def fit_fringe(
     |b_i + i c_i|, with its standard error propagated from the residual
     variance; values above 1 are reported as-is. A model amplitude below
     1e-12, the rounding residue that a port with no fringe is left with, is
-    refused as zero. Only the triangular factor R of the rows
+    refused as zero, and so is a model without three ports, before any block
+    is read. Only the triangular factor R of the rows
     [1, cos, sin, y1, y2, y3] is kept, folded block by block (TSQR).
     """
+    _, model_b, model_c = coefficients
+    amplitudes = np.hypot(model_b, model_c)
+    if amplitudes.shape != (3,):
+        raise ValueError("model must give a fringe amplitude for each of the three ports")
+    for i, model_amp in enumerate(amplitudes):
+        if not model_amp >= 1e-12:
+            raise ValueError(f"model fringe amplitude for port {i + 1} must be positive")
     r = np.zeros((0, 6))
     n, nonpositive, infinite = 0, False, False
     for settings, counts in blocks:
@@ -130,10 +138,6 @@ def fit_fringe(
         for start in range(0, phi.size, FOLD_ROWS):
             r = np.linalg.qr(np.vstack([r, rows[start:start + FOLD_ROWS]]), mode="r")
         n += phi.size
-    _, model_b, model_c = coefficients
-    amplitudes = np.hypot(model_b, model_c)
-    if amplitudes.shape != (3,):
-        raise ValueError("model must give a fringe amplitude for each of the three ports")
     r11 = r[:3, :3]
     # the rank of R11^T R11 = X^T X, with matrix_rank's tolerance on that Gram matrix
     if np.linalg.matrix_rank(r11.T @ r11) < 3:
@@ -148,8 +152,6 @@ def fit_fringe(
     ports = []
     for i in range(3):
         model_amp = float(amplitudes[i])
-        if not model_amp >= 1e-12:
-            raise ValueError(f"model fringe amplitude for port {i + 1} must be positive")
         a, b, c = (float(v) for v in coef[:, i])
         sigma = float(np.linalg.norm(r[3:, 3 + i])) / math.sqrt(n - 3) if n > 3 else 0.0
         amp = math.hypot(b, c)

@@ -1046,6 +1046,19 @@ class TestFit:
         assert usage_error(capsys, "fit", "--input", str(path), "--model", "1,0,-1,0,0,0") == (
             "error: model fringe amplitude for port 1 must be positive\n")
 
+    @pytest.mark.parametrize("source", ["two rows", "malformed", "missing"])
+    def test_model_without_a_fringe_is_refused_before_the_input_is_read(self, capsys, tmp_path, monkeypatch, source):
+        # two settings alone would exit 3 (no span of offset, cosine, sine), a
+        # broken row or a missing file exit 2 with their own line
+        path = tmp_path / "scan.csv"
+        if source == "two rows":
+            path = "-"
+            monkeypatch.setattr(sys, "stdin", io.StringIO(f"{cli.COUNTS_CSV_HEADER}\n0,1,1,1,1\n1,1,1,1,1\n"))
+        elif source == "malformed":
+            path.write_text(f"{cli.COUNTS_CSV_HEADER}\n0,1,1,1\n")
+        assert usage_error(capsys, "fit", "--input", str(path), "--model", "1,0,-1,0,0,0") == (
+            "error: model fringe amplitude for port 1 must be positive\n")
+
     def test_unknown_model_is_refused_before_the_input_is_read(self, capsys, tmp_path):
         assert usage_error(capsys, "fit", "--input", str(tmp_path / "nope.csv"), "--model", "V1") == (
             "error: state must be one of ['Bf', 'Nf', 'V0', 'basis1', 'basis2', 'basis3'] or six "

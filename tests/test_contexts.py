@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -131,6 +132,31 @@ class TestCanonicalPaths:
     def test_vectors_are_read_only(self):
         with pytest.raises(ValueError):
             canonical_paths()["f"][0] = 0.0
+
+
+class TestNoncontextualBound:
+    """The 0/1 assignments to the ten labels with exactly one 1 in every
+    context, and the witness f - D1 - D2 on each of them."""
+
+    @staticmethod
+    def assignments() -> list[dict[str, int]]:
+        labels = INPUT_LABELS + INTERIOR_LABELS
+        every = (dict(zip(labels, bits)) for bits in itertools.product((0, 1), repeat=len(labels)))
+        return [a for a in every if all(sum(a[label] for label in ctx) == 1 for ctx in CONTEXTS)]
+
+    def test_eleven_assignments_keep_the_bound(self):
+        assignments = self.assignments()
+        assert len(assignments) == 11
+        assert all(a["f"] - a["D1"] - a["D2"] <= 0 for a in assignments)
+
+    def test_where_f_is_1_and_where_the_bound_is_tight(self):
+        ones = [frozenset(label for label, v in a.items() if v) for a in self.assignments()]
+        assert {a for a in ones if "f" in a} == {
+            frozenset({"1", "f", "D2"}), frozenset({"2", "f", "D1"}), frozenset({"3", "f", "D1", "D2"})}
+        # f = 1 with one of D1, D2, or none of f, D1, D2; {3, f, D1, D2} gives -1
+        assert {a for a in ones if ("f" in a) - ("D1" in a) - ("D2" in a) == 0} == {
+            frozenset({"1", "f", "D2"}), frozenset({"2", "f", "D1"}),
+            frozenset({"1", "P1", "S2"}), frozenset({"2", "P2", "S1"}), frozenset({"3", "S1", "S2"})}
 
 
 class TestPathProbability:

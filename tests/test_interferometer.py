@@ -4,10 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from ctxscope.contexts import INTERIOR_LABELS, canonical_paths
-from ctxscope.core import haar_random_states, real_grid_blocks
+from ctxscope.contexts import INTERIOR_LABELS, canonical_paths, context_at
+from ctxscope.core import TransferOperator, haar_random_states, real_grid_blocks
 from ctxscope.interferometer import (
     Modifier,
+    Network,
+    Stage,
+    build_network,
     attenuate,
     block,
     evaluate_states,
@@ -18,6 +21,7 @@ from ctxscope.interferometer import (
     witness_from_outputs,
 )
 from ctxscope.reference import FRINGE_MODELS, NAMED_STATES
+from ctxscope.selfcheck import check_reflectivities, check_telescoping
 
 NF = NAMED_STATES["Nf"]
 BF = NAMED_STATES["Bf"]
@@ -79,7 +83,7 @@ def random_modifiers(rng: np.random.Generator, labels) -> list:
 
 class TestBuildNetwork:
     def test_five_stages_with_expected_bases(self, network):
-        assert [s.index for s in network.stages] == [1, 2, 3, 4, 5]
+        assert [(k, s.basis) for k, s in enumerate(network.stages, 1)] == [(k, context_at(k)) for k in range(1, 6)]
         assert network.stages[0].basis == ("1", "D1", "S1")
         assert network.stages[4].basis == ("1", "2", "3")
 
@@ -95,10 +99,8 @@ class TestBuildNetwork:
         )
 
     def test_each_stage_leaves_shared_label_untouched(self, network):
-        from ctxscope.contexts import context_at
-
-        for stage in network.stages:
-            prev = context_at(stage.index - 1)
+        for k, stage in enumerate(network.stages, 1):
+            prev = context_at(k - 1)
             shared = (set(prev) & set(stage.basis)).pop()
             i, j = stage.basis.index(shared), prev.index(shared)
             col = np.abs(stage.transfer.matrix[:, j])
@@ -116,6 +118,51 @@ class TestBuildNetwork:
         expected = [0.0, 0.0, 0.0]
         expected[rail] = 1.0
         assert list(dist) == pytest.approx(expected, abs=1e-12)
+
+
+class TestStageList:
+    """A network derives its paths, product and couplings from its own stages."""
+
+    DESIGN = (1 / 2, 1 / 3, 1 / 4, 1 / 3, 1 / 2)
+
+    def test_rebuilt_from_its_stages_bit_for_bit(self, network):
+        rebuilt = Network(build_network().stages)
+        assert list(rebuilt.paths) == list(network.paths)
+        for label, vec in network.paths.items():
+            assert rebuilt.paths[label].tobytes() == vec.tobytes()
+        assert rebuilt.product.tobytes() == network.product.tobytes()
+        assert rebuilt.reflectivities == network.reflectivities
+
+    def test_product_and_paths_are_read_only(self, network):
+        with pytest.raises(ValueError):
+            network.product[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            network.paths["f"][0] = 2.0
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_a_rotated_stage_reports_its_own_coupling_and_product(self, k):
+        eps = 1e-3
+        stages = list(build_network().stages)
+        previous, stage = context_at(k - 1), stages[k - 1]
+        # rotate the changed pair in the previous context's coordinates
+        a, b = (j for j, label in enumerate(previous) if label not in stage.basis)
+        rotation = np.eye(3, dtype=complex)
+        rotation[[a, a, b, b], [a, b, a, b]] = math.cos(eps), -math.sin(eps), math.sin(eps), math.cos(eps)
+        stages[k - 1] = Stage(stage.basis, TransferOperator(stage.transfer.matrix @ rotation))
+        perturbed = Network(tuple(stages))
+        for j, (coupling, design) in enumerate(zip(perturbed.reflectivities, self.DESIGN), 1):
+            if j == k:
+                assert abs(coupling - design) > eps / 10
+            else:
+                assert abs(coupling - design) <= 1e-12
+        assert float(np.max(np.abs(perturbed.product - np.eye(3)))) >= eps / 10
+        assert not check_telescoping(perturbed)[0]
+        assert not check_reflectivities(perturbed)[0]
+
+    def test_contexts_that_do_not_share_one_label_are_refused(self, network):
+        first, second, *rest = network.stages
+        with pytest.raises(ValueError, match="must share exactly one label"):
+            Network((second, first, *rest))
 
 
 class TestRun:

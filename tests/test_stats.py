@@ -296,6 +296,22 @@ class TestFringeDataset:
         with pytest.raises(ValueError, match=f"model fringe amplitude for port {port + 1} must be positive"):
             fit_one(np.arange(4.0), np.full((4, 3), 10), (offsets, cosines, sines))
 
+    @pytest.mark.parametrize("flat_port", [None, 0, 2])
+    def test_an_ill_shaped_or_flat_model_is_refused_before_any_block_is_read(self, nf_coefficients, flat_port):
+        def unread():
+            raise AssertionError("a block was read")
+            yield
+
+        coefficients = tuple(np.array(v) for v in nf_coefficients)
+        if flat_port is None:
+            coefficients = tuple(v[:2] for v in coefficients)
+            message = "model must give a fringe amplitude for each of the three ports"
+        else:
+            coefficients[1][flat_port] = coefficients[2][flat_port] = 0.0
+            message = f"model fringe amplitude for port {flat_port + 1} must be positive"
+        with pytest.raises(ValueError, match=message):
+            fit_fringe(unread(), coefficients)
+
     def test_flat_counts_fit_zero_visibility(self, nf_coefficients):
         # constant counts fit a cosine and sine term of exactly zero
         for port in fit_one(np.arange(4.0), np.full((4, 3), 10), nf_coefficients):
