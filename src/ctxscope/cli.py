@@ -268,10 +268,13 @@ _NAMED_LOOKUP = {name.casefold(): name for name in NAMED_STATES}
 
 def _parse_state(spec: str) -> tuple[str, np.ndarray]:
     """A spec's label and normalized vector: a name in any case or padding is
-    labelled by its NAMED_STATES key, six amplitude parts by the spec as typed."""
+    labelled by its NAMED_STATES key, six amplitude parts by the spec as typed,
+    so these may hold no line break, though float() would skip one."""
     name = _NAMED_LOOKUP.get(spec.strip().casefold())
     if name is not None:
         return name, NAMED_STATES[name]
+    if "".join(spec.splitlines()) != spec:
+        raise ValueError(f"state must be on one line, got {spec!r}")
     parts = spec.split(",")
     if len(parts) != 6:
         raise ValueError(

@@ -6,7 +6,6 @@ validated as unitary once at construction instead of at every use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -46,14 +45,13 @@ def normalize(state: Sequence[complex] | np.ndarray) -> np.ndarray:
     return parts[0] + 1j * parts[1]
 
 
-@dataclass(frozen=True)
 class TransferOperator:
-    """A 3x3 transfer matrix, validated unitary (U^dag U = I to within 1e-12)."""
+    """A read-only 3x3 transfer matrix, validated unitary (U^dag U = I to within 1e-12); compares by identity."""
 
-    matrix: np.ndarray
+    __slots__ = ("matrix",)
 
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
+    def __init__(self, matrix: np.ndarray) -> None:
+        m = np.array(matrix, dtype=complex)
         if m.shape != (DIM, DIM):
             raise ValueError(f"transfer matrix must be {DIM}x{DIM}, got {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -62,7 +60,7 @@ class TransferOperator:
         if dev > UNITARY_ATOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self.matrix = m
 
     def adjoint(self) -> "TransferOperator":
         return TransferOperator(self.matrix.conj().T)

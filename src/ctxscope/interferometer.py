@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,20 +39,26 @@ def _check_target(target: str) -> None:
         raise ValueError(f"modifier target must be an interior path, got {target!r}")
 
 
-@dataclass(frozen=True)
-class Modifier:
+class _ModifierFields(NamedTuple):
     target: str
     action: str  # "block" | "phase" | "attenuate"
     value: float = 0.0
 
-    def __post_init__(self) -> None:
-        _check_target(self.target)
-        if self.action not in ("block", "phase", "attenuate"):
-            raise ValueError(f"unknown modifier action: {self.action!r}")
-        if not math.isfinite(self.value):
-            raise ValueError(f"modifier value must be finite, got {self.value}")
-        if self.action == "attenuate" and not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"amplitude transmission must lie in [0, 1], got {self.value}")
+
+class Modifier(_ModifierFields):
+    """An immutable modifier on one interior path, checked at construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, target: str, action: str, value: float = 0.0) -> Modifier:
+        _check_target(target)
+        if action not in ("block", "phase", "attenuate"):
+            raise ValueError(f"unknown modifier action: {action!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"modifier value must be finite, got {value}")
+        if action == "attenuate" and not 0.0 <= value <= 1.0:
+            raise ValueError(f"amplitude transmission must lie in [0, 1], got {value}")
+        return super().__new__(cls, target, action, value)
 
     @property
     def factor(self) -> complex:
@@ -76,33 +81,23 @@ def attenuate(target: str, tau: float) -> Modifier:
     return Modifier(target, "attenuate", float(tau))
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     basis: tuple[str, str, str]     # context after this splitter
     transfer: TransferOperator      # previous stage coordinates -> these coordinates
 
 
-@dataclass(frozen=True)
 class Network:
     """Stages in propagation order, and what one walk through them from the
     input context (1, 2, 3) derives. Each stage's context must share exactly
-    one label with the context before it."""
+    one label with the context before it. Compares and hashes by identity."""
 
-    stages: tuple[Stage, ...]
-    #: Interior path vectors in rail coordinates, in earliest-stage order: the
-    #: conjugated row of the cumulative stage product where each path first appears.
-    paths: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
-    #: The product of all stage transfers, read-only: input rails to output rails.
-    product: np.ndarray = field(init=False, repr=False, compare=False)
-    #: Each stage's coupling: the smaller |entry|^2 of its unitary 2x2 block on
-    #: the changed label pair, whose |entry|^2 values come as {r, 1-r}; which of
-    #: the pair is called reflectivity is a port-labeling convention.
-    reflectivities: tuple[float, ...] = field(init=False, compare=False)
+    __slots__ = ("stages", "paths", "product", "reflectivities")
 
-    def __post_init__(self) -> None:
+    def __init__(self, stages: tuple[Stage, ...]) -> None:
+        self.stages = stages
         paths, reflectivities = {}, []
         previous, cumulative = INPUT_LABELS, np.eye(3, dtype=complex)
-        for stage in self.stages:
+        for stage in stages:
             shared = set(previous) & set(stage.basis)
             if len(shared) != 1:
                 raise ValueError(f"contexts {previous} and {stage.basis} must share exactly one label")
@@ -114,9 +109,15 @@ class Network:
                     paths[label] = cumulative[slot].conj()
                     paths[label].setflags(write=False)
         cumulative.setflags(write=False)
-        object.__setattr__(self, "paths", MappingProxyType(paths))
-        object.__setattr__(self, "product", cumulative)
-        object.__setattr__(self, "reflectivities", tuple(reflectivities))
+        #: Interior path vectors in rail coordinates, in earliest-stage order: the
+        #: conjugated row of the cumulative stage product where each path first appears.
+        self.paths: Mapping[str, np.ndarray] = MappingProxyType(paths)
+        #: The product of all stage transfers, read-only: input rails to output rails.
+        self.product: np.ndarray = cumulative
+        #: Each stage's coupling: the smaller |entry|^2 of its unitary 2x2 block on
+        #: the changed label pair, whose |entry|^2 values come as {r, 1-r}; which of
+        #: the pair is called reflectivity is a port-labeling convention.
+        self.reflectivities: tuple[float, ...] = tuple(reflectivities)
 
 
 def build_network(basis: Mapping[str, np.ndarray] | None = None) -> Network:

@@ -11,9 +11,8 @@ report only and are never used in any computation path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -44,8 +43,7 @@ FRINGE_MODELS: Mapping[str, tuple[tuple[float, float, float], tuple[float, float
 })
 
 
-@dataclass(frozen=True)
-class MeasuredRecord:
+class MeasuredRecord(NamedTuple):
     free: tuple[float, float, float]      # output probabilities, no absorber
     blocked: tuple[float, float, float]   # output probabilities, f blocked
     gain: float                           # measured gain at port 3

@@ -6,8 +6,7 @@ are reported rather than silently absorbed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -18,8 +17,7 @@ from .reference import NAMED_STATES
 _EXPECTED_REFLECTIVITIES = (1 / 2, 1 / 3, 1 / 4, 1 / 3, 1 / 2)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -182,6 +182,11 @@ class TestWitness:
         code, out = run_cli(capsys, "witness", f"--state={state}", "--format", "text")
         assert code == 0 and out.startswith(f"state: {label}\n")
 
+    @pytest.mark.parametrize("state", ["1,0,0,0,0,\n0", "1,0,0,0,0,0\n", "1,0\r,0,0,0,0", "1,0,0,\u20280,0,0"])
+    def test_six_parts_with_a_line_break_are_refused(self, capsys, state):
+        # float() skips the line break, which the state: line would then print
+        assert "state must be on one line" in usage_error(capsys, "witness", f"--state={state}", "--format", "text")
+
     def test_text_format_prints_no_negative_zero(self, capsys):
         # this state's output-side witness is a rounding residue below zero
         code, out = run_cli(capsys, "witness", "--state=-1,1,0,2,0.5,0", "--format", "text")
@@ -732,7 +737,8 @@ def test_fit_memory_does_not_grow_with_the_input(tmp_path):
 
 def test_cli_import_does_not_load_scipy():
     subprocess.run(
-        [sys.executable, "-c", "import ctxscope.cli, sys; assert 'scipy' not in sys.modules"],
+        [sys.executable, "-c", "import ctxscope.cli, sys; assert 'scipy' not in sys.modules; "
+                               "assert 'dataclasses' not in sys.modules"],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         check=True,
         timeout=120,

@@ -20,7 +20,7 @@ from ctxscope.interferometer import (
     run,
     witness_from_outputs,
 )
-from ctxscope.reference import FRINGE_MODELS, NAMED_STATES
+from ctxscope.reference import FRINGE_MODELS, MEASURED, NAMED_STATES
 from ctxscope.selfcheck import check_reflectivities, check_telescoping
 
 NF = NAMED_STATES["Nf"]
@@ -158,6 +158,14 @@ class TestStageList:
         assert float(np.max(np.abs(perturbed.product - np.eye(3)))) >= eps / 10
         assert not check_telescoping(perturbed)[0]
         assert not check_reflectivities(perturbed)[0]
+
+    def test_values_compare_and_hash_without_raising(self):
+        # a network and its operators compare by identity, never by their arrays
+        first, second = build_network(), build_network()
+        assert (first == second) is False and first == first
+        for value in (first, *first.stages, *(stage.transfer for stage in first.stages)):
+            hash(value)
+        assert block("f") == block("f") and MEASURED["Nf"] == MEASURED["Nf"]
 
     def test_contexts_that_do_not_share_one_label_are_refused(self, network):
         first, second, *rest = network.stages
