@@ -15,7 +15,6 @@ from .contexts import (
     context_at,
 )
 from .core import (
-    TransferOperator,
     as_state,
     basis_change,
     haar_random_states,

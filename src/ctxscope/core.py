@@ -1,7 +1,6 @@
-"""Complex linear algebra for three-mode states and transfer operators.
+"""Complex linear algebra for three-mode states and basis changes.
 
-Everything is dimension 3 and double precision. Transfer operators are
-validated as unitary once at construction instead of at every use.
+Everything is dimension 3 and double precision.
 """
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ import numpy as np
 
 DIM = 3
 
-# Construction tolerance for operators; inputs to basis_change may be a bit
+# Construction tolerance for a stage's unitary; inputs to basis_change may be a bit
 # sloppier (hand-entered vectors) and get snapped to the nearest unitary.
 UNITARY_ATOL = 1e-12
 BASIS_INPUT_ATOL = 1e-10
@@ -45,28 +44,7 @@ def normalize(state: Sequence[complex] | np.ndarray) -> np.ndarray:
     return parts[0] + 1j * parts[1]
 
 
-class TransferOperator:
-    """A read-only 3x3 transfer matrix, validated unitary (U^dag U = I to within 1e-12); compares by identity."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        m = np.array(matrix, dtype=complex)
-        if m.shape != (DIM, DIM):
-            raise ValueError(f"transfer matrix must be {DIM}x{DIM}, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("transfer matrix entries must be finite")
-        dev = float(np.max(np.abs(m.conj().T @ m - np.eye(DIM))))
-        if dev > UNITARY_ATOL:
-            raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
-        m.setflags(write=False)
-        self.matrix = m
-
-    def adjoint(self) -> "TransferOperator":
-        return TransferOperator(self.matrix.conj().T)
-
-
-def basis_change(rows: Sequence[Sequence[complex] | np.ndarray]) -> TransferOperator:
+def basis_change(rows: Sequence[Sequence[complex] | np.ndarray]) -> np.ndarray:
     """Unitary that re-expresses a state in the orthonormal basis `rows`.
 
     Row i of the result is the conjugate of basis vector i, so component i of
@@ -85,7 +63,7 @@ def basis_change(rows: Sequence[Sequence[complex] | np.ndarray]) -> TransferOper
     if dev > 1e-13:
         u, _, vh = np.linalg.svd(m)
         m = u @ vh
-    return TransferOperator(m)
+    return m
 
 
 def haar_state_blocks(count: int, seed: int, block: int) -> Iterator[np.ndarray]:

@@ -1,19 +1,20 @@
 """The five-splitter network, interior-path modifiers, and the one propagation kernel.
 
 Each beam splitter is represented as the basis change between consecutive
-contexts, so the composition of all five stages is exactly the identity on
+contexts, so the composition U of the five design stages is the identity on
 the input rails: a photon entering rail 1, 2, or 3 leaves from the same
 rail. Physical rail routing between splitters is not modeled; all
 observables depend only on the context bases.
 
 A modifier multiplies one interior path amplitude by a factor m (block 0,
 phase exp(i phi), attenuate tau) at the earliest stage whose basis holds the
-path. As the network around it is the identity, that is one rank-1 update of
-the input state, psi -> psi + (m - 1) <v|psi> v, with v the path vector in
-rail coordinates read off the cumulative stage product. Several modifiers
-apply in earliest-stage order, which matters because f and D2 are not
-orthogonal. Output probabilities with an absorber present are reported
-without renormalization, so the three ports sum to the survival probability.
+path: in rail coordinates, one rank-1 update psi -> psi + (m - 1) <v|psi> v,
+with v the path vector read off the cumulative stage product. U then takes
+psi to the output rails; it is skipped when it is within IDENTITY_ATOL
+(1e-12) of I, as the design stages' U is. Several modifiers apply in
+earliest-stage order, which matters because f and D2 are not orthogonal.
+Output probabilities with an absorber present are reported without
+renormalization, so the three ports sum to the survival probability.
 
 `propagate` is that kernel, over a grid of factor rows. `run` (one state and
 modifier set), `evaluate_states` (witness and gain with and without f
@@ -28,10 +29,12 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import TransferOperator, as_state, basis_change
+from .core import DIM, UNITARY_ATOL, as_state, basis_change
 from .contexts import CONTEXTS, INPUT_LABELS, INTERIOR_LABELS, canonical_paths, context_at
 
 NORMALIZATION_ATOL = 1e-9
+#: max |U - I| up to which a stage product U is the identity (propagate, check_telescoping)
+IDENTITY_ATOL = 1e-12
 
 
 def _check_target(target: str) -> None:
@@ -81,9 +84,22 @@ def attenuate(target: str, tau: float) -> Modifier:
     return Modifier(target, "attenuate", float(tau))
 
 
-class Stage(NamedTuple):
-    basis: tuple[str, str, str]     # context after this splitter
-    transfer: TransferOperator      # previous stage coordinates -> these coordinates
+class Stage:
+    """A context and the read-only unitary into it from the previous one; compares by identity."""
+
+    __slots__ = ("basis", "transfer")
+
+    def __init__(self, basis: tuple[str, str, str], transfer: np.ndarray) -> None:
+        m = np.array(transfer, dtype=complex)
+        if m.shape != (DIM, DIM):
+            raise ValueError(f"transfer matrix must be {DIM}x{DIM}, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("transfer matrix entries must be finite")
+        dev = float(np.max(np.abs(m.conj().T @ m - np.eye(DIM))))
+        if dev > UNITARY_ATOL:
+            raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
+        m.setflags(write=False)
+        self.basis, self.transfer = basis, m
 
 
 class Network:
@@ -102,8 +118,8 @@ class Network:
             if len(shared) != 1:
                 raise ValueError(f"contexts {previous} and {stage.basis} must share exactly one label")
             new, old = ([i for i, label in enumerate(b) if label not in shared] for b in (stage.basis, previous))
-            reflectivities.append(float(np.min(np.abs(stage.transfer.matrix[np.ix_(new, old)]) ** 2)))
-            previous, cumulative = stage.basis, stage.transfer.matrix @ cumulative
+            reflectivities.append(float(np.min(np.abs(stage.transfer[np.ix_(new, old)]) ** 2)))
+            previous, cumulative = stage.basis, stage.transfer @ cumulative
             for slot, label in enumerate(stage.basis):
                 if label in INTERIOR_LABELS and label not in paths:
                     paths[label] = cumulative[slot].conj()
@@ -125,7 +141,7 @@ def build_network(basis: Mapping[str, np.ndarray] | None = None) -> Network:
     paths = canonical_paths() if basis is None else basis
     changes = [basis_change([paths[label] for label in context]) for context in CONTEXTS]
     return Network(tuple(
-        Stage(context_at(k), TransferOperator(changes[k % 5].matrix @ changes[k - 1].adjoint().matrix))
+        Stage(context_at(k), changes[k % 5] @ changes[k - 1].conj().T)
         for k in range(1, 6)
     ))
 
@@ -147,15 +163,16 @@ def propagate(
 
     Row s of the (n_settings, len(targets)) factors holds one finite amplitude
     factor per target path. Each target applies the rank-1 update
-    amps += (m - 1) <v|amps> v to every state, in earliest-stage order.
+    amps += (m - 1) <v|amps> v to every state, in earliest-stage order, then
+    the network's product U applies unless it is within IDENTITY_ATOL of I.
 
     The amplitudes are held as (n_settings, 3, n_states), states on the long
     axis, and the returned probabilities are a transposed view of that array.
-    Each overlap <v|amps> is _overlap's three complex products summed in
-    order, not a matrix product: a BLAS call per table block would wake
-    OpenBLAS's worker thread, which then spins on the second CPU that the
-    CLI's CSV formatter runs on, and the sum no longer depends on how BLAS
-    splits or orders it.
+    Each overlap <v|amps>, as each row of U, is _overlap's three complex
+    products summed in order, not a matrix product: a BLAS call per table
+    block would wake OpenBLAS's worker thread, which then spins on the
+    second CPU that the CLI's CSV formatter runs on, and the sum no longer
+    depends on how BLAS splits or orders it.
     """
     psi = np.ascontiguousarray(states, dtype=complex)
     if psi.ndim != 2 or psi.shape[1] != 3:
@@ -164,8 +181,11 @@ def propagate(
     deviation = np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0)
     if not np.max(deviation, initial=0.0) <= NORMALIZATION_ATOL:
         raise ValueError("input states must be normalized")
+    order = list(network.paths)
     for j, target in enumerate(targets):
         _check_target(target)
+        if target not in order:
+            raise ValueError(f"the network has no path {target!r}; its paths are {', '.join(order)}")
         if target in targets[:j]:
             raise ValueError(f"multiple modifiers on path {target!r}")
     factors = np.asarray(factors, dtype=complex)
@@ -175,7 +195,6 @@ def propagate(
         raise ValueError("modifier factors must be finite")
     columns = np.ascontiguousarray(psi.T)
     amps = np.broadcast_to(columns, (len(factors), 3, len(psi)))
-    order = list(network.paths)
     for k, j in enumerate(sorted(range(len(targets)), key=lambda j: order.index(targets[j]))):
         v = network.paths[targets[j]]
         # before the first update, every setting's amplitudes are the input states
@@ -183,6 +202,8 @@ def propagate(
         update = ((factors[:, j] - 1.0)[:, None] * overlap)[:, None, :] * v[:, None]
         update += amps
         amps = update
+    if np.max(np.abs(network.product - np.eye(3))) > IDENTITY_ATOL:
+        amps = np.stack([_overlap(row.conj(), amps) for row in network.product], axis=-2)
     probs = np.abs(amps)
     np.square(probs, out=probs)
     return probs.transpose(0, 2, 1)
@@ -213,9 +234,11 @@ def witness_from_outputs(free: np.ndarray, blocked: np.ndarray) -> np.ndarray:
 def evaluate_states(network: Network, states: np.ndarray) -> dict[str, np.ndarray]:
     """Witness and gain for (n, 3) states, the witness by two independent routes.
 
-    "free"/"blocked": output probabilities without/with f blocked; "pf",
-    "pd1", "pd2": canonical-path overlaps; "witness": P(f) - P(D1) - P(D2);
+    "free"/"blocked": output probabilities without/with f blocked, through
+    the network's own stages; "pf", "pd1", "pd2": overlaps with the canonical
+    (design) paths, whatever the network; "witness": P(f) - P(D1) - P(D2);
     "gain": gain at port 3; "witness_outputs": the witness from outputs alone.
+    On a perturbed network only the output side moves.
 
     Each path overlap is _overlap's three explicit complex products, as in
     propagate, so that no call reaches BLAS and wakes its worker thread.

@@ -42,7 +42,7 @@ def check_balanced_state_overlaps(basis: Mapping[str, np.ndarray]) -> tuple[bool
 
 def check_telescoping(network: interferometer.Network) -> tuple[bool, str]:
     dev = float(np.max(np.abs(network.product - np.eye(3))))
-    return dev <= 1e-12, f"deviation from identity {dev:.3e}"
+    return dev <= interferometer.IDENTITY_ATOL, f"deviation from identity {dev:.3e}"
 
 
 def check_reflectivities(network: interferometer.Network) -> tuple[bool, str]:

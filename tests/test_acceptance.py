@@ -169,7 +169,7 @@ def test_c05_fringe_models(network):
 def test_c06_network_integrity(network):
     product = np.eye(3, dtype=complex)
     for stage in network.stages:
-        product = stage.transfer.matrix @ product
+        product = stage.transfer @ product
     telescope_dev = float(np.max(np.abs(product - np.eye(3))))
     paths = canonical_paths()
     gram_dev = max(

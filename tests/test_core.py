@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ctxscope.contexts import INPUT_LABELS
 from ctxscope.core import (
-    TransferOperator,
     as_state,
     basis_change,
     haar_random_states,
@@ -14,6 +14,7 @@ from ctxscope.core import (
     normalize,
     real_grid_blocks,
 )
+from ctxscope.interferometer import Stage
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -83,48 +84,51 @@ class TestInner:
 
 
 class TestApply:
+    """A stage's transfer is its checked, read-only unitary."""
+
     def test_identity(self):
-        ident = TransferOperator(np.eye(3))
-        assert ident.matrix @ NF == pytest.approx(NF)
+        ident = Stage(INPUT_LABELS, np.eye(3))
+        assert ident.transfer @ NF == pytest.approx(NF)
+        assert not ident.transfer.flags.writeable
 
     @pytest.mark.parametrize("seed", range(5))
     def test_unitary_preserves_norm(self, seed):
-        u = TransferOperator(random_unitary(seed))
+        u = Stage(INPUT_LABELS, random_unitary(seed))
         psi = haar_random_states(1, seed + 100)[0]
-        assert norm_sq(u.matrix @ psi) == pytest.approx(norm_sq(psi), abs=1e-12)
+        assert norm_sq(u.transfer @ psi) == pytest.approx(norm_sq(psi), abs=1e-12)
 
     @pytest.mark.parametrize("matrix", [np.eye(2), np.eye(4), np.eye(3)[0]], ids=["2x2", "4x4", "a row"])
     def test_rejects_a_matrix_that_is_not_3x3(self, matrix):
         with pytest.raises(ValueError, match=re.escape(f"transfer matrix must be 3x3, got {matrix.shape}")):
-            TransferOperator(matrix)
+            Stage(INPUT_LABELS, matrix)
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_rejects_a_non_finite_entry(self, entry):
         matrix = np.eye(3, dtype=complex)
         matrix[1, 2] = entry
         with pytest.raises(ValueError, match="transfer matrix entries must be finite"):
-            TransferOperator(matrix)
+            Stage(INPUT_LABELS, matrix)
 
     def test_unitary_kind_rejects_nonunitary_matrix(self):
         with pytest.raises(ValueError, match="not unitary"):
-            TransferOperator(np.diag([1.0, 1.0, 0.0]))
+            Stage(INPUT_LABELS, np.diag([1.0, 1.0, 0.0]))
 
 
 class TestBasisChange:
     def test_standard_basis_gives_identity(self):
         op = basis_change([E1, E2, E3])
-        assert op.matrix == pytest.approx(np.eye(3))
+        assert op == pytest.approx(np.eye(3))
 
     def test_first_context_coordinates_of_balanced_state(self):
         d1 = np.array([0.0, 1.0, -1.0]) / math.sqrt(2.0)
         s1 = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
-        out = basis_change([E1, d1, s1]).matrix @ NF
+        out = basis_change([E1, d1, s1]) @ NF
         assert out == pytest.approx([1 / math.sqrt(3), 0.0, math.sqrt(2 / 3)], abs=1e-15)
 
     def test_middle_context_flagged_component(self):
         p1 = np.array([2.0, -1.0, 1.0]) / math.sqrt(6.0)
         s1 = np.array([0.0, 1.0, 1.0]) / math.sqrt(2.0)
-        out = basis_change([F, p1, s1]).matrix @ NF
+        out = basis_change([F, p1, s1]) @ NF
         assert abs(out[0]) ** 2 == pytest.approx(1 / 9, abs=1e-15)
 
     def test_rejects_non_orthonormal_rows(self):
@@ -139,19 +143,19 @@ class TestBasisChange:
     def test_round_trip_with_adjoint_is_identity(self, seed):
         rows = random_unitary(seed)
         op = basis_change(rows)
-        prod = op.adjoint().matrix @ op.matrix
+        prod = op.conj().T @ op
         assert np.max(np.abs(prod - np.eye(3))) < 1e-12
 
     def test_slightly_off_rows_are_snapped_to_unitary(self):
         rows = random_unitary(3) + 5e-12
         op = basis_change(rows)
-        dev = np.max(np.abs(op.matrix.conj().T @ op.matrix - np.eye(3)))
+        dev = np.max(np.abs(op.conj().T @ op - np.eye(3)))
         assert dev < 1e-12
 
     def test_conjugates_rows(self):
         rows = random_unitary(11)
         op = basis_change(rows)
-        assert op.matrix == pytest.approx(rows.conj())
+        assert op == pytest.approx(rows.conj())
 
 
 class TestStateHelpers:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctxscope.contexts import INTERIOR_LABELS, canonical_paths, context_at
-from ctxscope.core import TransferOperator, haar_random_states, real_grid_blocks
+from ctxscope.core import haar_random_states, real_grid_blocks
 from ctxscope.interferometer import (
     Modifier,
     Network,
@@ -61,11 +61,23 @@ def stage_product_oracle(network, states: np.ndarray, factors: dict[str, complex
     factors = dict(factors)
     amps = np.array(states, dtype=complex)
     for stage in network.stages:
-        amps = amps @ stage.transfer.matrix.T
+        amps = amps @ stage.transfer.T
         for slot, label in enumerate(stage.basis):
             if label in factors:
                 amps[:, slot] *= factors.pop(label)
     return np.abs(amps) ** 2
+
+
+def rotated_network(k: int, eps: float) -> Network:
+    """The design network with stage k's changed pair rotated by eps rad, in
+    the previous context's coordinates."""
+    stages = list(build_network().stages)
+    previous, stage = context_at(k - 1), stages[k - 1]
+    a, b = (j for j, label in enumerate(previous) if label not in stage.basis)
+    rotation = np.eye(3, dtype=complex)
+    rotation[[a, a, b, b], [a, b, a, b]] = math.cos(eps), -math.sin(eps), math.sin(eps), math.cos(eps)
+    stages[k - 1] = Stage(stage.basis, stage.transfer @ rotation)
+    return Network(tuple(stages))
 
 
 def random_modifiers(rng: np.random.Generator, labels) -> list:
@@ -90,7 +102,7 @@ class TestBuildNetwork:
     def test_telescoping_product_is_identity(self, network):
         product = np.eye(3, dtype=complex)
         for stage in network.stages:
-            product = stage.transfer.matrix @ product
+            product = stage.transfer @ product
         assert np.max(np.abs(product - np.eye(3))) < 1e-12
 
     def test_reflectivity_sequence(self, network):
@@ -103,8 +115,8 @@ class TestBuildNetwork:
             prev = context_at(k - 1)
             shared = (set(prev) & set(stage.basis)).pop()
             i, j = stage.basis.index(shared), prev.index(shared)
-            col = np.abs(stage.transfer.matrix[:, j])
-            row = np.abs(stage.transfer.matrix[i, :])
+            col = np.abs(stage.transfer[:, j])
+            row = np.abs(stage.transfer[i, :])
             assert col[i] == pytest.approx(1.0, abs=1e-12)
             assert row[j] == pytest.approx(1.0, abs=1e-12)
             assert np.sum(col) == pytest.approx(1.0, abs=1e-12)
@@ -142,14 +154,7 @@ class TestStageList:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_a_rotated_stage_reports_its_own_coupling_and_product(self, k):
         eps = 1e-3
-        stages = list(build_network().stages)
-        previous, stage = context_at(k - 1), stages[k - 1]
-        # rotate the changed pair in the previous context's coordinates
-        a, b = (j for j, label in enumerate(previous) if label not in stage.basis)
-        rotation = np.eye(3, dtype=complex)
-        rotation[[a, a, b, b], [a, b, a, b]] = math.cos(eps), -math.sin(eps), math.sin(eps), math.cos(eps)
-        stages[k - 1] = Stage(stage.basis, TransferOperator(stage.transfer.matrix @ rotation))
-        perturbed = Network(tuple(stages))
+        perturbed = rotated_network(k, eps)
         for j, (coupling, design) in enumerate(zip(perturbed.reflectivities, self.DESIGN), 1):
             if j == k:
                 assert abs(coupling - design) > eps / 10
@@ -160,10 +165,11 @@ class TestStageList:
         assert not check_reflectivities(perturbed)[0]
 
     def test_values_compare_and_hash_without_raising(self):
-        # a network and its operators compare by identity, never by their arrays
+        # a network and its stages compare by identity, never by their arrays
         first, second = build_network(), build_network()
         assert (first == second) is False and first == first
-        for value in (first, *first.stages, *(stage.transfer for stage in first.stages)):
+        assert (first.stages[0] == second.stages[0]) is False and first.stages[0] == first.stages[0]
+        for value in (first, *first.stages):
             hash(value)
         assert block("f") == block("f") and MEASURED["Nf"] == MEASURED["Nf"]
 
@@ -291,6 +297,18 @@ class TestKernelAgainstStageProduct:
             expected = stage_product_oracle(network, states, dict(zip(targets, row)))
             assert float(np.max(np.abs(probs - expected))) <= 1e-12
 
+    @pytest.mark.parametrize("eps", [1e-3, 0.03])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_a_rotated_stage_propagates_through_its_own_product(self, k, eps):
+        # rows: free, f blocked, a phase on P1; the product is not the identity
+        perturbed = rotated_network(k, eps)
+        states = haar_random_states(1_000, 30 + k)
+        rows = [[1.0, 1.0], [0.0, 1.0], [1.0, np.exp(0.7j)]]
+        got = propagate(perturbed, states, ["f", "P1"], rows)
+        for row, probs in zip(rows, got):
+            expected = stage_product_oracle(perturbed, states, dict(zip(["f", "P1"], row)))
+            assert float(np.max(np.abs(probs - expected))) <= 1e-12, row
+
     def test_kernel_paths_are_the_canonical_paths_up_to_phase(self, network):
         for label, vec in network.paths.items():
             assert abs(np.vdot(vec, canonical_paths()[label])) == pytest.approx(1.0, abs=1e-12)
@@ -379,6 +397,12 @@ class TestKernelInputs:
             propagate(network, NF[None, :], ["f", "D2"], [[1.0, 0.5], [value, 1.0]])
 
 
+    def test_a_path_the_network_does_not_hold_is_named(self):
+        partial = Network(build_network().stages[:1])
+        with pytest.raises(ValueError, match="^the network has no path 'f'; its paths are D1, S1$"):
+            propagate(partial, NF[None, :], ["f"], [[0.0]])
+
+
 class TestCounterfactualGain:
     def test_frozen_values(self, network):
         gain = evaluate_states(network, np.array([NF, BF, V0]))["gain"]
@@ -421,6 +445,16 @@ class TestWitnessFromOutputs:
         witness = gain - residual
         assert np.all(residual >= -1e-15)
         assert np.all(gain >= witness - 1e-12)
+
+    def test_witness_reads_the_design_paths_and_outputs_the_stages(self, network):
+        # on a perturbed network the witness is still the design paths' and
+        # does not move; the outputs, and the witness read from them, do
+        states = haar_random_states(200, 17)
+        design, perturbed = evaluate_states(network, states), evaluate_states(rotated_network(2, 0.03), states)
+        for key in ("pf", "pd1", "pd2", "witness"):
+            assert perturbed[key].tobytes() == design[key].tobytes(), key
+        for key in ("free", "blocked", "gain", "witness_outputs"):
+            assert float(np.max(np.abs(perturbed[key] - design[key]))) > 1e-3, key
 
     def test_gain_without_violation_exists(self, network):
         metrics = evaluate_states(network, BF[None, :])

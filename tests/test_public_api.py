@@ -10,8 +10,7 @@ PUBLIC = {
     # contexts
     "CONTEXTS", "INPUT_LABELS", "INTERIOR_LABELS", "PATH_LABELS", "canonical_paths", "context_at",
     # core
-    "TransferOperator", "as_state", "basis_change", "haar_random_states",
-    "normalize",
+    "as_state", "basis_change", "haar_random_states", "normalize",
     # interferometer
     "Modifier", "Network", "Stage", "attenuate", "block", "build_network", "evaluate_states",
     "fringe_coefficients", "phase_shift", "propagate", "run", "witness_from_outputs",
