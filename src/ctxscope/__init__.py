@@ -12,12 +12,10 @@ from .contexts import (
     INTERIOR_LABELS,
     PATH_LABELS,
     canonical_paths,
-    context_at,
 )
 from .core import (
     as_state,
     basis_change,
-    haar_random_states,
     normalize,
 )
 from .interferometer import (

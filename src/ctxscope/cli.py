@@ -211,7 +211,9 @@ def _write(out: str, chunks: Iterable[bytes]) -> None:
     them decoded as UTF-8. A file is written under a temporary name in its
     own directory and moved over `out` only after the last chunk, so a call
     that fails part way leaves `out` as it was. A device or pipe (such as
-    /dev/null) is written in place, since there is nothing to replace.
+    /dev/null) is written in place, since there is nothing to replace, and so
+    is a path that ends in a separator: it names a directory, and open()
+    refuses it as the shell does (realpath would drop the separator).
     Commands validate before they return, because stdout cannot be taken
     back once the first chunk is written.
     """
@@ -223,7 +225,7 @@ def _write(out: str, chunks: Iterable[bytes]) -> None:
         sys.stdout.flush()
         sink.writelines(chunks)
         return
-    if os.path.exists(out) and not os.path.isfile(out):
+    if out.endswith(("/", os.sep)) or (os.path.exists(out) and not os.path.isfile(out)):
         with open(out, "wb") as fh:
             fh.writelines(chunks)
         return

@@ -32,8 +32,8 @@ INPUT_LABELS = ("1", "2", "3")
 INTERIOR_LABELS = ("f", "D1", "D2", "S1", "S2", "P1", "P2")
 PATH_LABELS = INPUT_LABELS + INTERIOR_LABELS
 
-#: The five contexts, in propagation order. Index with context_at() to get
-#: the closing repetition of the input/output triple at position 5.
+#: The five contexts, in propagation order. The walk ends back in the
+#: input/output triple, so the context at position k = 0..5 is CONTEXTS[k % 5].
 CONTEXTS: tuple[tuple[str, str, str], ...] = (
     ("1", "2", "3"),
     ("1", "D1", "S1"),
@@ -41,13 +41,6 @@ CONTEXTS: tuple[tuple[str, str, str], ...] = (
     ("f", "P2", "S2"),
     ("2", "D2", "S2"),
 )
-
-
-def context_at(position: int) -> tuple[str, str, str]:
-    """Context basis at position 0..5; position 5 wraps back to (1, 2, 3)."""
-    if not 0 <= position <= 5:
-        raise ValueError(f"context position must be in 0..5, got {position}")
-    return CONTEXTS[position % 5]
 
 
 _R2 = math.sqrt(2.0)

@@ -67,8 +67,8 @@ def basis_change(rows: Sequence[Sequence[complex] | np.ndarray]) -> np.ndarray:
 
 
 def haar_state_blocks(count: int, seed: int, block: int) -> Iterator[np.ndarray]:
-    """The rows of haar_random_states(count, seed), in blocks of at most `block`
-    rows (one empty block when count is 0).
+    """count uniformly random unit vectors of length 3, reproducible by seed,
+    in blocks of at most `block` rows (one empty block when count is 0).
 
     Two default_rng(seed) streams: one draws the real parts block by block,
     the other skips the count x 3 real parts and then draws the imaginary
@@ -82,11 +82,6 @@ def haar_state_blocks(count: int, seed: int, block: int) -> Iterator[np.ndarray]
     for rows in sizes:
         z = real.standard_normal((rows, DIM)) + 1j * imag.standard_normal((rows, DIM))
         yield z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def haar_random_states(count: int, seed: int) -> np.ndarray:
-    """(count, 3) array of uniformly random unit vectors, reproducible by seed."""
-    return next(haar_state_blocks(count, seed, max(count, 1)))
 
 
 def real_grid_blocks(

@@ -30,7 +30,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import DIM, UNITARY_ATOL, as_state, basis_change
-from .contexts import CONTEXTS, INPUT_LABELS, INTERIOR_LABELS, canonical_paths, context_at
+from .contexts import CONTEXTS, INPUT_LABELS, INTERIOR_LABELS, PATH_LABELS, canonical_paths
 
 NORMALIZATION_ATOL = 1e-9
 #: max |U - I| up to which a stage product U is the identity (propagate, check_telescoping)
@@ -90,6 +90,9 @@ class Stage:
     __slots__ = ("basis", "transfer")
 
     def __init__(self, basis: tuple[str, str, str], transfer: np.ndarray) -> None:
+        basis = tuple(basis)
+        if len(basis) != DIM or len(set(basis).intersection(PATH_LABELS)) != DIM:
+            raise ValueError(f"stage basis must be {DIM} distinct path labels, got {basis!r}")
         m = np.array(transfer, dtype=complex)
         if m.shape != (DIM, DIM):
             raise ValueError(f"transfer matrix must be {DIM}x{DIM}, got {m.shape}")
@@ -141,7 +144,7 @@ def build_network(basis: Mapping[str, np.ndarray] | None = None) -> Network:
     paths = canonical_paths() if basis is None else basis
     changes = [basis_change([paths[label] for label in context]) for context in CONTEXTS]
     return Network(tuple(
-        Stage(context_at(k), changes[k % 5] @ changes[k - 1].conj().T)
+        Stage(CONTEXTS[k % 5], changes[k % 5] @ changes[k - 1].conj().T)
         for k in range(1, 6)
     ))
 
@@ -273,19 +276,3 @@ def fringe_coefficients(
     factors = [[1.0], [-1.0], [1j], [-1j]]
     p0, ppi, plus, minus = propagate(network, as_state(psi)[None, :], [target], factors)[:, 0]
     return (p0 + ppi) / 2.0, (p0 - ppi) / 2.0, (plus - minus) / 2.0
-
-
-__all__ = [
-    "Modifier",
-    "Network",
-    "Stage",
-    "attenuate",
-    "block",
-    "build_network",
-    "evaluate_states",
-    "fringe_coefficients",
-    "phase_shift",
-    "propagate",
-    "run",
-    "witness_from_outputs",
-]

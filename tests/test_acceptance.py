@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from ctxscope.contexts import CONTEXTS, canonical_paths
-from ctxscope.core import haar_random_states, real_grid_blocks
 from ctxscope.interferometer import (
     block,
     evaluate_states,
@@ -27,6 +26,8 @@ from ctxscope.interferometer import (
 )
 from ctxscope.reference import MEASURED, NAMED_STATES
 from ctxscope.stats import draw_counts, fit_fringe, fringe
+
+from conftest import haar_states, real_amplitude_grid
 
 MAX_WITNESS = (math.sqrt(33.0) - 3.0) / 12.0
 
@@ -44,18 +45,13 @@ EXACT_FRINGE = {
 }
 
 
-def real_amplitude_grid(resolution: int):
-    """Angles and states of the whole real grid, as one block."""
-    return next(real_grid_blocks(resolution, resolution * resolution))
-
-
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"criterion {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
 
 
 def test_c01_output_identity_over_random_states(network, witness_matrix):
     start = time.perf_counter()
-    states = haar_random_states(10_000, 20_240_516)
+    states = haar_states(10_000, 20_240_516)
     free, blocked = propagate(network, states, ["f"], [[1.0], [0.0]])
     from_outputs = (blocked[:, 2] - free[:, 2]) - 0.5 * (blocked[:, 0] + blocked[:, 1])
     direct = np.real(np.einsum("ni,ij,nj->n", states.conj(), witness_matrix, states))
@@ -228,7 +224,7 @@ def test_c08_statistical_layer(network):
 def test_c09_gain_is_necessary_but_not_sufficient(network):
     alphas, betas, states = real_amplitude_grid(500)
     metrics = evaluate_states(network, states)
-    complex_states = haar_random_states(10_000, 777)
+    complex_states = haar_states(10_000, 777)
     complex_metrics = evaluate_states(network, complex_states)
     witness = np.concatenate([metrics["witness"], complex_metrics["witness"]])
     gain = np.concatenate([metrics["gain"], complex_metrics["gain"]])

@@ -148,6 +148,19 @@ class TestRun:
         assert [p.name for p in tmp_path.iterdir()] == ["work"]
         assert list(work.iterdir()) == []
 
+    def test_out_with_a_trailing_slash_leaves_an_existing_file_as_it_was(self, capsys, monkeypatch, tmp_path):
+        # the slash names a directory; `echo > kept.txt/` is refused the same way
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "kept.txt").write_bytes(b"kept\n")
+        assert "kept.txt/" in usage_error(capsys, "witness", "--state", "V0", "--out", "kept.txt/")
+        assert (tmp_path / "kept.txt").read_bytes() == b"kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+
+    def test_out_with_a_trailing_slash_creates_no_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        assert "sub/" in usage_error(capsys, "sweep", "--resolution", "3", "--out", "sub/")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestWitness:
     def test_balanced_state(self, capsys):

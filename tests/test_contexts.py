@@ -9,11 +9,11 @@ from ctxscope.contexts import (
     INPUT_LABELS,
     INTERIOR_LABELS,
     canonical_paths,
-    context_at,
 )
-from ctxscope.core import haar_random_states
 from ctxscope.interferometer import evaluate_states
 from ctxscope.reference import NAMED_STATES
+
+from conftest import haar_states
 
 NF = NAMED_STATES["Nf"]
 BF = NAMED_STATES["Bf"]
@@ -96,16 +96,15 @@ class TestCanonicalPaths:
 
     def test_consecutive_contexts_share_exactly_one_label(self):
         for k in range(5):
-            shared = set(context_at(k)) & set(context_at(k + 1))
+            shared = set(CONTEXTS[k]) & set(CONTEXTS[(k + 1) % 5])
             assert len(shared) == 1, k
-        assert context_at(0) == ("1", "2", "3")
-        assert context_at(5) == ("1", "2", "3")
+        assert CONTEXTS[0] == ("1", "2", "3")
 
     def test_changed_pair_overlap_sequence(self):
         paths = canonical_paths()
         expected = (1 / 2, 1 / 3, 1 / 4, 1 / 3, 1 / 2)
         for k, want in enumerate(expected, start=1):
-            prev_ctx, ctx = context_at(k - 1), context_at(k)
+            prev_ctx, ctx = CONTEXTS[k - 1], CONTEXTS[k % 5]
             shared = (set(prev_ctx) & set(ctx)).pop()
             old = [paths[l] for l in prev_ctx if l != shared]
             new = [paths[l] for l in ctx if l != shared]
@@ -122,12 +121,6 @@ class TestCanonicalPaths:
             "1", "2", "3", "f", "D1", "D2", "S1", "S2", "P1", "P2"
         }
         assert not set(INPUT_LABELS) & set(INTERIOR_LABELS)
-
-    def test_context_positions_run_from_0_to_5(self):
-        assert context_at(0) == context_at(5) == CONTEXTS[0]
-        for position in (-1, 6):
-            with pytest.raises(ValueError, match=f"context position must be in 0..5, got {position}"):
-                context_at(position)
 
     def test_vectors_are_read_only(self):
         with pytest.raises(ValueError):
@@ -176,13 +169,13 @@ class TestWitness:
         assert witness(network, [NAMED_STATES["basis1"]])[0] == pytest.approx(-1 / 6, abs=1e-12)
 
     def test_global_phase_invariance(self, network):
-        states = haar_random_states(50, 902)
+        states = haar_states(50, 902)
         for theta in (0.3, 1.2, 2.8):
             rotated = witness(network, np.exp(1j * theta) * states)
             assert rotated == pytest.approx(witness(network, states), abs=1e-12)
 
     def test_matrix_form_agrees(self, network, witness_matrix):
-        states = haar_random_states(200, 13)
+        states = haar_states(200, 13)
         quad = np.real(np.einsum("ni,ij,nj->n", states.conj(), witness_matrix, states))
         assert quad == pytest.approx(witness(network, states), abs=1e-12)
 
@@ -220,5 +213,5 @@ class TestMaxWitness:
         assert np.all(witness(network, [V0, NF]) < MAX_WITNESS_CLOSED_FORM)
 
     def test_haar_states_never_exceed_maximum(self, network):
-        states = haar_random_states(10_000, 31415)
+        states = haar_states(10_000, 31415)
         assert float(witness(network, states).max()) <= MAX_WITNESS_CLOSED_FORM + 1e-9

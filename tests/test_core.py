@@ -9,12 +9,13 @@ from ctxscope.contexts import INPUT_LABELS
 from ctxscope.core import (
     as_state,
     basis_change,
-    haar_random_states,
     haar_state_blocks,
     normalize,
     real_grid_blocks,
 )
 from ctxscope.interferometer import Stage
+
+from conftest import haar_states, real_amplitude_grid
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -42,11 +43,6 @@ def inner(a, b) -> complex:
 
 def norm_sq(state) -> float:
     return float(np.linalg.norm(as_state(state)) ** 2)
-
-
-def real_amplitude_grid(resolution: int):
-    """The whole grid of real_grid_blocks as one block."""
-    return next(real_grid_blocks(resolution, max(resolution * resolution, 1)))
 
 
 def vec(parts):
@@ -94,7 +90,7 @@ class TestApply:
     @pytest.mark.parametrize("seed", range(5))
     def test_unitary_preserves_norm(self, seed):
         u = Stage(INPUT_LABELS, random_unitary(seed))
-        psi = haar_random_states(1, seed + 100)[0]
+        psi = haar_states(1, seed + 100)[0]
         assert norm_sq(u.transfer @ psi) == pytest.approx(norm_sq(psi), abs=1e-12)
 
     @pytest.mark.parametrize("matrix", [np.eye(2), np.eye(4), np.eye(3)[0]], ids=["2x2", "4x4", "a row"])
@@ -108,6 +104,11 @@ class TestApply:
         matrix[1, 2] = entry
         with pytest.raises(ValueError, match="transfer matrix entries must be finite"):
             Stage(INPUT_LABELS, matrix)
+
+    @pytest.mark.parametrize("basis", [("1", "D1", "S1", "f"), ("1", "D1", "D1"), ("1", "D1"), ("1", "2", "X")])
+    def test_rejects_a_basis_that_is_not_three_distinct_path_labels(self, basis):
+        with pytest.raises(ValueError, match=re.escape(f"stage basis must be 3 distinct path labels, got {basis!r}")):
+            Stage(basis, np.eye(3))
 
     def test_unitary_kind_rejects_nonunitary_matrix(self):
         with pytest.raises(ValueError, match="not unitary"):
@@ -182,8 +183,8 @@ class TestStateHelpers:
         assert np.array_equal(normalize(np.array(amps)), normalize(np.array(unit)))
 
     def test_haar_states_are_normalized_and_reproducible(self):
-        a = haar_random_states(100, 5)
-        b = haar_random_states(100, 5)
+        a = haar_states(100, 5)
+        b = haar_states(100, 5)
         assert np.array_equal(a, b)
         assert np.linalg.norm(a, axis=1) == pytest.approx(np.ones(100), abs=1e-12)
 
@@ -201,7 +202,7 @@ class TestStateBlocks:
         assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
         assert 1 <= len(blocks[-1]) <= block
         assert np.array_equal(np.concatenate(blocks), whole)
-        assert np.array_equal(haar_random_states(count, 11), whole)
+        assert np.array_equal(haar_states(count, 11), whole)
 
     @pytest.mark.parametrize("resolution, block", [(2, 3), (7, 5), (300, 7_001), (300, 65_536)])
     def test_real_grid_blocks_equal_meshgrid(self, resolution, block):
@@ -217,5 +218,5 @@ class TestStateBlocks:
             assert np.array_equal(whole, want)
 
     def test_empty_sources_keep_their_shapes(self):
-        assert haar_random_states(0, 1).shape == (0, 3)
+        assert haar_states(0, 1).shape == (0, 3)
         assert [a.shape for a in real_amplitude_grid(0)] == [(0,), (0,), (0, 3)]

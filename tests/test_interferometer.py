@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from ctxscope.contexts import INTERIOR_LABELS, canonical_paths, context_at
-from ctxscope.core import haar_random_states, real_grid_blocks
+from ctxscope.contexts import CONTEXTS, INTERIOR_LABELS, canonical_paths
+from ctxscope.core import real_grid_blocks
 from ctxscope.interferometer import (
     Modifier,
     Network,
@@ -22,6 +22,8 @@ from ctxscope.interferometer import (
 )
 from ctxscope.reference import FRINGE_MODELS, MEASURED, NAMED_STATES
 from ctxscope.selfcheck import check_reflectivities, check_telescoping
+
+from conftest import haar_states
 
 NF = NAMED_STATES["Nf"]
 BF = NAMED_STATES["Bf"]
@@ -72,7 +74,7 @@ def rotated_network(k: int, eps: float) -> Network:
     """The design network with stage k's changed pair rotated by eps rad, in
     the previous context's coordinates."""
     stages = list(build_network().stages)
-    previous, stage = context_at(k - 1), stages[k - 1]
+    previous, stage = CONTEXTS[k - 1], stages[k - 1]
     a, b = (j for j, label in enumerate(previous) if label not in stage.basis)
     rotation = np.eye(3, dtype=complex)
     rotation[[a, a, b, b], [a, b, a, b]] = math.cos(eps), -math.sin(eps), math.sin(eps), math.cos(eps)
@@ -95,7 +97,7 @@ def random_modifiers(rng: np.random.Generator, labels) -> list:
 
 class TestBuildNetwork:
     def test_five_stages_with_expected_bases(self, network):
-        assert [(k, s.basis) for k, s in enumerate(network.stages, 1)] == [(k, context_at(k)) for k in range(1, 6)]
+        assert [(k, s.basis) for k, s in enumerate(network.stages, 1)] == [(k, CONTEXTS[k % 5]) for k in range(1, 6)]
         assert network.stages[0].basis == ("1", "D1", "S1")
         assert network.stages[4].basis == ("1", "2", "3")
 
@@ -112,7 +114,7 @@ class TestBuildNetwork:
 
     def test_each_stage_leaves_shared_label_untouched(self, network):
         for k, stage in enumerate(network.stages, 1):
-            prev = context_at(k - 1)
+            prev = CONTEXTS[k - 1]
             shared = (set(prev) & set(stage.basis)).pop()
             i, j = stage.basis.index(shared), prev.index(shared)
             col = np.abs(stage.transfer[:, j])
@@ -204,14 +206,14 @@ class TestRun:
         )
 
     def test_phase_only_runs_preserve_survival(self, network):
-        for psi in haar_random_states(20, 42):
+        for psi in haar_states(20, 42):
             for mods in ([phase_shift("f", 1.3)],
                          [phase_shift("S1", 0.4), phase_shift("P2", 2.0)]):
                 assert run(network, psi, mods).sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("label", INTERIOR_LABELS)
     def test_blocking_removes_exactly_the_path_probability(self, network, label):
-        for psi in haar_random_states(10, 77):
+        for psi in haar_states(10, 77):
             dist = run(network, psi, [block(label)])
             assert dist.sum() == pytest.approx(1.0 - path_probability(psi, label), abs=1e-12)
             assert list(dist) == pytest.approx(blocked_oracle(psi, label), abs=1e-12)
@@ -254,7 +256,7 @@ class TestRun:
             run(network, [1.0, 1.0, 0.0])
 
     def test_run_many_matches_run(self, network):
-        states = haar_random_states(25, 3)
+        states = haar_states(25, 3)
         batch = run_many(network, states, [block("S2")])
         for i, psi in enumerate(states):
             assert list(run(network, psi, [block("S2")])) == pytest.approx(batch[i], abs=1e-14)
@@ -263,7 +265,7 @@ class TestRun:
 class TestKernelAgainstStageProduct:
     def test_random_mixed_modifier_sets(self, network):
         rng = np.random.default_rng(8128)
-        states = haar_random_states(500, 4)
+        states = haar_states(500, 4)
         worst = 0.0
         for _ in range(200):
             labels = rng.permutation(INTERIOR_LABELS)[: rng.integers(1, 8)]
@@ -276,7 +278,7 @@ class TestKernelAgainstStageProduct:
     def test_f_and_d2_together(self, network, extra):
         # f (stage 2) and D2 (stage 4) overlap, so the order of their updates matters.
         rng = np.random.default_rng(len(extra))
-        states = haar_random_states(500, 5)
+        states = haar_states(500, 5)
         for _ in range(20):
             labels = rng.permutation(("D2", "f") + extra)
             mods = random_modifiers(rng, labels)
@@ -288,7 +290,7 @@ class TestKernelAgainstStageProduct:
         # one kernel call over many factor rows, each row checked on its own;
         # D2 (stage 4) is listed before f (stage 2) in two of the target lists
         rng = np.random.default_rng(len(targets))
-        states = haar_random_states(200, 6)
+        states = haar_states(200, 6)
         rows = np.exp(1j * rng.uniform(-math.pi, math.pi, (40, len(targets)))) * rng.uniform(0.0, 1.0, (40, 1))
         rows[:4] = [[0.0] * len(targets), [1.0] * len(targets), [-1.0] * len(targets), [1j] * len(targets)]
         got = propagate(network, states, list(targets), rows)
@@ -302,7 +304,7 @@ class TestKernelAgainstStageProduct:
     def test_a_rotated_stage_propagates_through_its_own_product(self, k, eps):
         # rows: free, f blocked, a phase on P1; the product is not the identity
         perturbed = rotated_network(k, eps)
-        states = haar_random_states(1_000, 30 + k)
+        states = haar_states(1_000, 30 + k)
         rows = [[1.0, 1.0], [0.0, 1.0], [1.0, np.exp(0.7j)]]
         got = propagate(perturbed, states, ["f", "P1"], rows)
         for row, probs in zip(rows, got):
@@ -342,7 +344,7 @@ class TestKernelMatchesRepeatedUpdate:
                     columns.append(rng.uniform(0.0, 1.0, settings))
             factors = np.column_stack(columns).astype(complex)
             if trial % 2:
-                states = haar_random_states(int(rng.integers(1, 400)), trial)
+                states = haar_states(int(rng.integers(1, 400)), trial)
             else:
                 states = next(real_grid_blocks(int(rng.integers(2, 20)), 10 ** 6))[2]
             got = propagate(network, states, targets, factors)
@@ -353,7 +355,7 @@ class TestKernelMatchesRepeatedUpdate:
         # the kernel's overlaps are explicit products, not BLAS calls; over a
         # BLAS-sized batch they stay within 1e-15 of the plain `@` form
         rng = np.random.default_rng(2718)
-        states = haar_random_states(10_000, 21)
+        states = haar_states(10_000, 21)
         for count in (1, 2, 3):
             targets = [str(t) for t in rng.permutation(INTERIOR_LABELS)[:count]]
             factors = np.exp(1j * rng.uniform(-math.pi, math.pi, (4, count))) * rng.uniform(0.0, 1.0, (4, 1))
@@ -382,7 +384,7 @@ class TestKernelInputs:
     def test_no_states_give_an_empty_result(self, network):
         probs = propagate(network, np.empty((0, 3)), ["f"], [[1.0], [0.0]])
         assert probs.shape == (2, 0, 3) and probs.dtype == float
-        metrics = evaluate_states(network, haar_random_states(0, 1))
+        metrics = evaluate_states(network, haar_states(0, 1))
         assert all(len(values) == 0 for values in metrics.values())
 
     @pytest.mark.parametrize("factors", [[0.0], [[0.0, 1.0]], [[]], np.zeros((2, 1, 1))],
@@ -426,7 +428,7 @@ class TestWitnessFromOutputs:
         assert witness_from_outputs(free, blocked) == pytest.approx(expected, abs=1e-12)
 
     def test_identity_with_interior_witness_over_random_states(self, network, witness_matrix):
-        states = haar_random_states(10_000, 2718)
+        states = haar_states(10_000, 2718)
         free = run_many(network, states)
         blocked = run_many(network, states, [block("f")])
         from_outputs = (blocked[:, 2] - free[:, 2]) - 0.5 * (blocked[:, 0] + blocked[:, 1])
@@ -437,7 +439,7 @@ class TestWitnessFromOutputs:
         assert float(np.max(np.abs(all_direct - from_outputs))) < 1e-12
 
     def test_gain_dominates_witness(self, network):
-        states = haar_random_states(2_000, 99)
+        states = haar_states(2_000, 99)
         free = run_many(network, states)
         blocked = run_many(network, states, [block("f")])
         gain = blocked[:, 2] - free[:, 2]
@@ -449,7 +451,7 @@ class TestWitnessFromOutputs:
     def test_witness_reads_the_design_paths_and_outputs_the_stages(self, network):
         # on a perturbed network the witness is still the design paths' and
         # does not move; the outputs, and the witness read from them, do
-        states = haar_random_states(200, 17)
+        states = haar_states(200, 17)
         design, perturbed = evaluate_states(network, states), evaluate_states(rotated_network(2, 0.03), states)
         for key in ("pf", "pd1", "pd2", "witness"):
             assert perturbed[key].tobytes() == design[key].tobytes(), key
@@ -525,7 +527,7 @@ class TestFringeCoefficients:
 
     def test_three_terms_reproduce_the_phase_scan(self, network):
         grid = np.concatenate([np.linspace(0.2, 6.0, 11), [-3.0, 77.0]])  # neither 0 nor pi
-        for psi in haar_random_states(200, 12):
+        for psi in haar_states(200, 12):
             for target in INTERIOR_LABELS:
                 a, b, c = fringe_coefficients(network, psi, target)
                 curve = a + b * np.cos(grid)[:, None] + c * np.sin(grid)[:, None]

@@ -8,9 +8,9 @@ from ctxscope import interferometer
 
 PUBLIC = {
     # contexts
-    "CONTEXTS", "INPUT_LABELS", "INTERIOR_LABELS", "PATH_LABELS", "canonical_paths", "context_at",
+    "CONTEXTS", "INPUT_LABELS", "INTERIOR_LABELS", "PATH_LABELS", "canonical_paths",
     # core
-    "as_state", "basis_change", "haar_random_states", "normalize",
+    "as_state", "basis_change", "normalize",
     # interferometer
     "Modifier", "Network", "Stage", "attenuate", "block", "build_network", "evaluate_states",
     "fringe_coefficients", "phase_shift", "propagate", "run", "witness_from_outputs",

@@ -5,10 +5,12 @@ import pytest
 
 from ctxscope import stats
 from ctxscope.contexts import INTERIOR_LABELS
-from ctxscope.core import haar_random_states, normalize
+from ctxscope.core import normalize
 from ctxscope.interferometer import fringe_coefficients, propagate
 from ctxscope.reference import NAMED_STATES
 from ctxscope.stats import DegenerateDesignError, draw_counts, fit_fringe, fringe
+
+from conftest import haar_states
 
 NF = NAMED_STATES["Nf"]
 
@@ -163,7 +165,7 @@ class TestNoisyFringe:
     def test_full_visibility_means_equal_the_ideal_scan(self, network):
         # any grid (no 0 or pi here), complex states and every interior target
         grid = np.concatenate([np.linspace(0.3, 5.9, 17), [-40.0, 1e3]])
-        for psi in haar_random_states(25, 31):
+        for psi in haar_states(25, 31):
             for target in INTERIOR_LABELS:
                 probs = fringe(grid, fringe_coefficients(network, psi, target), 1.0)
                 ideal = phase_scan(network, psi, target, grid)
@@ -362,7 +364,7 @@ class TestFitFolding:
     @pytest.mark.parametrize("trial", range(12))
     def test_matches_a_plain_least_squares_solve(self, network, trial):
         rng = np.random.default_rng(trial)
-        psi = haar_random_states(1, trial)[0]  # complex states: every port has a sine term
+        psi = haar_states(1, trial)[0]  # complex states: every port has a sine term
         coefficients = fringe_coefficients(network, psi)
         n = [3, 4, 7, 50, 2500][trial % 5]
         settings = rng.uniform(-10.0, 10.0, n)
