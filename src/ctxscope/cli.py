@@ -7,7 +7,8 @@ closes the pipe early ends the installed script by SIGPIPE, as it ends `cat`.
 
 Each command checks its arguments, then returns its exit status and its
 output as byte chunks, produced as they are written so that tables stream;
-`main` writes them to --out and turns every refusal into an exit code.
+`main` writes them to --out and turns every refusal, a broken stream
+included, into an exit code and one `error:` line where stderr can take it.
 A table's CSV is formatted on one worker thread, one block at a time,
 while the calling thread computes the next block.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import json
 import math
@@ -55,6 +57,12 @@ SWEEP_METRICS = ("witness", "gain", "pf", "pd1", "pd2")
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors reach main as ValueError, so
     that they print as one `error:` line like every other usage error."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # an argument that starts with a minus and a digit (-1e-3, -.5, -1,0,0,0,0,0)
+        # is a value, not a flag: no ctxscope option starts with a digit
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message: str) -> NoReturn:
         raise ValueError(message)
@@ -207,23 +215,30 @@ def _write(out: str, chunks: Iterable[bytes]) -> None:
     """The one sink: a binary one, writing chunks as they are produced.
 
     Stdout ("-") takes the bytes on its binary buffer after any pending text
-    is flushed; a replacement stdout without one (such as io.StringIO) gets
-    them decoded as UTF-8. A file is written under a temporary name in its
-    own directory and moved over `out` only after the last chunk, so a call
-    that fails part way leaves `out` as it was. A device or pipe (such as
-    /dev/null) is written in place, since there is nothing to replace, and so
-    is a path that ends in a separator: it names a directory, and open()
-    refuses it as the shell does (realpath would drop the separator).
+    is flushed, and flushes it after the last chunk or a failure part way; a
+    replacement stdout without one (such as io.StringIO) gets them decoded as
+    UTF-8, and None (a script started with stdout closed) is refused. A file
+    is written under a temporary name in its own directory and moved over
+    `out` only after the last chunk, so a call that fails part way leaves
+    `out` as it was. A device or pipe (such as /dev/null) is written in
+    place, since there is nothing to replace, and so is a path that ends in a
+    separator: it names a directory, and open() refuses it as the shell does
+    (realpath would drop the separator).
     Commands validate before they return, because stdout cannot be taken
     back once the first chunk is written.
     """
     if out == "-":
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, "stdout is closed")
         sink = getattr(sys.stdout, "buffer", None)
         if sink is None:
             sys.stdout.writelines(chunk.decode() for chunk in chunks)
             return
         sys.stdout.flush()
-        sink.writelines(chunks)
+        try:
+            sink.writelines(chunks)
+        finally:
+            sink.flush()
         return
     if out.endswith(("/", os.sep)) or (os.path.exists(out) and not os.path.isfile(out)):
         with open(out, "wb") as fh:
@@ -343,6 +358,8 @@ def _read_counts_csv(path: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     characters of a row's cells."""
     try:
         fh = sys.stdin if path == "-" else open(path, "r", encoding="utf-8", errors="surrogateescape")
+        if fh is None:  # the script started with stdin closed
+            raise OSError(errno.EBADF, "stdin is closed")
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from None
     if fh is sys.stdin and hasattr(fh, "reconfigure"):  # not a replacement that holds text, such as io.StringIO
@@ -738,40 +755,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         status, chunks = args.func(args)
         _write(args.out, chunks)
         return status
-    except stats.DegenerateDesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if sys.stderr is not None:  # print(file=None) would write to stdout
+            with contextlib.suppress(OSError):
+                print(f"error: {exc}", file=sys.stderr, flush=True)
+        return 3 if isinstance(exc, stats.DegenerateDesignError) else 2
 
 
 def entry() -> NoReturn:
-    """The installed script: main() on sys.argv, then stdout and stderr
-    flushed, then os._exit with main's status.
+    """The installed script: os._exit with main()'s status on sys.argv.
 
     os._exit skips the interpreter's teardown (module cleanup, the last
     collection, freeing NumPy's memory and OpenBLAS's threads), which takes
     25-40 ms of a short call. Nothing is left for it to do: main returns only
-    after its last chunk is written, an --out file is closed and renamed and
-    the CSV worker is joined, and nothing registers an atexit handler. A
-    flush that fails is an output error like any other, one `error:` line and
-    exit 2, unless main has reported an error already. --help and uncaught
-    exceptions leave through the interpreter's usual exit."""
+    after its last chunk is flushed, an --out file is closed and renamed, the
+    CSV worker is joined and any error line is flushed, and nothing registers
+    an atexit handler. --help and uncaught exceptions leave through the
+    interpreter's usual exit."""
     # Python ignores SIGPIPE; its default action ends the script quietly under `| head`
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    status = main()
-    try:
-        if sys.stdout is not None:  # None when the script started with its stdout closed
-            sys.stdout.flush()  # the text layer, then its binary buffer
-    except OSError as exc:
-        if status < 2:
-            print(f"error: {exc}", file=sys.stderr)
-            status = 2
-    if sys.stderr is not None:
-        sys.stderr.flush()
-    os._exit(status)
+    os._exit(main())
 
 
 if __name__ == "__main__":

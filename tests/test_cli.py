@@ -400,6 +400,27 @@ def test_usage_errors_are_one_line_in_a_fresh_process(argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (("phase-scan", "--state", "Nf", "--steps", "3"), "--from", "-1e-3"),
+    (("phase-scan", "--state", "Nf", "--steps", "3"), "--to", "-1e300"),
+    (("phase-scan", "--state", "Nf", "--steps", "3", "--to=1e308"), "--from", "-1e308"),
+    (("sample", "--state", "Nf", "--format", "csv"), "--setting", "-2e5"),
+    (("phase-scan", "--state", "Nf", "--steps", "3"), "--rate", "-1e3"),
+    (("witness",), "--state", "-1,0,0,0,0,0"),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_a_value_that_starts_with_a_minus_and_a_digit_is_a_value(capsys, argv, flag, value):
+    expected = main([*argv, f"{flag}={value}"]), capsys.readouterr()
+    assert "expected one argument" not in expected[1].err
+    assert (main([*argv, flag, value]), capsys.readouterr()) == expected
+
+
+def test_a_flag_where_a_value_belongs_is_still_a_missing_value(capsys):
+    assert usage_error(capsys, "phase-scan", "--state", "Nf", "--to", "--state", "Nf") == (
+        "error: argument --to: expected one argument\n")
+    assert usage_error(capsys, "phase-scan", "--state", "Nf", "--from=-1e308", "--to=1e308", "--steps=3") == (
+        "error: --to minus --from must be finite\n")
+
+
 # sha256 of each --help at COLUMNS=80, recorded before --out was added to
 # every subcommand in one loop; fit's was recorded again when --model came to
 # take any state.
@@ -445,13 +466,17 @@ MAIN_CODE = "from ctxscope.cli import main; raise SystemExit(main())"
 ENTRY_CODE = "from ctxscope.cli import entry; entry()"
 
 
-def run_fresh(code: str, *argv, cwd=None) -> tuple[int, bytes, bytes]:
-    """Status, stdout and stderr of code run on argv in a fresh interpreter.
-    Stdout is buffered, as the installed script's is: PYTHONUNBUFFERED would
-    write every chunk at once and hide a byte lost at exit."""
+def run_fresh(code: str, *argv, cwd=None, redirect: str = "") -> tuple[int, bytes, bytes]:
+    """Status, stdout and stderr of code run on argv in a fresh interpreter,
+    started by a shell with the redirection applied if one is given, such as
+    ">&-" to start it with stdout closed. Stdout is buffered, as the installed
+    script's is: PYTHONUNBUFFERED would write every chunk at once and hide a
+    byte lost at exit."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, timeout=60, cwd=cwd,
-                          env={**env, "PYTHONPATH": str(SRC)})
+    command = [sys.executable, "-c", code, *argv]
+    if redirect:
+        command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
+    proc = subprocess.run(command, capture_output=True, timeout=60, cwd=cwd, env={**env, "PYTHONPATH": str(SRC)})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -547,7 +572,7 @@ def entry_in_process(monkeypatch, argv, stdout: Device) -> tuple[int, bytes, byt
 
 
 class TestEntryExit:
-    """entry() flushes stdout and stderr, then passes main()'s status to os._exit."""
+    """entry() passes main()'s status to os._exit, once main() has flushed stdout and stderr."""
 
     def test_after_a_16_block_sweep(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 64)
@@ -584,8 +609,8 @@ class TestEntryExit:
         assert (status, out, err) == (2, b"", b"error: [Errno 28] No space left on device\n")
         assert threading.active_count() == start
 
-    def test_a_flush_that_fails_at_exit_is_one_error_line(self, monkeypatch):
-        # the JSON waits in stdout's buffer until entry() flushes it to a full disk
+    def test_a_flush_that_fails_is_one_error_line(self, monkeypatch):
+        # the JSON waits in stdout's buffer until _write flushes it to a full disk
         start = threading.active_count()
         status, out, err = entry_in_process(monkeypatch, ("witness", "--state", "Nf"), Device(full=True))
         assert (status, out, err) == (2, b"", b"error: [Errno 28] No space left on device\n")
@@ -597,6 +622,51 @@ class TestEntryExit:
         monkeypatch.setattr(sys, closed, None)
         assert entry_status(monkeypatch, ("witness", "--state", "Nf", "--out", str(tmp_path / "w.json"))) == 0
         assert json.loads((tmp_path / "w.json").read_text())["p_f"] > 0
+
+
+class TestBrokenStreams:
+    """A stream that is closed or full ends main() with its status and at most one error line."""
+
+    def test_a_closed_stdout_is_one_error_line(self, capsys, monkeypatch):
+        # Python sets sys.stdout to None when the script starts with it closed
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["witness", "--state", "V0", "--out", "-"]) == 2
+        assert capsys.readouterr().err == "error: [Errno 9] stdout is closed\n"
+
+    def test_a_closed_stdin_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", None)
+        assert usage_error(capsys, "fit", "--input", "-", "--model", "V0") == (
+            "error: cannot read '-': [Errno 9] stdin is closed\n")
+
+    @pytest.mark.parametrize("argv, status", [(("witness", "--state", "Xf"), 2),
+                                              (("fit", "--input", "flat.csv", "--model", "Nf"), 3)],
+                             ids=["usage error", "degenerate fit"])
+    @pytest.mark.parametrize("stderr", ["closed", "full"])
+    def test_an_unwritable_stderr_keeps_the_status(self, capsys, monkeypatch, tmp_path, argv, status, stderr):
+        (tmp_path / "flat.csv").write_text(FLAT_COUNTS)
+        monkeypatch.chdir(tmp_path)
+        device = Device(full=True)
+        # line-buffered, as the script's stderr is: the error line reaches the full device at once
+        monkeypatch.setattr(sys, "stderr", None if stderr == "closed" else
+                            io.TextIOWrapper(io.BufferedWriter(device), encoding="utf-8", line_buffering=True))
+        assert main(list(argv)) == status
+        assert capsys.readouterr().out == ""
+        device.full = False  # lets the wrapper flush what it holds when it is collected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("redirect, argv, status, err", [
+    (">&-", ("witness", "--state", "V0"), 2, b"error: [Errno 9] stdout is closed\n"),
+    ("<&-", ("fit", "--input", "-", "--model", "Nf"), 2, b"error: cannot read '-': [Errno 9] stdin is closed\n"),
+    ("2>&-", ("witness", "--state", "Xf"), 2, b""),
+    ("2>/dev/full", ("witness", "--state", "Xf"), 2, b""),
+    ("2>&-", ("fit", "--input", "flat.csv", "--model", "Nf"), 3, b""),
+    ("2>/dev/full", ("fit", "--input", "flat.csv", "--model", "Nf"), 3, b""),
+], ids=["stdout closed", "stdin closed", "usage error, stderr closed", "usage error, stderr full",
+        "degenerate fit, stderr closed", "degenerate fit, stderr full"])
+def test_a_broken_stream_is_a_status_in_a_fresh_process(tmp_path, redirect, argv, status, err):
+    (tmp_path / "flat.csv").write_text(FLAT_COUNTS)
+    assert run_fresh(ENTRY_CODE, *argv, cwd=tmp_path, redirect=redirect) == (status, b"", err)
 
 
 @pytest.mark.parametrize(

@@ -362,6 +362,10 @@ class TestCsvWorker:
                     list(itertools.islice(chunks, 2))
                     raise BrokenPipeError(32, "Broken pipe")
 
+                @staticmethod
+                def flush():
+                    pass
+
         monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1000)
         slow_formatter(monkeypatch)
         monkeypatch.setattr(sys, "stdout", ClosedAfterOneBlock())
