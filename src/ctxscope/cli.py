@@ -29,7 +29,6 @@ import re
 import shutil
 import signal
 import sys
-import threading
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -60,9 +59,10 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # an argument that starts with a minus and a digit (-1e-3, -.5, -1,0,0,0,0,0)
-        # is a value, not a flag: no ctxscope option starts with a digit
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # an argument that starts with a minus and a digit, inf or nan (-1e-3, -.5,
+        # -1,0,0,0,0,0, -inf, -NaN) is a value, not a flag: no ctxscope option
+        # starts with a digit, -i or -n
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message: str) -> NoReturn:
         raise ValueError(message)
@@ -157,53 +157,29 @@ def _format_block(block: Sequence[Sequence[float]]) -> bytes:
     return ((row * len(block[0])) % tuple(values)).encode()
 
 
-class _Formatting(threading.Thread):
-    """_format_block of one block on its own thread; result() joins it and
-    returns the bytes or raises what the formatting raised. Nothing is left
-    for the thread to print: every exception is kept for result()."""
-
-    def __init__(self, block: Sequence[Sequence[float]]) -> None:
-        super().__init__(name="ctxscope-csv")
-        self.block, self.chunk, self.error = block, b"", None
-        self.start()
-
-    def run(self) -> None:
-        try:
-            self.chunk = _format_block(self.block)
-        except BaseException as exc:
-            self.error = exc
-
-    def result(self) -> bytes:
-        self.join()
-        if self.error is not None:
-            raise self.error
-        return self.chunk
-
-
 def _csv(header: str, blocks: Iterable[Sequence[Sequence[float]]]) -> Iterator[bytes]:
     """The header, then the rows of each block of columns, one chunk per block
     in order, as ASCII bytes. Float columns print as _f9 does (|x| < 1e-12
     snapped to 0, then "%.9f"), integer columns as "%d". Producers keep each
     block to at most CSV_BLOCK_ROWS rows.
 
-    One worker thread at a time formats block k (_format_block) while this
-    thread takes block k + 1 from the producer and then hands on block k's
-    bytes, so at most one block is being formatted. An exception from the
-    producer or the formatter reaches the caller as it was raised, and the
-    worker is joined before this generator ends, fails or is closed."""
+    One worker thread formats block k (_format_block) while this thread takes
+    block k + 1 from the producer and then hands on block k's bytes, so at
+    most one block is being formatted. An exception from the producer or the
+    formatter reaches the caller as it was raised, and the worker is joined
+    before this generator ends, fails or is closed."""
+    from concurrent.futures import ThreadPoolExecutor  # imports logging, which only a table needs
+
     yield (header + "\n").encode()
-    worker = None
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="ctxscope-csv") as worker:
+        pending = None
         for block in blocks:
-            chunk = worker.result() if worker else None
-            worker = _Formatting(block)
+            chunk = pending.result() if pending else None
+            pending = worker.submit(_format_block, block)
             if chunk is not None:
                 yield chunk
-        if worker:
-            yield worker.result()
-    finally:
-        if worker:
-            worker.join()
+        if pending:
+            yield pending.result()
 
 
 def _text(lines: Iterable[str]) -> bytes:
@@ -767,11 +743,12 @@ def entry() -> NoReturn:
 
     os._exit skips the interpreter's teardown (module cleanup, the last
     collection, freeing NumPy's memory and OpenBLAS's threads), which takes
-    25-40 ms of a short call. Nothing is left for it to do: main returns only
-    after its last chunk is flushed, an --out file is closed and renamed, the
-    CSV worker is joined and any error line is flushed, and nothing registers
-    an atexit handler. --help and uncaught exceptions leave through the
-    interpreter's usual exit."""
+    25-40 ms of a short call, and it skips the atexit and threading exit
+    handlers that a table's concurrent.futures and logging register. Nothing
+    is left for any of it to do: main returns only after its last chunk is
+    flushed, an --out file is closed and renamed, the CSV worker is shut down
+    and joined and any error line is flushed, and ctxscope logs nothing.
+    --help and uncaught exceptions leave through the interpreter's usual exit."""
     # Python ignores SIGPIPE; its default action ends the script quietly under `| head`
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)

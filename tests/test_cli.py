@@ -414,6 +414,17 @@ def test_a_value_that_starts_with_a_minus_and_a_digit_is_a_value(capsys, argv, f
     assert (main([*argv, flag, value]), capsys.readouterr()) == expected
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("phase-scan", "--state", "Nf", "--steps", "3", "--from", "-inf"), "--from and --to must be finite"),
+    (("phase-scan", "--state", "Nf", "--steps", "3", "--to", "-Infinity"), "--from and --to must be finite"),
+    (("phase-scan", "--state", "Nf", "--steps", "3", "--from", "-NaN"), "--from and --to must be finite"),
+    (("witness", "--state", "-inf,0,0,0,0,0"), "state amplitudes must be finite"),
+    (("sample", "--state", "Nf", "--setting", "-inf"), "--setting must be finite"),
+], ids=lambda value: " ".join(value[-2:]) if isinstance(value, tuple) else None)
+def test_a_value_that_starts_with_a_minus_and_inf_or_nan_is_a_value(capsys, argv, message):
+    assert usage_error(capsys, *argv) == f"error: {message}\n"
+
+
 def test_a_flag_where_a_value_belongs_is_still_a_missing_value(capsys):
     assert usage_error(capsys, "phase-scan", "--state", "Nf", "--to", "--state", "Nf") == (
         "error: argument --to: expected one argument\n")
@@ -822,6 +833,20 @@ def test_cli_import_does_not_load_scipy():
     subprocess.run(
         [sys.executable, "-c", "import ctxscope.cli, sys; assert 'scipy' not in sys.modules; "
                                "assert 'dataclasses' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=True,
+        timeout=120,
+    )
+
+
+def test_commands_without_a_table_do_not_load_concurrent_futures():
+    # concurrent.futures imports logging; only the CSV emitter needs it
+    subprocess.run(
+        [sys.executable, "-c", "import contextlib, io, sys; from ctxscope.cli import main\n"
+                               "with contextlib.redirect_stdout(io.StringIO()):\n"
+                               "    assert main(['witness', '--state', 'Nf']) == 0\n"
+                               "    assert main(['check']) == 0\n"
+                               "assert 'concurrent.futures' not in sys.modules"],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         check=True,
         timeout=120,

@@ -341,6 +341,30 @@ class TestCsvWorker:
         assert threading.active_count() == start
         assert capfd.readouterr() == ("", "")
 
+    def test_one_worker_thread_formats_the_whole_table(self, monkeypatch):
+        threads, real = [], cli._ascii_rows
+
+        def formatter(block, sizes):
+            threads.append(threading.current_thread())
+            return real(block, sizes)
+
+        monkeypatch.setattr(cli, "_ascii_rows", formatter)
+        table = two_row_blocks(12)
+        assert list(cli._csv("x,n", iter(table))) == [b"x,n\n", *chunks_of(table)]
+        assert len(threads) == 12
+        assert len(set(threads)) == 1 and threads[0] is not threading.current_thread()
+
+    def test_a_keyboard_interrupt_in_the_formatter_reaches_the_caller(self, capfd, monkeypatch):
+        error = KeyboardInterrupt()
+        calls = slow_formatter(monkeypatch, 3, error)
+        start = threading.active_count()
+        with pytest.raises(KeyboardInterrupt) as caught:
+            list(cli._csv("x,n", iter(two_row_blocks(10))))
+        assert caught.value is error
+        assert len(calls) == 3
+        assert threading.active_count() == start
+        assert capfd.readouterr() == ("", "")
+
     def test_closing_a_half_read_table_joins_the_worker(self, monkeypatch):
         slow_formatter(monkeypatch)
         table, start = two_row_blocks(10), threading.active_count()
