@@ -21,13 +21,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import io
 import itertools
 import json
 import math
 import os
 import re
-import shutil
 import signal
+import stat
 import sys
 from typing import Iterable, Iterator, NoReturn, Sequence
 
@@ -231,7 +232,7 @@ def _write(out: str, chunks: Iterable[bytes]) -> None:
         with open(fd, "wb") as fh:
             fh.writelines(chunks)
         if os.path.exists(target):
-            shutil.copymode(target, tmp)
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
@@ -301,23 +302,38 @@ def _parse_modifiers(args: argparse.Namespace) -> list[interferometer.Modifier]:
     return mods
 
 
-def _cells(rows: Iterable[str]) -> Iterator[float]:
-    """float() of each comma-separated cell of the rows in turn, up to the first one it refuses."""
-    for row in rows:
-        for cell in row.split(","):
-            try:
-                yield float(cell)
-            except ValueError:
-                return
-
-
-# What each data row of a counts CSV keeps, in the order a row is checked.
-COUNTS_ROW_RULES = ("expected 5 fields, got {fields}", "non-numeric field in {row}", "non-finite field in {row}",
-                    "counts must be non-negative", "duration must be positive",
-                    "duration {0:g} differs from the first row's {1:g}")
 QUOTED_ROW_CHARS = 80  # an error quotes at most this much of the row's cell list, then "..."
 # A byte that is not UTF-8, as the surrogateescape error handler decodes it.
 _UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def _raise_first_broken_row(rows: Iterable[tuple[int, str]], first: float | None) -> NoReturn:
+    """Raise the first rule that a (line number, row) pair breaks, in order:
+    five fields, each read by float(), all finite, counts not negative, duration
+    positive and equal to the first row's, `first` (None before the first row)."""
+    for number, row in rows:
+        cells = row.split(",")
+        quoted = str(cells) if len(str(cells)) <= QUOTED_ROW_CHARS else str(cells)[:QUOTED_ROW_CHARS] + "..."
+        values = None
+        with contextlib.suppress(ValueError):
+            values = [float(cell) for cell in cells]
+        if len(cells) != 5:
+            message = f"expected 5 fields, got {len(cells)}"
+        elif values is None:
+            message = f"non-numeric field in {quoted}"
+        elif not all(map(math.isfinite, values)):
+            message = f"non-finite field in {quoted}"
+        elif min(values[1:4]) < 0:
+            message = "counts must be non-negative"
+        elif not values[4] > 0:
+            message = "duration must be positive"
+        elif first is not None and values[4] != first:
+            message = f"duration {values[4]:g} differs from the first row's {first:g}"
+        else:
+            first = values[4]
+            continue
+        raise ValueError(f"line {number}: {message}")
+    raise AssertionError("the array pass refused a block whose rows keep every rule")
 
 
 def _read_counts_csv(path: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -325,23 +341,31 @@ def _read_counts_csv(path: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     in blocks of at most CSV_BLOCK_ROWS lines, each yielded once it is checked.
 
     The file, or stdin for "-", is read as UTF-8 whatever the locale, and with
-    universal newlines, so that CR-ended lines come in blocks too. Lines end
-    where str.splitlines ends them (LF, CRLF and CR among others), and blank
-    ones are skipped. The first is COUNTS_CSV_HEADER, cells stripped; each
-    later one holds five unquoted cells that float() reads and keeps
-    COUNTS_ROW_RULES. The error names the first line that breaks a rule or
-    holds a byte that is not UTF-8, and quotes at most QUOTED_ROW_CHARS
-    characters of a row's cells."""
+    universal newlines, so that CR-ended lines come in blocks too. Stdin's bytes
+    pass through a text layer of the reader's own, detached when it is done, so
+    an in-process caller's sys.stdin keeps its settings; bytes that the caller's
+    text layer already buffered are not seen, and a stdin without a binary
+    buffer (such as io.StringIO) is read as it is. Lines end where
+    str.splitlines ends them (LF, CRLF and CR among others), and blank ones are
+    skipped. The first is COUNTS_CSV_HEADER, cells stripped; one array pass
+    accepts a block whose later lines are rows that keep every rule of
+    _raise_first_broken_row, which walks any other block row by row. The error
+    names the first line that breaks a rule or holds a byte that is not UTF-8."""
     try:
-        fh = sys.stdin if path == "-" else open(path, "r", encoding="utf-8", errors="surrogateescape")
-        if fh is None:  # the script started with stdin closed
+        if path != "-":
+            fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+            release = fh.close
+        elif sys.stdin is None:  # the script started with stdin closed
             raise OSError(errno.EBADF, "stdin is closed")
+        elif hasattr(sys.stdin, "buffer"):
+            fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape")
+            release = fh.detach  # closing it would close the caller's stdin
+        else:  # a replacement that holds text, such as io.StringIO
+            fh, release = sys.stdin, lambda: None
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from None
-    if fh is sys.stdin and hasattr(fh, "reconfigure"):  # not a replacement that holds text, such as io.StringIO
-        fh.reconfigure(encoding="utf-8", errors="surrogateescape", newline=None)  # as the file is read
-    before, header, first = 0, None, np.empty(0)  # lines in earlier blocks; the first row's duration
-    with contextlib.nullcontext() if fh is sys.stdin else fh:
+    before, header, first = 0, None, None  # lines in earlier blocks; the first row's duration
+    try:
         # a block ends where a line does, so its lines are those of the whole text
         for text in iter(lambda: "".join(itertools.islice(fh, CSV_BLOCK_ROWS)), ""):
             lines = text.splitlines()
@@ -354,34 +378,21 @@ def _read_counts_csv(path: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
                 header, *rows = rows
                 if [cell.strip() for cell in header.split(",")] != COUNTS_CSV_HEADER.split(","):
                     raise ValueError(f"input must start with header {COUNTS_CSV_HEADER!r}")
-            # the rows before `end` have five fields, and those before `numeric` five numbers
-            end = next((i for i, row in enumerate(rows) if row.count(",") != 4), len(rows))
-            try:  # one conversion pass; only a block with a cell float() refuses is walked again
-                values = np.fromiter(map(float, itertools.chain.from_iterable(r.split(",") for r in rows[:end])), float)
-            except ValueError:
-                values = np.fromiter(_cells(rows[:end]), float)
-            table = values[:len(values) // 5 * 5].reshape(-1, 5)
-            numeric, duration = len(table), table[:, 4]
-            first = first if first.size else duration[:1]
-            broken = np.argwhere(np.column_stack([~np.isfinite(table).all(axis=1), (table[:, 1:4] < 0).any(axis=1),
-                                                  ~(duration > 0), duration != first]))
-            if len(broken):
-                i, rule = broken[0] + (0, 2)
-            elif numeric < len(rows):
-                i, rule = numeric, 0 if numeric == end else 1
-            else:
-                yield table[:, 0], table[:, 1:4]
-                if undecoded:
-                    raise ValueError(f"line {before + 1}: byte {ord(undecoded.group()) - 0xDC00:#04x} is not UTF-8")
-                continue
-            cells = rows[i].split(",")
-            quoted = str(cells)
-            if len(quoted) > QUOTED_ROW_CHARS:
-                quoted = quoted[:QUOTED_ROW_CHARS] + "..."
-            message = COUNTS_ROW_RULES[rule].format(*duration[i:i + 1], *first, fields=len(cells), row=quoted)
-            numbers = [k for k, line in enumerate(lines, start + 1) if line][-len(rows):]  # those of the rows
-            raise ValueError(f"line {numbers[i]}: {message}")
-    if not first.size:  # no data row, and perhaps no header either
+            table = None  # stays None unless every row is five cells that float() reads
+            with contextlib.suppress(ValueError):  # maxsplit 4 leaves a sixth cell on the fifth: refused
+                cells = itertools.chain.from_iterable(row.split(",", 4) for row in rows)
+                table = np.fromiter(map(float, cells), float).reshape(len(rows), 5)
+            if table is None or not (np.isfinite(table).all() and (table[:, 1:4] >= 0).all() and (table[:, 4] > 0).all()
+                                     and (table[:, 4] == (table[:1, 4] if first is None else first)).all()):
+                numbers = [k for k, line in enumerate(lines, start + 1) if line][-len(rows):]  # those of the rows
+                _raise_first_broken_row(zip(numbers, rows), first)
+            first = table[0, 4] if first is None and len(table) else first
+            yield table[:, 0], table[:, 1:4]
+            if undecoded:
+                raise ValueError(f"line {before + 1}: byte {ord(undecoded.group()) - 0xDC00:#04x} is not UTF-8")
+    finally:
+        release()
+    if first is None:  # no data row, and perhaps no header either
         raise ValueError(f"input must start with header {COUNTS_CSV_HEADER!r}" if header is None
                          else "input has no data rows")
 

@@ -853,6 +853,50 @@ def test_commands_without_a_table_do_not_load_concurrent_futures():
     )
 
 
+def test_cli_import_loads_no_archive_module():
+    # `_write` keeps a file's mode with os.chmod; shutil would bring fnmatch and
+    # the compression modules. -S keeps site's own imports out of the child.
+    import numpy
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(numpy.__file__)), str(SRC)])
+    subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, numpy, ctxscope.cli\n"
+                                     "archives = {'shutil', 'fnmatch', 'bz2', 'lzma', 'zlib', '_compression'}\n"
+                                     "assert not archives & set(sys.modules), sorted(archives & set(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+        timeout=120,
+    )
+
+
+# A caller that runs fit on stdin in process, then prints its own stdin's settings.
+FIT_STDIN_IN_PROCESS = """import sys
+from ctxscope.cli import main
+caller = sys.stdin.buffer.readline() if sys.argv[1:] == ["--caller-reads-a-line"] else b""
+status = main(["fit", "--input", "-", "--model", "Nf"])
+sys.stdout.flush()
+print(caller, sys.stdin.encoding, sys.stdin.errors, file=sys.stderr)
+sys.exit(status)
+"""
+
+
+@pytest.mark.parametrize("caller_line", [b"", b"a line the caller reads first\n"],
+                         ids=["untouched", "caller read a line"])
+def test_fit_from_stdin_leaves_the_callers_stdin_as_it_was(capsys, tmp_path, caller_line):
+    # the reader wraps sys.stdin.buffer in a text layer of its own and detaches
+    # it, so the caller's sys.stdin keeps the encoding it started with
+    path = tmp_path / "scan.csv"
+    assert main(["phase-scan", "--state", "Nf", "--steps", "7", "--seed", "2", "--rate", "50",
+                 "--out", str(path)]) == 0
+    _, from_file = run_cli(capsys, "fit", "--input", str(path), "--model", "Nf")
+    argv = ["--caller-reads-a-line"] if caller_line else []
+    proc = subprocess.run([sys.executable, "-c", FIT_STDIN_IN_PROCESS, *argv], input=caller_line + path.read_bytes(),
+                          capture_output=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "latin-1"})
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode() == from_file
+    assert proc.stderr.decode() == f"{caller_line!r} iso8859-1 strict\n"
+
+
 def test_fit_does_not_load_numpy_ma(tmp_path):
     path = tmp_path / "counts.csv"
     path.write_text("setting,n1,n2,n3,duration\n"
@@ -1282,6 +1326,32 @@ class TestFit:
             path.write_text("setting,n1,n2,n3,duration\n" + "\n".join(body) + "\n")
             assert usage_error(capsys, "fit", "--input", str(path), "--model", "Nf") == (
                 f"error: line 4: {messages[first]}\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,4\x1f,5,6,1", "non-numeric field in ['1', '4\\x1f', '5', '6', '1']"),
+        ("1,4\x1e,5,6,1", "expected 5 fields, got 2"),  # str.splitlines ends a line at \x1e
+    ], ids=["unit separator", "record separator"])
+    def test_separator_cells(self, capsys, tmp_path, row, message):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"setting,n1,n2,n3,duration\n0,1,2,3,1\n{row}\n", encoding="utf-8")
+        assert usage_error(capsys, "fit", "--input", str(path), "--model", "Nf") == f"error: line 3: {message}\n"
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,2,3,4", "expected 5 fields, got 4"),
+        ("1,2,x,3,1", "non-numeric field in ['1', '2', 'x', '3', '1']"),
+        ("1,2,nan,3,1", "non-finite field in ['1', '2', 'nan', '3', '1']"),
+        ("1,2,-3,3,1", "counts must be non-negative"),
+        ("1,2,3,3,0", "duration must be positive"),
+        ("1,2,3,3,2", "duration 2 differs from the first row's 1"),
+    ], ids=["fields", "numeric", "finite", "counts", "duration positive", "duration equal"])
+    def test_a_full_block_broken_in_its_last_row_names_that_row(self, capsys, tmp_path, row, message):
+        # the first block's lines are the header, 65,534 clean rows and the
+        # broken one; a few clean rows follow in a second block
+        assert cli.CSV_BLOCK_ROWS == 65_536
+        path = tmp_path / "counts.csv"
+        clean = [f"{k},1,2,3,1\n" for k in range(65_534)]
+        path.write_text("setting,n1,n2,n3,duration\n" + "".join(clean) + row + "\n" + "".join(clean[:3]))
+        assert usage_error(capsys, "fit", "--input", str(path), "--model", "Nf") == f"error: line 65536: {message}\n"
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
     def test_reads_crlf_and_cr_lines_from_stdin(self, capsys, tmp_path, monkeypatch, end):
