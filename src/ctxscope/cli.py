@@ -9,8 +9,10 @@ Each command checks its arguments, then returns its exit status and its
 output as byte chunks, produced as they are written so that tables stream;
 `main` writes them to --out and turns every refusal, a broken stream
 included, into an exit code and one `error:` line where stderr can take it.
-A table's CSV is formatted on one worker thread, one block at a time,
-while the calling thread computes the next block.
+A table whose first block is full (CSV_BLOCK_ROWS rows) has its CSV
+formatted on one worker thread, one block at a time, while the calling
+thread computes the next block; a shorter table is formatted on the calling
+thread, with no thread started.
 
 Outputs are deterministic for fixed flags: CSV uses the fixed
 headers below with nine-decimal floats and LF line endings, JSON uses
@@ -162,25 +164,34 @@ def _csv(header: str, blocks: Iterable[Sequence[Sequence[float]]]) -> Iterator[b
     """The header, then the rows of each block of columns, one chunk per block
     in order, as ASCII bytes. Float columns print as _f9 does (|x| < 1e-12
     snapped to 0, then "%.9f"), integer columns as "%d". Producers keep each
-    block to at most CSV_BLOCK_ROWS rows.
+    block to at most CSV_BLOCK_ROWS rows and fill every block but the last.
 
-    One worker thread formats block k (_format_block) while this thread takes
-    block k + 1 from the producer and then hands on block k's bytes, so at
-    most one block is being formatted. An exception from the producer or the
-    formatter reaches the caller as it was raised, and the worker is joined
-    before this generator ends, fails or is closed."""
-    from concurrent.futures import ThreadPoolExecutor  # imports logging, which only a table needs
-
+    A first block shorter than CSV_BLOCK_ROWS is then the whole table, and
+    this thread formats it (and any block a producer still yields after it)
+    with no thread started and nothing imported. Otherwise one worker thread
+    formats block k (_format_block) while this thread takes block k + 1 from
+    the producer and then hands on block k's bytes, so at most one block is
+    being formatted. An exception from the producer or the formatter reaches
+    the caller as it was raised, and the worker is joined before this
+    generator ends, fails or is closed."""
     yield (header + "\n").encode()
+    blocks = iter(blocks)
+    block = next(blocks, None)
+    if block is None:
+        return
+    if len(block[0]) < CSV_BLOCK_ROWS:
+        yield _format_block(block)
+        yield from map(_format_block, blocks)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # imports logging, which only a long table needs
+
     with ThreadPoolExecutor(1, thread_name_prefix="ctxscope-csv") as worker:
-        pending = None
-        for block in blocks:
-            chunk = pending.result() if pending else None
+        pending = worker.submit(_format_block, block)
+        for block in blocks:  # drops the submitted block once the next one is taken
+            chunk = pending.result()
             pending = worker.submit(_format_block, block)
-            if chunk is not None:
-                yield chunk
-        if pending:
-            yield pending.result()
+            yield chunk
+        yield pending.result()
 
 
 def _text(lines: Iterable[str]) -> bytes:
@@ -362,7 +373,7 @@ def _read_counts_csv(path: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             release = fh.detach  # closing it would close the caller's stdin
         else:  # a replacement that holds text, such as io.StringIO
             fh, release = sys.stdin, lambda: None
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a stdin that the caller closed
         raise ValueError(f"cannot read {path!r}: {exc}") from None
     before, header, first = 0, None, None  # lines in earlier blocks; the first row's duration
     try:
@@ -755,10 +766,11 @@ def entry() -> NoReturn:
     os._exit skips the interpreter's teardown (module cleanup, the last
     collection, freeing NumPy's memory and OpenBLAS's threads), which takes
     25-40 ms of a short call, and it skips the atexit and threading exit
-    handlers that a table's concurrent.futures and logging register. Nothing
-    is left for any of it to do: main returns only after its last chunk is
-    flushed, an --out file is closed and renamed, the CSV worker is shut down
-    and joined and any error line is flushed, and ctxscope logs nothing.
+    handlers that concurrent.futures and logging register for a table whose
+    first block is full (the only one with a CSV worker). Nothing is left for
+    any of it to do: main returns only after its last chunk is flushed, an
+    --out file is closed and renamed, the CSV worker is shut down and joined
+    and any error line is flushed, and ctxscope logs nothing.
     --help and uncaught exceptions leave through the interpreter's usual exit."""
     # Python ignores SIGPIPE; its default action ends the script quietly under `| head`
     if hasattr(signal, "SIGPIPE"):

@@ -649,6 +649,14 @@ class TestBrokenStreams:
         assert usage_error(capsys, "fit", "--input", "-", "--model", "V0") == (
             "error: cannot read '-': [Errno 9] stdin is closed\n")
 
+    def test_a_stdin_the_caller_closed_names_its_path(self, capsys, monkeypatch):
+        # closing sys.stdin closes its binary buffer too, which a text layer refuses with ValueError
+        stdin = open(os.devnull, encoding="utf-8")  # a text layer on a buffered file, as sys.stdin is
+        stdin.close()
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert usage_error(capsys, "fit", "--input", "-", "--model", "Nf") == (
+            "error: cannot read '-': I/O operation on closed file\n")
+
     @pytest.mark.parametrize("argv, status", [(("witness", "--state", "Xf"), 2),
                                               (("fit", "--input", "flat.csv", "--model", "Nf"), 3)],
                              ids=["usage error", "degenerate fit"])
@@ -847,6 +855,33 @@ def test_commands_without_a_table_do_not_load_concurrent_futures():
                                "    assert main(['witness', '--state', 'Nf']) == 0\n"
                                "    assert main(['check']) == 0\n"
                                "assert 'concurrent.futures' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=True,
+        timeout=120,
+    )
+
+
+# Each table here is shorter than one CSV block and is formatted on the calling
+# thread; a sweep of 70,000 states fills its first block and starts the worker.
+ONE_BLOCK_TABLES = """import contextlib, io, os, sys
+from ctxscope.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(['phase-scan', '--state', 'V0', '--steps', '5001', '--visibility', '0.9', '--seed', '1',
+                 '--out', sys.argv[1]]) == 0
+    assert main(['trans-scan', '--state', 'Nf', '--target', 'S2', '--steps', '5001', '--rate', '200',
+                 '--seed', '11']) == 0
+    assert main(['run', '--state', 'Nf', '--block', 'f', '--format', 'csv']) == 0
+    assert main(['sample', '--state', 'V0', '--seed', '1', '--format', 'csv']) == 0
+loaded = {'concurrent.futures', 'logging'} & set(sys.modules)
+assert not loaded, sorted(loaded)
+assert main(['sweep', '--complex', '--samples', '70000', '--out', os.devnull]) == 0
+assert 'concurrent.futures' in sys.modules
+"""
+
+
+def test_a_one_block_table_loads_neither_concurrent_futures_nor_logging(tmp_path):
+    subprocess.run(
+        [sys.executable, "-c", ONE_BLOCK_TABLES, str(tmp_path / "scan.csv")],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         check=True,
         timeout=120,

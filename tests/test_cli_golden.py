@@ -21,7 +21,10 @@ witnesses print alike) and the fit of the 10^5-step Bf scan (16th digit).
 The three fit JSONs were re-recorded when `fit` came to fold its counts into
 one QR factor block by block (numbers within 1.5e-14 of the least-squares
 solve before), and `check` when its identity suite moved from 10^4 Haar
-states to the nine states that fix a Hermitian form.
+states to the nine states that fix a Hermitian form. The three sampled
+phase scans either side of one CSV block were recorded from the release
+before a table whose first block is short came to be formatted on the
+calling thread.
 """
 import hashlib
 import io
@@ -289,6 +292,14 @@ def slow_formatter(monkeypatch, fail_at=None, error=None) -> list[int]:
 class TestCsvWorker:
     """_csv formats each block on a worker thread while the next is computed."""
 
+    @pytest.fixture(autouse=True)
+    def full_two_row_blocks(self, request, monkeypatch):
+        # A table whose first block is full goes to the worker, so two-row
+        # blocks must be full. main's sweeps fill their own blocks already;
+        # cut into 45,000 two-row blocks, the 300-point sweep would take 40 s.
+        if request.node.name != "test_no_thread_outlives_main":
+            monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 2)
+
     def test_many_tiny_blocks_come_out_in_order(self):
         table, start = two_row_blocks(45), threading.active_count()
         assert list(cli._csv("x,n", iter(table))) == [b"x,n\n", *chunks_of(table)]
@@ -396,3 +407,72 @@ class TestCsvWorker:
         assert main(["sweep", "--resolution", "100"]) == 2
         assert threading.active_count() == start
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+class TestCsvCallingThread:
+    """_csv formats a table whose first block is short on the calling thread."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_starts(self, monkeypatch):
+        def start(thread):
+            raise AssertionError(f"a thread was started: {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+
+    @pytest.mark.parametrize("count", [1, 12], ids=["one block", "blocks after a short first block"])
+    def test_every_block_comes_out_in_order_from_this_thread(self, monkeypatch, count):
+        threads, real = [], cli._ascii_rows
+
+        def formatter(block, sizes):
+            threads.append(threading.current_thread())
+            return real(block, sizes)
+
+        monkeypatch.setattr(cli, "_ascii_rows", formatter)
+        table = two_row_blocks(count)
+        assert list(cli._csv("x,n", iter(table))) == [b"x,n\n", *chunks_of(table)]
+        assert threads == [threading.current_thread()] * count
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_producer_error_after_k_blocks_reaches_the_caller(self, capfd, k):
+        error, table, chunks = RuntimeError("producer failed"), two_row_blocks(k), []
+
+        def producer():
+            yield from table
+            raise error
+
+        with pytest.raises(RuntimeError) as caught:
+            for chunk in cli._csv("x,n", producer()):
+                chunks.append(chunk)
+        assert caught.value is error
+        # every block the producer gave was formatted and handed on before it failed
+        assert chunks == [b"x,n\n", *chunks_of(table)]
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("error", [ValueError("formatter failed"), KeyboardInterrupt()],
+                             ids=["ValueError", "KeyboardInterrupt"])
+    @pytest.mark.parametrize("fail_at", [1, 3])
+    def test_formatter_error_reaches_the_caller_as_raised(self, capfd, monkeypatch, error, fail_at):
+        calls = slow_formatter(monkeypatch, fail_at, error)
+        chunks = []
+        with pytest.raises(type(error)) as caught:
+            for chunk in cli._csv("x,n", iter(two_row_blocks(10))):
+                chunks.append(chunk)
+        assert caught.value is error
+        assert len(calls) == fail_at and len(chunks) == fail_at
+        assert capfd.readouterr() == ("", "")
+
+
+# Sampled scans one row short of a CSV block, one block and one row more: the
+# first is formatted on the calling thread, the other two by the worker.
+BOUNDARY_HASHED = {
+    65_535: "27824b612165e07e8ed5bb05c428c9782c1b70e505d67831726fb5e42fef187d",
+    65_536: "37f0a60a17ccdbd92d872f22f2e09ce454194fe5a15c20f2832c2ebd69647434",
+    65_537: "b8a04acd0d333dff9b0a6aeca302dcc6c9ab8ed1f184a8386f6b205f66a0bb8e",
+}
+
+
+@pytest.mark.parametrize("steps", list(BOUNDARY_HASHED))
+def test_sampled_scan_either_side_of_one_block_is_byte_identical(capsys, steps):
+    out = cli_output(capsys, ["phase-scan", "--state", "V0", "--steps", str(steps), "--visibility", "0.9",
+                              "--seed", "4"])
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BOUNDARY_HASHED[steps]
