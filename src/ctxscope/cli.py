@@ -25,7 +25,6 @@ import contextlib
 import errno
 import io
 import itertools
-import json
 import math
 import os
 import re
@@ -259,10 +258,11 @@ def _check_rows(flag: str, value: int, minimum: int, rows: int) -> None:
 
 
 def _json_dump(obj: object) -> bytes:
+    import json  # only the JSON commands need it
     return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
+def _check_seed(args: argparse.Namespace) -> int:
     if not 0 <= args.seed < 2 ** 64:
         raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {args.seed}")
     return args.seed
@@ -296,20 +296,18 @@ def _parse_state(spec: str) -> tuple[str, np.ndarray]:
     return spec, normalize(vec)
 
 
-def _split_pair(spec: str, flag: str) -> tuple[str, float]:
-    label, sep, raw = spec.partition(":")
-    if not sep:
-        raise ValueError(f"{flag} needs the form LABEL:VALUE, got {spec!r}")
-    try:
-        return label, float(raw)
-    except ValueError:
-        raise ValueError(f"{flag} value must be numeric, got {spec!r}") from None
-
-
 def _parse_modifiers(args: argparse.Namespace) -> list[interferometer.Modifier]:
     mods = [interferometer.block(label) for label in args.block or []]
     for flag, modifier in (("--phase", interferometer.phase_shift), ("--attenuate", interferometer.attenuate)):
-        mods += [modifier(*_split_pair(spec, flag)) for spec in getattr(args, flag[2:]) or []]
+        for spec in getattr(args, flag[2:]) or []:
+            label, sep, raw = spec.partition(":")
+            if not sep:
+                raise ValueError(f"{flag} needs the form LABEL:VALUE, got {spec!r}")
+            try:
+                value = float(raw)
+            except ValueError:
+                raise ValueError(f"{flag} value must be numeric, got {spec!r}") from None
+            mods.append(modifier(label, value))
     return mods
 
 
@@ -351,25 +349,26 @@ def _read_counts_csv(path: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Float settings, shape (n,), and counts, shape (n, 3), of a counts CSV,
     in blocks of at most CSV_BLOCK_ROWS lines, each yielded once it is checked.
 
-    The file, or stdin for "-", is read as UTF-8 whatever the locale, and with
-    universal newlines, so that CR-ended lines come in blocks too. Stdin's bytes
-    pass through a text layer of the reader's own, detached when it is done, so
-    an in-process caller's sys.stdin keeps its settings; bytes that the caller's
-    text layer already buffered are not seen, and a stdin without a binary
-    buffer (such as io.StringIO) is read as it is. Lines end where
-    str.splitlines ends them (LF, CRLF and CR among others), and blank ones are
-    skipped. The first is COUNTS_CSV_HEADER, cells stripped; one array pass
-    accepts a block whose later lines are rows that keep every rule of
-    _raise_first_broken_row, which walks any other block row by row. The error
-    names the first line that breaks a rule or holds a byte that is not UTF-8."""
+    The file, or stdin for "-", is read as UTF-8 whatever the locale, a leading
+    byte-order mark skipped, and with universal newlines, so that CR-ended lines
+    come in blocks too. Stdin's bytes pass through a text layer of the reader's
+    own, detached when it is done, so an in-process caller's sys.stdin keeps its
+    settings; bytes that the caller's text layer already buffered are not seen,
+    and a stdin without a binary buffer (such as io.StringIO) is read as it is.
+    Lines end where str.splitlines ends them (LF, CRLF and CR among others), and
+    blank ones are skipped. The first is COUNTS_CSV_HEADER, cells stripped; one
+    array pass accepts a block whose later lines are rows that keep every rule
+    of _raise_first_broken_row, which walks any other block row by row. The
+    error names the first line that breaks a rule or holds a byte that is not
+    UTF-8."""
     try:
         if path != "-":
-            fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+            fh = open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
             release = fh.close
         elif sys.stdin is None:  # the script started with stdin closed
             raise OSError(errno.EBADF, "stdin is closed")
         elif hasattr(sys.stdin, "buffer"):
-            fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", errors="surrogateescape")
+            fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig", errors="surrogateescape")
             release = fh.detach  # closing it would close the caller's stdin
         else:  # a replacement that holds text, such as io.StringIO
             fh, release = sys.stdin, lambda: None
@@ -412,19 +411,6 @@ def _check_counts_duration(duration: float) -> None:
     """Refuse a duration, already checked positive, that the counts CSV would print as zero."""
     if _f9(duration) == "0.000000000":
         raise ValueError(f"--duration {duration:g} would print as 0.000000000 in the counts CSV")
-
-
-def _scan_noise(args: argparse.Namespace) -> tuple[float, float, float, np.random.Generator]:
-    """A noisy scan's visibility, rate, duration and seeded generator, checked
-    before the grid is built: no mean exceeds the budget drawn here at p = 1."""
-    seed = _resolve_seed(args)
-    visibility = 1.0 if args.visibility is None else args.visibility
-    stats._check_visibility(visibility)
-    rate = DEFAULT_RATE if args.rate is None else args.rate
-    duration = DEFAULT_DURATION if args.duration is None else args.duration
-    stats.draw_counts(1.0, rate, duration, seed)
-    _check_counts_duration(duration)
-    return visibility, rate, duration, np.random.default_rng(seed)
 
 
 def cmd_check(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
@@ -498,9 +484,17 @@ def _run_scan(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
     ends = (args.start, args.stop if args.steps > 1 else args.start)
     if args.kind == "transmittance" and (min(ends) < 0.0 or max(ends) > 2.0 * math.pi + 1e-12):
         raise ValueError("transmittance settings must lie in [0, 2*pi]")
+    # bound and checked on an ideal scan too, before the grid is built
+    seed = _check_seed(args)
+    visibility = 1.0 if args.visibility is None else args.visibility
+    stats._check_visibility(visibility)
+    rate = DEFAULT_RATE if args.rate is None else args.rate
+    duration = DEFAULT_DURATION if args.duration is None else args.duration
     noisy = any(getattr(args, flag) is not None for flag in ("visibility", "rate", "duration"))
-    if noisy:
-        visibility, rate, duration, rng = _scan_noise(args)
+    if noisy:  # no mean exceeds the budget drawn here at p = 1; the defaults pass both checks
+        stats.draw_counts(1.0, rate, duration, seed)
+        _check_counts_duration(duration)
+    rng = np.random.default_rng(seed)
     # the top index times the step may round past the largest double; linspace
     # then overwrites that last setting with --to, so every setting is finite
     with np.errstate(over="ignore"):
@@ -513,7 +507,7 @@ def _run_scan(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
         for start in range(0, len(grid), CSV_BLOCK_ROWS):
             settings = grid[start:start + CSV_BLOCK_ROWS]
             if args.kind == "phase":
-                values = stats.fringe(settings, coefficients, visibility if noisy else 1.0)
+                values = stats.fringe(settings, coefficients, visibility)
             else:
                 factors = np.sin(settings / 2.0)[:, None]
                 values = interferometer.propagate(network, psi[None, :], [args.target], factors)[:, 0]
@@ -552,14 +546,15 @@ def _sweep_csv(lead: tuple[str, ...], blocks: Iterable[tuple[list, np.ndarray]])
 
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
+    _check_rows("--resolution", args.resolution, 2, args.resolution ** 2)
+    _check_rows("--samples", args.samples, 1, args.samples)
+    seed = _check_seed(args)
     if args.complex:
-        _check_rows("--samples", args.samples, 1, args.samples)
-        haar = haar_state_blocks(args.samples, _resolve_seed(args), CSV_BLOCK_ROWS)
+        haar = haar_state_blocks(args.samples, seed, CSV_BLOCK_ROWS)
         lead = ("index",)
         blocks = (([np.arange(start, start + len(states))], states)
                   for start, states in zip(range(0, args.samples, CSV_BLOCK_ROWS), haar))
     else:
-        _check_rows("--resolution", args.resolution, 2, args.resolution ** 2)
         grid = real_grid_blocks(args.resolution, CSV_BLOCK_ROWS)
         lead = ("alpha", "beta")
         blocks = (([alphas, betas], states) for alphas, betas, states in grid)
@@ -572,7 +567,7 @@ def cmd_sample(args: argparse.Namespace) -> tuple[int, Iterable[bytes]]:
     if not math.isfinite(args.setting):
         raise ValueError("--setting must be finite")
     dist = run(build_network(), psi, mods)
-    seed = _resolve_seed(args)
+    seed = _check_seed(args)
     counts = stats.draw_counts(dist, args.rate, args.duration, seed).tolist()
     if args.format == "csv":
         _check_counts_duration(args.duration)

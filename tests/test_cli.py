@@ -774,6 +774,27 @@ def test_bad_noise_flags_are_refused_before_the_scan_runs(capsys, monkeypatch, a
     assert usage_error(capsys, argv[0], "--state", "Nf", "--steps", "7", *argv[1:]) == f"error: {message}\n"
 
 
+SEED_ERROR = "seed must fit in an unsigned 64-bit integer, got -1"
+# Flags that the chosen mode does not read: an ideal scan draws no counts and a
+# grid sweep no Haar states, a Haar sweep builds no grid. Each is still checked.
+UNREAD_FLAG_ERRORS = [
+    (("phase-scan", "--state", "Nf", "--steps", "2", "--seed", "-1"), SEED_ERROR),
+    (("trans-scan", "--state", "Nf", "--steps", "2", "--seed", "-1"), SEED_ERROR),
+    (("sweep", "--resolution", "2", "--seed", "-1"), SEED_ERROR),
+    (("sweep", "--resolution", "2", "--samples", "0"), "--samples must be at least 1"),
+    (("sweep", "--resolution", "2", "--samples", "16000001"),
+     "--samples 16000001 asks for 16000001 rows; at most 16000000 are allowed"),
+    (("sweep", "--complex", "--samples", "2", "--resolution", "1"), "--resolution must be at least 2"),
+    (("sweep", "--complex", "--samples", "2", "--resolution", "4001"),
+     "--resolution 4001 asks for 16008001 rows; at most 16000000 are allowed"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNREAD_FLAG_ERRORS, ids=[" ".join(argv) for argv, _ in UNREAD_FLAG_ERRORS])
+def test_a_flag_the_mode_does_not_read_is_still_checked(capsys, argv, message):
+    assert usage_error(capsys, *argv) == f"error: {message}\n"
+
+
 def test_tiny_duration_still_samples_to_json(capsys):
     code, out = run_cli(capsys, "sample", "--state", "Nf", "--rate", "1e15", "--duration", "1e-10")
     assert code == 0
@@ -872,10 +893,10 @@ with contextlib.redirect_stdout(io.StringIO()):
                  '--seed', '11']) == 0
     assert main(['run', '--state', 'Nf', '--block', 'f', '--format', 'csv']) == 0
     assert main(['sample', '--state', 'V0', '--seed', '1', '--format', 'csv']) == 0
-loaded = {'concurrent.futures', 'logging'} & set(sys.modules)
+loaded = {'concurrent.futures', 'logging', 'json'} & set(sys.modules)
 assert not loaded, sorted(loaded)
 assert main(['sweep', '--complex', '--samples', '70000', '--out', os.devnull]) == 0
-assert 'concurrent.futures' in sys.modules
+assert 'concurrent.futures' in sys.modules and 'json' not in sys.modules
 """
 
 
@@ -1320,6 +1341,18 @@ class TestFit:
         code, from_stdin = run_cli(capsys, "fit", "--input", "-", "--model", "Nf")
         assert code == 0
         assert from_stdin == from_file
+
+    def test_a_leading_byte_order_mark_is_skipped(self, capsys, monkeypatch, tmp_path):
+        # Excel's "CSV UTF-8" starts a file with the UTF-8 byte-order mark EF BB BF
+        path = tmp_path / "scan.csv"
+        assert main(["phase-scan", "--state", "V0", "--steps", "50", "--visibility", "0.9", "--seed", "1",
+                     "--out", str(path)]) == 0
+        _, plain = run_cli(capsys, "fit", "--input", str(path), "--model", "V0")
+        data = b"\xef\xbb\xbf" + path.read_bytes()
+        path.write_bytes(data)
+        assert run_cli(capsys, "fit", "--input", str(path), "--model", "V0") == (0, plain)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n"))
+        assert run_cli(capsys, "fit", "--input", "-", "--model", "V0") == (0, plain)
 
     def test_cells_read_as_python_float_reads_them(self, tmp_path):
         cells = ["1_000", "\u0661\u0662", " 7 ", "\uff13.5", "9" * 30, "0.25e1", "+0", "-0.0"]

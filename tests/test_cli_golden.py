@@ -462,6 +462,36 @@ class TestCsvCallingThread:
         assert capfd.readouterr() == ("", "")
 
 
+# Every table producer, with its row count.
+PRODUCERS = [
+    (("phase-scan", "--state", "V0", "--steps", "20"), 20),
+    (("phase-scan", "--state", "V0", "--steps", "21", "--visibility", "0.9", "--seed", "1"), 21),
+    (("trans-scan", "--state", "Nf", "--steps", "20"), 20),
+    (("trans-scan", "--state", "Nf", "--steps", "22", "--rate", "1000", "--seed", "2"), 22),
+    (("sweep", "--resolution", "5"), 25),
+    (("sweep", "--complex", "--samples", "23", "--seed", "1"), 23),
+    (("run", "--state", "Nf", "--block", "f", "--format", "csv"), 1),
+    (("sample", "--state", "V0", "--seed", "3", "--format", "csv"), 1),
+]
+
+
+@pytest.mark.parametrize("argv, rows", PRODUCERS, ids=[" ".join(argv) for argv, _ in PRODUCERS])
+def test_every_block_but_the_last_is_full(monkeypatch, argv, rows):
+    # _csv formats a short first block as the whole table, so each producer
+    # must fill every block but its last
+    sizes, real = [], cli._format_block
+
+    def formatter(block):
+        sizes.append(len(block[0]))
+        return real(block)
+
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+    monkeypatch.setattr(cli, "_format_block", formatter)
+    assert cli.main([*argv, "--out", os.devnull]) == 0
+    assert sum(sizes) == rows
+    assert sizes[:-1] == [7] * (len(sizes) - 1) and 0 < sizes[-1] <= 7
+
+
 # Sampled scans one row short of a CSV block, one block and one row more: the
 # first is formatted on the calling thread, the other two by the worker.
 BOUNDARY_HASHED = {
