@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import hashlib
 import io
@@ -391,6 +392,9 @@ def test_non_finite_modifier_or_setting_is_one_line_usage_error(capsys, argv):
     [
         ("phase-scan", "--state", "Nf", "--from=-1e308", "--to=1e308", "--steps=3"),
         ("sample", "--state", "Nf", "--seed", "1e308"),
+        ("phase-scan", "--state", "Nf", "--steps", "3", "--from", "-inf"),
+        ("phase-scan", "--state", "Nf", "--steps", "3", "--seed", "-1"),
+        ("sweep", "--resolution", "2", "--samples", "0"),
     ],
     ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
 )
@@ -434,9 +438,11 @@ def test_a_flag_where_a_value_belongs_is_still_a_missing_value(capsys):
 
 # sha256 of each --help at COLUMNS=80, recorded before --out was added to
 # every subcommand in one loop; fit's was recorded again when --model came to
-# take any state.
+# take any state. Python 3.13's argparse pads the command list to the longest
+# name, which moves the top-level help alone: it has its own digest there.
 HELP_SHA256 = {
-    (): "9d7445cd82ae56f246316def16047bcdda9886c73fdd95c32ec19d33476de2b5",
+    (): "b83055f52c28cc71603d954304d49a5071b759c04214a2f87860fecb1992d99c" if sys.version_info >= (3, 13)
+        else "9d7445cd82ae56f246316def16047bcdda9886c73fdd95c32ec19d33476de2b5",
     ("check",): "e3ce000f543c2e58a689eb64166e140150fbe7e2c0fbd5e393cd415f9928c165",
     ("run",): "fe5ab3d1d26ca50e2f97526d8a605635564efbaef9008d2253d2fcdefe8e6fd2",
     ("witness",): "9b7ed6c686d484c49aebdcc76f0b06737e6c6688c7c9eb5982e77e68f5ba82aa",
@@ -475,19 +481,22 @@ def test_closed_pipe_ends_the_script_by_sigpipe(argv):
 
 MAIN_CODE = "from ctxscope.cli import main; raise SystemExit(main())"
 ENTRY_CODE = "from ctxscope.cli import entry; entry()"
+MODULE_CODE = "import runpy; runpy.run_module('ctxscope.cli', run_name='__main__')"  # as python -m ctxscope.cli
 
 
-def run_fresh(code: str, *argv, cwd=None, redirect: str = "") -> tuple[int, bytes, bytes]:
+def run_fresh(code: str, *argv, cwd=None, redirect: str = "", stdin=None) -> tuple[int, bytes, bytes]:
     """Status, stdout and stderr of code run on argv in a fresh interpreter,
     started by a shell with the redirection applied if one is given, such as
-    ">&-" to start it with stdout closed. Stdout is buffered, as the installed
-    script's is: PYTHONUNBUFFERED would write every chunk at once and hide a
-    byte lost at exit."""
+    ">&-" to start it with stdout closed, and reading `stdin` (a file) if one
+    is given. Stdout is buffered, as the installed script's is:
+    PYTHONUNBUFFERED would write every chunk at once and hide a byte lost at
+    exit."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     command = [sys.executable, "-c", code, *argv]
     if redirect:
         command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
-    proc = subprocess.run(command, capture_output=True, timeout=60, cwd=cwd, env={**env, "PYTHONPATH": str(SRC)})
+    proc = subprocess.run(command, stdin=stdin, capture_output=True, timeout=60, cwd=cwd,
+                          env={**env, "PYTHONPATH": str(SRC)})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -513,7 +522,8 @@ FLAT_COUNTS = "setting,n1,n2,n3,duration\n" + "0.5,10,20,30,1\n" * 4
 ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
 def test_entry_exits_with_the_bytes_and_status_of_main(tmp_path, argv, status):
     """entry() ends the process with os._exit once its output is flushed; a
-    fresh process must end with what main() under the usual exit gives."""
+    fresh process must end with what main() under the usual exit gives, run
+    as the installed script and as python -m ctxscope.cli alike."""
     assert main(["phase-scan", "--state", "Nf", "--steps", "101", "--visibility", "0.9", "--seed", "1",
                  "--out", str(tmp_path / "scan.csv")]) == 0
     (tmp_path / "flat.csv").write_text(FLAT_COUNTS)
@@ -521,16 +531,36 @@ def test_entry_exits_with_the_bytes_and_status_of_main(tmp_path, argv, status):
     assert expected[0] == status
     assert expected[1] or expected[2]
     assert run_fresh(ENTRY_CODE, *argv, cwd=tmp_path) == expected
+    assert run_fresh(MODULE_CODE, *argv, cwd=tmp_path) == expected
+
+
+# Tables whose first CSV block is full, so that the worker thread formats it, with their line counts.
+LONG_TABLES = [
+    # two CSV blocks and the trailer line, which is still in stdout's buffer when main() returns
+    (("sweep", "--resolution", "300"), 300 * 300 + 2),
+    (("sweep", "--complex", "--samples", "70000", "--seed", "1"), 70_000 + 2),
+    (("phase-scan", "--state", "V0", "--steps", "65537", "--visibility", "0.9", "--seed", "4"), 65_537 + 1),
+]
 
 
 def test_entry_writes_a_table_to_stdout_and_to_out_alike(tmp_path):
-    # two CSV blocks and the trailer line, which is still in stdout's buffer when main() returns
-    argv = ("sweep", "--resolution", "300")
-    expected = run_fresh(MAIN_CODE, *argv)
-    assert expected[0] == 0 and expected[1].count(b"\n") == 300 * 300 + 2
+    for argv, lines in LONG_TABLES:
+        expected = run_fresh(MAIN_CODE, *argv)
+        assert expected[0] == 0 and expected[1].count(b"\n") == lines
+        assert run_fresh(ENTRY_CODE, *argv) == expected
+        assert run_fresh(ENTRY_CODE, *argv, "--out", str(tmp_path / "table.csv")) == (0, b"", b"")
+        assert (tmp_path / "table.csv").read_bytes() == expected[1]
+
+
+def test_blas_threads_do_not_change_the_bytes(monkeypatch):
+    # a sweep of two full CSV blocks and a part prints the same bytes with one BLAS thread
+    argv = ("sweep", "--resolution", "363")
+    assert 363 * 363 > 2 * cli.CSV_BLOCK_ROWS
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    expected = run_fresh(ENTRY_CODE, *argv)
+    assert expected[0] == 0 and expected[1].count(b"\n") == 363 * 363 + 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert run_fresh(ENTRY_CODE, *argv) == expected
-    assert run_fresh(ENTRY_CODE, *argv, "--out", str(tmp_path / "map.csv")) == (0, b"", b"")
-    assert (tmp_path / "map.csv").read_bytes() == expected[1]
 
 
 class Device(io.RawIOBase):
@@ -681,8 +711,9 @@ class TestBrokenStreams:
     ("2>/dev/full", ("witness", "--state", "Xf"), 2, b""),
     ("2>&-", ("fit", "--input", "flat.csv", "--model", "Nf"), 3, b""),
     ("2>/dev/full", ("fit", "--input", "flat.csv", "--model", "Nf"), 3, b""),
+    (">/dev/full", ("witness", "--state", "Nf"), 2, b"error: [Errno 28] No space left on device\n"),
 ], ids=["stdout closed", "stdin closed", "usage error, stderr closed", "usage error, stderr full",
-        "degenerate fit, stderr closed", "degenerate fit, stderr full"])
+        "degenerate fit, stderr closed", "degenerate fit, stderr full", "stdout full"])
 def test_a_broken_stream_is_a_status_in_a_fresh_process(tmp_path, redirect, argv, status, err):
     (tmp_path / "flat.csv").write_text(FLAT_COUNTS)
     assert run_fresh(ENTRY_CODE, *argv, cwd=tmp_path, redirect=redirect) == (status, b"", err)
@@ -1272,6 +1303,25 @@ class TestFit:
             path.write_text(f"{cli.COUNTS_CSV_HEADER}\n0,1,1,1\n")
         assert usage_error(capsys, "fit", "--input", str(path), "--model", "1,0,-1,0,0,0") == (
             "error: model fringe amplitude for port 1 must be positive\n")
+
+    def test_model_without_a_fringe_ends_an_endless_stdin_at_once(self):
+        # the feeder fills the pipe's buffer (64 KiB on Linux), not one block of rows
+        read, write = os.pipe()
+        fed = []
+
+        def feed():
+            with open(write, "wb", buffering=0) as sink, contextlib.suppress(BrokenPipeError):
+                fed.append(sink.write(f"{cli.COUNTS_CSV_HEADER}\n".encode()))
+                while True:
+                    fed.append(sink.write(b"0,1,1,1,1\n" * 1024))
+
+        feeder = threading.Thread(target=feed)
+        feeder.start()
+        with open(read, "rb") as source:
+            result = run_fresh(ENTRY_CODE, "fit", "--input", "-", "--model", "1,0,-1,0,0,0", stdin=source)
+        feeder.join()
+        assert result == (2, b"", b"error: model fringe amplitude for port 1 must be positive\n")
+        assert sum(fed) < len(b"0,1,1,1,1\n") * cli.CSV_BLOCK_ROWS
 
     def test_unknown_model_is_refused_before_the_input_is_read(self, capsys, tmp_path):
         assert usage_error(capsys, "fit", "--input", str(tmp_path / "nope.csv"), "--model", "V1") == (

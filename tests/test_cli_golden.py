@@ -419,7 +419,7 @@ class TestCsvCallingThread:
 
         monkeypatch.setattr(threading.Thread, "start", start)
 
-    @pytest.mark.parametrize("count", [1, 12], ids=["one block", "blocks after a short first block"])
+    @pytest.mark.parametrize("count", [0, 1, 12], ids=["no block", "one block", "blocks after a short first block"])
     def test_every_block_comes_out_in_order_from_this_thread(self, monkeypatch, count):
         threads, real = [], cli._ascii_rows
 
