@@ -759,10 +759,10 @@ def entry() -> NoReturn:
     """The installed script: os._exit with main()'s status on sys.argv.
 
     os._exit skips the interpreter's teardown (module cleanup, the last
-    collection, freeing NumPy's memory and OpenBLAS's threads), which takes
-    25-40 ms of a short call, and it skips the atexit and threading exit
-    handlers that concurrent.futures and logging register for a table whose
-    first block is full (the only one with a CSV worker). Nothing is left for
+    collection, freeing NumPy's memory), which takes 15-25 ms of a short
+    call, and it skips the atexit and threading exit handlers that
+    concurrent.futures and logging register for a table whose first block
+    is full (the only one with a CSV worker). Nothing is left for
     any of it to do: main returns only after its last chunk is flushed, an
     --out file is closed and renamed, the CSV worker is shut down and joined
     and any error line is flushed, and ctxscope logs nothing.

@@ -172,10 +172,8 @@ def propagate(
     The amplitudes are held as (n_settings, 3, n_states), states on the long
     axis, and the returned probabilities are a transposed view of that array.
     Each overlap <v|amps>, as each row of U, is _overlap's three complex
-    products summed in order, not a matrix product: a BLAS call per table
-    block would wake OpenBLAS's worker thread, which then spins on the
-    second CPU that the CLI's CSV formatter runs on, and the sum no longer
-    depends on how BLAS splits or orders it.
+    products summed in order, not a matrix product, so the sum does not
+    depend on how BLAS splits or orders it.
     """
     psi = np.ascontiguousarray(states, dtype=complex)
     if psi.ndim != 2 or psi.shape[1] != 3:
@@ -243,8 +241,8 @@ def evaluate_states(network: Network, states: np.ndarray) -> dict[str, np.ndarra
     "gain": gain at port 3; "witness_outputs": the witness from outputs alone.
     On a perturbed network only the output side moves.
 
-    Each path overlap is _overlap's three explicit complex products, as in
-    propagate, so that no call reaches BLAS and wakes its worker thread.
+    Each path overlap is _overlap's three complex products summed in order,
+    as in propagate, so the sum does not depend on how BLAS splits or orders it.
     """
     free, blocked = propagate(network, states, ["f"], [[1.0], [0.0]])
     paths, columns = canonical_paths(), np.ascontiguousarray(np.asarray(states, dtype=complex).T)

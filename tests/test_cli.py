@@ -552,15 +552,62 @@ def test_entry_writes_a_table_to_stdout_and_to_out_alike(tmp_path):
         assert (tmp_path / "table.csv").read_bytes() == expected[1]
 
 
-def test_blas_threads_do_not_change_the_bytes(monkeypatch):
-    # a sweep of two full CSV blocks and a part prints the same bytes with one BLAS thread
-    argv = ("sweep", "--resolution", "363")
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def set_blas_threads(monkeypatch, **chosen) -> None:
+    """Leave only the chosen BLAS thread variables in the environment that fresh children inherit."""
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in chosen.items():
+        monkeypatch.setenv(name, value)
+
+
+def test_blas_threads_do_not_change_the_bytes(monkeypatch, tmp_path):
+    # a sweep of two full CSV blocks and a part, and fit of more than one reader block,
+    # print the same bytes with the one BLAS thread ctxscope starts as with a pool the user chose
+    sweep = ("sweep", "--resolution", "363")
     assert 363 * 363 > 2 * cli.CSV_BLOCK_ROWS
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    expected = run_fresh(ENTRY_CODE, *argv)
-    assert expected[0] == 0 and expected[1].count(b"\n") == 363 * 363 + 2
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert run_fresh(ENTRY_CODE, *argv) == expected
+    counts = tmp_path / "counts.csv"
+    assert main(["phase-scan", "--state", "V0", "--steps", "65537", "--visibility", "0.9", "--seed", "5",
+                 "--out", str(counts)]) == 0
+    fit = ("fit", "--input", str(counts), "--model", "V0")
+    set_blas_threads(monkeypatch)
+    expected = [run_fresh(ENTRY_CODE, *sweep), run_fresh(ENTRY_CODE, *fit)]
+    assert expected[0][0] == 0 and expected[0][1].count(b"\n") == 363 * 363 + 2
+    assert expected[1][0] == 0 and json.loads(expected[1][1])["settings"] == 65_537
+    set_blas_threads(monkeypatch, OPENBLAS_NUM_THREADS="2")
+    assert [run_fresh(ENTRY_CODE, *sweep), run_fresh(ENTRY_CODE, *fit)] == expected
+
+
+# The OS threads of a fresh interpreter after `imports`, and whether its environment is as it started.
+THREADS_CODE = """import os
+before = dict(os.environ)
+{imports}
+print(len(os.listdir("/proc/self/task")), dict(os.environ) == before)"""
+
+
+def threads_after(imports: str) -> tuple[int, bool]:
+    status, out, err = run_fresh(THREADS_CODE.format(imports=imports))
+    assert (status, err) == (0, b"")
+    threads, unchanged = out.split()
+    return int(threads), unchanged == b"True"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task (Linux)")
+class TestBlasThreads:
+    def test_ctxscope_starts_openblas_single_threaded(self, monkeypatch):
+        set_blas_threads(monkeypatch)
+        assert threads_after("import ctxscope.cli") == (1, True)
+
+    @pytest.mark.parametrize("chosen, imports", [
+        ({"OPENBLAS_NUM_THREADS": "2"}, "import ctxscope.cli"),
+        ({"OMP_NUM_THREADS": "2"}, "import ctxscope.cli"),
+        ({}, "import numpy; import ctxscope.cli"),
+    ], ids=["OPENBLAS_NUM_THREADS=2", "OMP_NUM_THREADS=2", "numpy imported first"])
+    def test_a_pool_chosen_elsewhere_is_numpys_own(self, monkeypatch, chosen, imports):
+        set_blas_threads(monkeypatch, **chosen)
+        assert threads_after(imports) == threads_after("import numpy")
 
 
 class Device(io.RawIOBase):

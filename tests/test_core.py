@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ctxscope.contexts import INPUT_LABELS
+from ctxscope.contexts import INPUT_LABELS, canonical_paths
 from ctxscope.core import (
     as_state,
     basis_change,
@@ -13,9 +13,9 @@ from ctxscope.core import (
     normalize,
     real_grid_blocks,
 )
-from ctxscope.interferometer import Stage
+from ctxscope.interferometer import Stage, evaluate_states
 
-from conftest import haar_states, real_amplitude_grid
+from conftest import haar_form_tail, haar_states, real_amplitude_grid
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
@@ -220,3 +220,47 @@ class TestStateBlocks:
     def test_empty_sources_keep_their_shapes(self):
         assert haar_states(0, 1).shape == (0, 3)
         assert [a.shape for a in real_amplitude_grid(0)] == [(0,), (0,), (0, 3)]
+
+
+class TestHaarLaw:
+    """haar_state_blocks draws the exact Haar law: the values of each form
+    psi^dagger A psi on 10^5 states are Kolmogorov-Smirnov close to its exact
+    CDF, 1 - haar_form_tail, at level ALPHA (the DKW bound, no scipy)."""
+
+    COUNT, SEED, ALPHA = 100_000, 2024, 1e-3
+
+    @pytest.fixture(scope="class")
+    def draw(self):
+        return haar_states(self.COUNT, self.SEED)
+
+    @pytest.fixture(scope="class")
+    def forms(self, network, witness_matrix, draw):
+        """Each form's 3x3 matrix, and its values on the draw as evaluate_states gives them."""
+        values = evaluate_states(network, draw)
+        paths = canonical_paths()
+        q = np.eye(3) - np.outer(paths["f"], paths["f"].conj())  # f blocked; the free network is I
+        rail = [np.diag(row).astype(complex) for row in np.eye(3)]
+        return {
+            "witness": (witness_matrix, values["witness"]),
+            "gain(f, 3)": (q @ rail[2] @ q - rail[2], values["gain"]),
+            "blocked 1 - free 3": (q @ rail[0] @ q - rail[2], values["blocked"][:, 0] - values["free"][:, 2]),
+            "mean free port": (np.diag([0.0, 1.0, 2.0]), values["free"] @ [0.0, 1.0, 2.0]),
+        }
+
+    def test_exact_tails_at_zero(self, forms):
+        assert haar_form_tail(np.linalg.eigvalsh(forms["witness"][0]), 0.0) == pytest.approx(
+            (7 - math.sqrt(33)) / (11 + math.sqrt(33)), abs=1e-12)
+        assert haar_form_tail(np.linalg.eigvalsh(forms["gain(f, 3)"][0]), 0.0) == pytest.approx(1 / 3, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["witness", "gain(f, 3)", "blocked 1 - free 3", "mean free port"])
+    def test_forms_follow_their_exact_law(self, draw, forms, name):
+        matrix, values = forms[name]
+        head = draw[:100]
+        assert np.einsum("ni,ij,nj->n", head.conj(), matrix, head).real == pytest.approx(values[:100], abs=1e-12)
+        eigenvalues = np.linalg.eigvalsh(matrix)
+        assert np.min(np.diff(eigenvalues)) > 0.1
+        x = np.sort(values)
+        cdf = 1.0 - haar_form_tail(eigenvalues, x)
+        n = x.size
+        distance = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert distance < math.sqrt(math.log(2 / self.ALPHA) / 2) / math.sqrt(n)
